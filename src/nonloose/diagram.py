@@ -32,11 +32,13 @@ With writhe w and cusp counts (u, d):  tb = w - (u + d)/2,  rot = (d - u)/2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     EmptyWord,
+    FrontEditError,
     FrontParseError,
     MultipleComponents,
     NonzeroFinalStrands,
@@ -66,97 +68,89 @@ class FrontEvent:
     position: int
 
 
-@dataclass(frozen=True)
-class _Trace:
-    """Arc bookkeeping of a valid word.
+class _Orientation(NamedTuple):
+    """Orientation of a valid word for a rightward base.
 
-    Arcs are maximal strand segments between cusps, numbered in creation
-    order.  Cusp pairs are (event_index, lower_arc, upper_arc); crossings are
-    (event_index, ascending_arc, descending_arc).
+    ``arc_directions[a]`` is the direction the component runs along arc
+    ``a``; the cusp counts follow the convention of the module docstring.
     """
 
-    arc_count: int
-    left_pairs: tuple[tuple[int, int, int], ...]
-    right_pairs: tuple[tuple[int, int, int], ...]
-    crossings: tuple[tuple[int, int, int], ...]
+    arc_directions: tuple[Direction, ...]
+    writhe: int
+    up_cusps: int
+    down_cusps: int
 
 
-def _trace(events: tuple[FrontEvent, ...]) -> _Trace:
+def _trace(events: tuple[FrontEvent, ...]) -> _Orientation:
+    """Validate a word and orient it for a rightward base, in one pass.
+
+    Arcs are maximal strand segments between cusps, numbered in creation
+    order, so the left cusp opening arcs 2m and 2m + 1 has arc 2m below.
+    The sweep records which arc each arc meets at its right cusp and whether
+    it is the lower strand there.  The traversal then starts on arc 0 moving
+    rightward, alternating right cusps and left cusps until it is back on
+    arc 0; a word is one component exactly when that visits every arc.
+    """
     if not events:
         raise EmptyWord("a front word needs at least one event")
+    left_cusp, crossing = EventKind.LEFT_CUSP, EventKind.CROSSING
     stack: list[int] = []
-    next_arc = 0
-    left_pairs: list[tuple[int, int, int]] = []
-    right_pairs: list[tuple[int, int, int]] = []
-    crossings: list[tuple[int, int, int]] = []
+    n = 0  # len(stack)
+    partner: list[int] = []  # arc -> the arc it meets at its right cusp
+    lower: list[bool] = []  # arc -> it is the lower strand at its right cusp
+    crossings: list[tuple[int, int]] = []  # (ascending arc, descending arc)
 
     for k, ev in enumerate(events):
-        n = len(stack)
         i = ev.position
-        if ev.kind is EventKind.LEFT_CUSP:
-            if not 1 <= i <= n + 1:
-                raise PositionOutOfRange(
-                    f"event {k}: left cusp at {i} with {n} strands", event_index=k
-                )
-            lo, hi = next_arc, next_arc + 1
-            next_arc += 2
-            stack[i - 1 : i - 1] = [lo, hi]
-            left_pairs.append((k, lo, hi))
-        elif ev.kind is EventKind.RIGHT_CUSP:
-            if not 1 <= i <= n - 1:
-                raise PositionOutOfRange(
-                    f"event {k}: right cusp at {i} with {n} strands", event_index=k
-                )
-            lo, hi = stack[i - 1], stack[i]
-            del stack[i - 1 : i + 1]
-            right_pairs.append((k, lo, hi))
-        else:
+        kind = ev.kind
+        if kind is crossing:
             if not 1 <= i <= n - 1:
                 raise PositionOutOfRange(
                     f"event {k}: crossing at {i} with {n} strands", event_index=k
                 )
             asc, desc = stack[i - 1], stack[i]
             stack[i - 1], stack[i] = desc, asc
-            crossings.append((k, asc, desc))
+            crossings.append((asc, desc))
+        elif kind is left_cusp:
+            if not 1 <= i <= n + 1:
+                raise PositionOutOfRange(
+                    f"event {k}: left cusp at {i} with {n} strands", event_index=k
+                )
+            lo = len(partner)
+            stack[i - 1 : i - 1] = (lo, lo + 1)
+            n += 2
+            partner += (-1, -1)
+            lower += (False, False)
+        else:
+            if not 1 <= i <= n - 1:
+                raise PositionOutOfRange(
+                    f"event {k}: right cusp at {i} with {n} strands", event_index=k
+                )
+            lo, hi = stack[i - 1], stack[i]
+            del stack[i - 1 : i + 1]
+            n -= 2
+            partner[lo], partner[hi] = hi, lo
+            lower[lo] = True
 
     if stack:
-        raise NonzeroFinalStrands(f"{len(stack)} strands left open at the end")
+        raise NonzeroFinalStrands(f"{n} strands left open at the end")
 
-    tr = _Trace(next_arc, tuple(left_pairs), tuple(right_pairs), tuple(crossings))
-    if len(_walk(tr)) != tr.arc_count:
-        raise MultipleComponents("front word traces out more than one component")
-    return tr
-
-
-def _partners(tr: _Trace) -> tuple[dict[int, tuple[int, int, bool]], dict[int, tuple[int, int, bool]]]:
-    # arc -> (partner arc, event index, entered_on_lower)
-    left: dict[int, tuple[int, int, bool]] = {}
-    right: dict[int, tuple[int, int, bool]] = {}
-    for k, lo, hi in tr.left_pairs:
-        left[lo] = (hi, k, True)
-        left[hi] = (lo, k, False)
-    for k, lo, hi in tr.right_pairs:
-        right[lo] = (hi, k, True)
-        right[hi] = (lo, k, False)
-    return left, right
-
-
-def _walk(tr: _Trace) -> list[tuple[int, bool, bool]]:
-    """Traverse the component from the first cusp's lower arc, rightward.
-
-    Returns one entry per visited arc: (arc, moving_right, entered_lower)
-    where entered_lower describes the cusp the arc runs into.
-    """
-    left, right = _partners(tr)
-    start = tr.left_pairs[0][1]
-    arc, moving_right = start, True
-    out: list[tuple[int, bool, bool]] = []
+    rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
+    dirs = [leftward] * len(partner)
+    up = visited = arc = 0
     while True:
-        partner, _, entered_lower = (right if moving_right else left)[arc]
-        out.append((arc, moving_right, entered_lower))
-        arc, moving_right = partner, not moving_right
-        if arc == start and moving_right:
-            return out
+        dirs[arc] = rightward
+        up += lower[arc]  # into a right cusp on the lower strand
+        arc = partner[arc]  # then leftward along the partner
+        up += not arc & 1  # into its left cusp on the lower strand
+        arc ^= 1  # then rightward along the left cusp's other arc
+        visited += 2
+        if arc == 0:
+            break
+    if visited != len(partner):
+        raise MultipleComponents("front word traces out more than one component")
+    same = sum([dirs[asc] is dirs[desc] for asc, desc in crossings])
+    return _Orientation(tuple(dirs), 2 * same - len(crossings), up, visited - up)
 
 
 @dataclass(frozen=True)
@@ -164,10 +158,13 @@ class FrontWord:
     """A validated front word.  Construction rejects invalid words."""
 
     events: tuple[FrontEvent, ...]
+    # orientation for a rightward base, found while validating
+    _orientation: _Orientation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        _trace(self.events)
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_orientation", _trace(events))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -190,6 +187,7 @@ class OrientedFront:
 
 
 _NUMBER_RE = re.compile(r"\d+")
+_KINDS = {k.value: k for k in EventKind}
 
 
 def parse_front(text: str) -> FrontWord:
@@ -198,12 +196,11 @@ def parse_front(text: str) -> FrontWord:
     tokens = stripped.replace(";", " ").split()
     if not tokens:
         raise EmptyWord("no events in input")
-    kinds = {k.value: k for k in EventKind}
     events: list[FrontEvent] = []
     pos = 0
     while pos < len(tokens):
         tok = tokens[pos]
-        if tok not in kinds:
+        if tok not in _KINDS:
             raise UnknownToken(f"unknown token {tok!r}")
         if pos + 1 >= len(tokens):
             raise UnknownToken(f"missing position after {tok!r}")
@@ -215,14 +212,15 @@ def parse_front(text: str) -> FrontWord:
             raise PositionOutOfRange(
                 f"event {len(events)}: position must be >= 1", event_index=len(events)
             )
-        events.append(FrontEvent(kinds[tok], value))
+        events.append(FrontEvent(_KINDS[tok], value))
         pos += 2
     return FrontWord(tuple(events))
 
 
 def serialize_front(word: FrontWord) -> str:
     """One event per line; inverse of :func:`parse_front`."""
-    return "".join(f"{e.kind.value} {e.position}\n" for e in word.events)
+    # ``_value_`` is what the ``value`` property returns, without the property call
+    return "".join([f"{e.kind._value_} {e.position}\n" for e in word.events])
 
 
 def resolve_orientation(
@@ -231,26 +229,16 @@ def resolve_orientation(
     """Orient the component and derive writhe and cusp counts.
 
     The traversal starts on the lower strand of the first left cusp, moving
-    in ``base_direction``.
+    in ``base_direction``.  The word was oriented for a rightward base when
+    it was validated; a leftward base flips every arc and swaps up and down
+    cusps, and leaves the writhe as it is.
     """
-    tr = _trace(word.events)
-    walk = _walk(tr)
-    flip = base_direction is Direction.LEFTWARD
-    dirs: list[Direction | None] = [None] * tr.arc_count
-    up = down = 0
-    for arc, moving_right, entered_lower in walk:
-        if flip:
-            moving_right = not moving_right
-            entered_lower = not entered_lower
-        dirs[arc] = Direction.RIGHTWARD if moving_right else Direction.LEFTWARD
-        if entered_lower:
-            up += 1
-        else:
-            down += 1
-    writhe = sum(
-        1 if dirs[asc] is dirs[desc] else -1 for _, asc, desc in tr.crossings
-    )
-    return OrientedFront(word, base_direction, tuple(dirs), writhe, up, down)
+    o = word._orientation
+    rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
+    if base_direction is leftward:
+        dirs = tuple([leftward if d is rightward else rightward for d in o.arc_directions])
+        return OrientedFront(word, base_direction, dirs, o.writhe, o.down_cusps, o.up_cusps)
+    return OrientedFront(word, base_direction, o.arc_directions, o.writhe, o.up_cusps, o.down_cusps)
 
 
 def tb(front: OrientedFront) -> int:
@@ -277,7 +265,7 @@ def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     moves by +1 or -1 according to ``sign``.
     """
     if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+        raise FrontEditError("sign must be '+' or '-'")
     positive = sign == "+"
     onto_rightward = front.base_direction is Direction.RIGHTWARD
     if positive == onto_rightward:
@@ -329,5 +317,5 @@ def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
         and ev[j].kind is EventKind.RIGHT_CUSP
         and abs(ev[i].position - ev[j].position) == 1
     ):
-        raise ValueError(f"events {pair} do not form a removable zigzag")
+        raise FrontEditError(f"events {pair} do not form a removable zigzag")
     return FrontWord(ev[:i] + ev[j + 1 :])

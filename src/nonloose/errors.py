@@ -37,6 +37,10 @@ class EmptyWord(FrontParseError):
     pass
 
 
+class FrontEditError(DomainError, ValueError):
+    """A stabilization or destabilization was asked for with bad arguments."""
+
+
 class DiagramError(DomainError):
     """A surgery diagram is structurally malformed."""
 

@@ -15,6 +15,7 @@ from math import gcd
 from pathlib import Path
 
 from .errors import InvalidParams, UnknownTag
+from .fields import read_bool, read_int
 
 AMBIENT_TIGHT_S3 = "tight-S3"
 
@@ -178,18 +179,27 @@ def record_from_dict(doc: dict) -> KnotRecord:
     if unknown:
         raise InvalidParams(f"unknown record keys: {sorted(unknown)}")
     try:
-        return KnotRecord(
-            family=str(doc["family"]),
-            max_tb=None if doc.get("max_tb") is None else int(doc["max_tb"]),
-            rot_at_max_tb=frozenset(int(r) for r in doc.get("rot_at_max_tb", [])),
-            chi=int(doc["chi"]),
-            g_s=None if doc.get("g_s") is None else int(doc["g_s"]),
-            plus_one_surgery_overtwisted=doc.get("plus_one_surgery_overtwisted"),
-            ambient=str(doc.get("ambient", AMBIENT_TIGHT_S3)),
-            order_positive=bool(doc.get("order_positive", False)),
-        )
+        family, chi = doc["family"], doc["chi"]
     except KeyError as exc:
         raise InvalidParams(f"record entry missing key {exc}") from exc
+    rots = doc.get("rot_at_max_tb", [])
+    if not isinstance(rots, list):
+        raise InvalidParams(f"rot_at_max_tb must be a list of integers, got {rots!r}")
+
+    def optional(key: str, read):
+        value = doc.get(key)
+        return None if value is None else read(value, key, InvalidParams)
+
+    return KnotRecord(
+        family=str(family),
+        max_tb=optional("max_tb", read_int),
+        rot_at_max_tb=frozenset(read_int(r, "rot_at_max_tb entry", InvalidParams) for r in rots),
+        chi=read_int(chi, "chi", InvalidParams),
+        g_s=optional("g_s", read_int),
+        plus_one_surgery_overtwisted=optional("plus_one_surgery_overtwisted", read_bool),
+        ambient=str(doc.get("ambient", AMBIENT_TIGHT_S3)),
+        order_positive=read_bool(doc.get("order_positive", False), "order_positive", InvalidParams),
+    )
 
 
 def load_records(path: str | Path) -> tuple[KnotRecord, ...]:

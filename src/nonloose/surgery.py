@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .calculus import RationalData
 from .errors import DiagramError, InfiniteOrder, MeridionalSlope, SingularMatrix
+from .fields import read_int
 from .linalg import (
     INFINITE,
     Matrix,
@@ -230,18 +231,25 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
     comps = []
     for entry in raw_components:
         try:
-            comps.append(
-                SurgeryComponent(
-                    str(entry["id"]), int(entry["tb"]), int(entry["rot"]), str(entry["coeff"])
-                )
-            )
-        except (TypeError, KeyError, ValueError) as exc:
+            cid, tb, rot, coeff = entry["id"], entry["tb"], entry["rot"], entry["coeff"]
+        except (TypeError, KeyError) as exc:
             raise DiagramError(f"bad component entry {entry!r}") from exc
+        comps.append(
+            SurgeryComponent(
+                str(cid),
+                read_int(tb, "component tb", DiagramError),
+                read_int(rot, "component rot", DiagramError),
+                str(coeff),
+            )
+        )
+    raw_pairs = doc.get("lk", [])
+    if not isinstance(raw_pairs, list):
+        raise DiagramError("'lk' must be a list")
     pairs = []
-    for entry in doc.get("lk", []):
+    for entry in raw_pairs:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
-        pairs.append((str(entry[0]), str(entry[1]), int(entry[2])))
+        pairs.append((str(entry[0]), str(entry[1]), read_int(entry[2], "lk value", DiagramError)))
     return SurgeryDiagram.build(tuple(comps), pairs, str(distinguished))
 
 

@@ -1,0 +1,201 @@
+"""Strict fields at the JSON boundary: every value either is read as the
+type its field documents or ends in a DomainError, never a coercion or a
+traceback."""
+
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonloose.cli import main
+from nonloose.errors import DiagramError, DomainError, InvalidParams
+from nonloose.knotdata import record_from_dict
+from nonloose.surgery import diagram_from_json
+
+README_DIAGRAM = {
+    "components": [
+        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
+        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
+    ],
+    "lk": [["Lstar", "L", -15]],
+    "distinguished": "Lstar",
+}
+RECORD = {
+    "family": "k",
+    "max_tb": -3,
+    "rot_at_max_tb": [0],
+    "chi": -5,
+    "g_s": 2,
+    "order_positive": False,
+    "plus_one_surgery_overtwisted": None,
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (where in the diagram document, the value the loaded diagram holds there)
+DIAGRAM_FIELDS = {
+    "passive tb": (("components", 0, "tb"), lambda d: d.components[0].tb),
+    "passive rot": (("components", 0, "rot"), lambda d: d.components[0].rot),
+    "surgered tb": (("components", 1, "tb"), lambda d: d.components[1].tb),
+    "surgered rot": (("components", 1, "rot"), lambda d: d.components[1].rot),
+    "lk value": (("lk", 0, 2), lambda d: d.lk[0][1]),
+}
+
+
+def put(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(DIAGRAM_FIELDS)), json_values)
+def test_diagram_integer_fields(field, value):
+    path, read_back = DIAGRAM_FIELDS[field]
+    try:
+        diag = diagram_from_json(put(README_DIAGRAM, path, value))
+    except DomainError:
+        assert not is_int(value)
+        return
+    assert is_int(value)
+    assert read_back(diag) == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["components", "lk", ("components", 1), ("lk", 0)]), json_values)
+def test_diagram_structure_fields(where, value):
+    path = (where,) if isinstance(where, str) else where
+    try:
+        diagram_from_json(put(README_DIAGRAM, path, value))
+    except DomainError:
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(json_values)
+def test_diagram_whole_document(value):
+    try:
+        diagram_from_json(value)
+    except DomainError:
+        pass
+
+
+@pytest.mark.parametrize("value", [True, False, -16.7, -16.0, "-16", None, [-16]])
+def test_diagram_rejects_non_integers(value):
+    with pytest.raises(DiagramError):
+        diagram_from_json(put(README_DIAGRAM, ("components", 0, "rot"), value))
+    with pytest.raises(DiagramError):
+        diagram_from_json(put(README_DIAGRAM, ("lk", 0, 2), value))
+
+
+INT_FIELDS = ("max_tb", "chi", "g_s")
+OPTIONAL_FIELDS = ("max_tb", "g_s", "plus_one_surgery_overtwisted")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(RECORD) + ["rot_at_max_tb entry"]), json_values)
+def test_record_fields(field, value):
+    if field == "rot_at_max_tb entry":
+        doc = dict(RECORD, rot_at_max_tb=[value])
+    else:
+        doc = dict(RECORD, **{field: value})
+    try:
+        rec = record_from_dict(doc)
+    except DomainError as exc:
+        assert isinstance(exc, InvalidParams)
+        return
+    if field == "rot_at_max_tb entry":
+        assert is_int(value) and rec.rot_at_max_tb == {value}
+        return
+    got = getattr(rec, field)
+    if value is None and field in OPTIONAL_FIELDS:
+        assert got is None
+    elif field in INT_FIELDS:
+        assert is_int(value) and got == value
+    elif field in ("order_positive", "plus_one_surgery_overtwisted"):
+        assert isinstance(value, bool) and got is value
+    elif field == "rot_at_max_tb":
+        assert isinstance(value, list) and all(is_int(r) for r in value)
+        assert got == frozenset(value)
+    else:  # family: any JSON value names a family
+        assert got == str(value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("chi", "x"),
+        ("chi", -5.0),
+        ("chi", True),
+        ("max_tb", -3.5),
+        ("g_s", "2"),
+        ("rot_at_max_tb", [False]),
+        ("rot_at_max_tb", "0"),
+        ("order_positive", "false"),
+        ("order_positive", 0),
+        ("plus_one_surgery_overtwisted", "false"),
+        ("plus_one_surgery_overtwisted", 1),
+    ],
+)
+def test_record_rejects(field, value):
+    with pytest.raises(InvalidParams):
+        record_from_dict(dict(RECORD, **{field: value}))
+
+
+def test_record_defaults():
+    rec = record_from_dict({"family": "k", "chi": -5})
+    assert rec.max_tb is None and rec.g_s is None
+    assert rec.rot_at_max_tb == frozenset()
+    assert rec.order_positive is False
+    assert rec.plus_one_surgery_overtwisted is None
+
+
+def run_cli(capsys, monkeypatch, argv, stdin=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+MALFORMED_DIAGRAMS = {
+    "non-integer lk": put(
+        put(README_DIAGRAM, ("lk", 0), ["Lstar", "L", "x"]), ("components", 0, "tb"), -2
+    ),
+    "float tb": put(README_DIAGRAM, ("components", 0, "tb"), -16.7),
+    "boolean rot": put(README_DIAGRAM, ("components", 0, "rot"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DIAGRAMS))
+def test_cli_malformed_diagram(capsys, monkeypatch, name):
+    code, doc = run_cli(
+        capsys, monkeypatch, ["surgery-invariants", "-", "--chi", "-7"], json.dumps(MALFORMED_DIAGRAMS[name])
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "DiagramError"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("chi", "x"), ("order_positive", "false"), ("plus_one_surgery_overtwisted", "false")],
+)
+def test_cli_malformed_record(capsys, monkeypatch, tmp_path, field, value):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": -5, field: value}]))
+    code, doc = run_cli(capsys, monkeypatch, ["--records", str(path), "knot-record", "--name", "k"])
+    assert code == 1
+    assert doc["error"]["type"] == "InvalidParams"
