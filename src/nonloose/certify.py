@@ -9,8 +9,9 @@ echoes exactly the flags it consumed.
 
 Bound bookkeeping inside certificate details uses the flat keys
 ``depth_min/depth_max``, ``tension_min/tension_max`` and
-``order_bar_min/order_bar_max``; the consistency checker reads these to
-verify order <= tension <= depth across a bundle of certificates.
+``order_bar_min/order_bar_max``; :func:`certificate_bounds` alone reads them
+back, and the consistency checker verifies order <= tension <= depth within
+each certificate's own windows.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class Verdict(str, Enum):
     DEPTH_ONE = "DepthOne"
     DEPTH_AT_LEAST_TWO = "DepthAtLeastTwo"
     DEPTH_EXACTLY_TWO = "DepthExactlyTwo"
-    DEPTH_AT_MOST = "DepthAtMost"
     TENSION_UPPER_BOUND = "TensionUpperBound"
     SIGNED_TENSION_BOUND = "SignedTensionBound"
     TENSION_EXACTLY_ONE = "TensionExactlyOne"
@@ -101,6 +101,35 @@ def _jsonable(value):
     if isinstance(value, frozenset):
         return sorted(value)
     return value
+
+
+def _certificate(verdict, details, rule, note, inputs=None, assumptions=None) -> Certificate:
+    """A certificate resting on a single reason."""
+    return Certificate(
+        verdict,
+        details=details,
+        reasons=(Reason(rule, note, inputs or {}),),
+        assumptions=assumptions or {},
+    )
+
+
+def _loose(rule, note, inputs=None, *, context=None, assumptions=None, **extra) -> Certificate:
+    """LooseCertified: depth and tension are both zero.  ``context`` details
+    precede the zero window and ``extra`` ones follow it."""
+    zero = {"depth_min": 0, "depth_max": 0, "tension_min": 0, "tension_max": 0}
+    details = {**(context or {}), **zero, **extra}
+    return _certificate(Verdict.LOOSE_CERTIFIED, details, rule, note, inputs, assumptions)
+
+
+def _failed(clauses: Iterable[tuple[str, bool]]) -> tuple[str, ...]:
+    """Names of the clauses that do not hold."""
+    return tuple(name for name, ok in clauses if not ok)
+
+
+def _inconclusive(failed, rule, note, inputs=None, assumptions=None) -> Certificate:
+    """Inconclusive because the hypotheses named in ``failed`` do not hold."""
+    details = {**(inputs or {}), "failed_conditions": failed}
+    return _certificate(Verdict.INCONCLUSIVE, details, rule, note, inputs, assumptions)
 
 
 @dataclass(frozen=True)
@@ -164,26 +193,7 @@ def unknot_verdict(p: ClassicalPair) -> Certificate:
     when non-loose, have depth = tension = 1 and vanishing order.
     """
     details = {"knot_type": "unknot", "tb": p.tb, "rot": p.rot}
-    if p.tb <= 0:
-        return Certificate(
-            Verdict.LOOSE_CERTIFIED,
-            details={
-                **details,
-                "depth_min": 0,
-                "depth_max": 0,
-                "tension_min": 0,
-                "tension_max": 0,
-                "order_bar_max": 0,
-            },
-            reasons=(
-                Reason(
-                    "unknot-tb-nonpositive",
-                    "a Legendrian unknot with tb <= 0 in an overtwisted structure is loose",
-                    {"tb": p.tb},
-                ),
-            ),
-        )
-    if abs(p.rot) == p.tb - 1:
+    if abs(p.rot) == p.tb - 1:  # only possible for tb >= 1
         return Certificate(
             Verdict.INCONCLUSIVE,
             details={
@@ -208,24 +218,19 @@ def unknot_verdict(p: ClassicalPair) -> Certificate:
                 ),
             ),
         )
-    return Certificate(
-        Verdict.LOOSE_CERTIFIED,
-        details={
-            **details,
-            "depth_min": 0,
-            "depth_max": 0,
-            "tension_min": 0,
-            "tension_max": 0,
-            "order_bar_max": 0,
-        },
-        reasons=(
-            Reason(
-                "unknot-classification",
-                "no non-loose unknot has these invariants, so the knot is loose",
-                {"tb": p.tb, "rot": p.rot},
-            ),
-        ),
-    )
+    if p.tb <= 0:
+        reason = (
+            "unknot-tb-nonpositive",
+            "a Legendrian unknot with tb <= 0 in an overtwisted structure is loose",
+            {"tb": p.tb},
+        )
+    else:
+        reason = (
+            "unknot-classification",
+            "no non-loose unknot has these invariants, so the knot is loose",
+            {"tb": p.tb, "rot": p.rot},
+        )
+    return _loose(*reason, context=details, order_bar_max=0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,34 +292,21 @@ def tension_certificate(
     """
     found = tension_upper_bound(data, max_n=max_n, side=side)
     if found is None:
-        return Certificate(
+        return _certificate(
             Verdict.NO_OBSTRUCTION,
-            details={"max_n": max_n, "side": side},
-            reasons=(
-                Reason(
-                    "stabilization-violation-search",
-                    "no stabilization within the budget violates the applicable "
-                    "Bennequin bound",
-                    {"max_n": max_n, "side": side},
-                ),
-            ),
+            {"max_n": max_n, "side": side},
+            "stabilization-violation-search",
+            "no stabilization within the budget violates the applicable Bennequin bound",
+            {"max_n": max_n, "side": side},
         )
     bound, witness = found
-    return Certificate(
+    return _certificate(
         Verdict.TENSION_UPPER_BOUND,
-        details={
-            "tension_max": bound,
-            "witness": witness,
-            "side": side,
-        },
-        reasons=(
-            Reason(
-                "stabilization-violation-search",
-                "the witness stabilization violates the applicable Bennequin "
-                "bound, so the stabilized knot is loose",
-                {"witness": witness, "side": side},
-            ),
-        ),
+        {"tension_max": bound, "witness": witness, "side": side},
+        "stabilization-violation-search",
+        "the witness stabilization violates the applicable Bennequin "
+        "bound, so the stabilized knot is loose",
+        {"witness": witness, "side": side},
     )
 
 
@@ -333,39 +325,25 @@ def depth_one_dual(is_stabilization: bool, complement_tight: bool) -> Certificat
         "complement_tight": complement_tight,
     }
     if not complement_tight:
-        return Certificate(
-            Verdict.LOOSE_CERTIFIED,
-            details={"depth_min": 0, "depth_max": 0, "tension_min": 0, "tension_max": 0},
-            reasons=(
-                Reason(
-                    "loose-complement",
-                    "an overtwisted complement is the definition of loose",
-                ),
-            ),
+        return _loose(
+            "loose-complement",
+            "an overtwisted complement is the definition of loose",
             assumptions=assumptions,
         )
     if is_stabilization:
-        return Certificate(
+        return _certificate(
             Verdict.DEPTH_ONE,
-            details={"depth_min": 1, "depth_max": 1},
-            reasons=(
-                Reason(
-                    "dual-depth-characterization",
-                    "(+1)-surgery on a stabilization caps off an overtwisted disk "
-                    "meeting the dual once",
-                ),
-            ),
+            {"depth_min": 1, "depth_max": 1},
+            "dual-depth-characterization",
+            "(+1)-surgery on a stabilization caps off an overtwisted disk "
+            "meeting the dual once",
             assumptions=assumptions,
         )
-    return Certificate(
+    return _certificate(
         Verdict.DEPTH_AT_LEAST_TWO,
-        details={"depth_min": 2},
-        reasons=(
-            Reason(
-                "dual-depth-characterization",
-                "depth one of the dual forces the surgered knot to destabilize",
-            ),
-        ),
+        {"depth_min": 2},
+        "dual-depth-characterization",
+        "depth one of the dual forces the surgered knot to destabilize",
         assumptions=assumptions,
     )
 
@@ -397,43 +375,32 @@ def tension_one_dual(
     the dual to violate the rational Bennequin bound, so its tension is
     exactly 1 once the surgery is overtwisted.
     """
-    failed = [
-        name
-        for name, ok in (
+    failed = _failed(
+        (
             ("tb < -1", tb < -1),
             ("rot < 0", rot < 0),
             ("tb + rot + 2 < chi", tb + rot + 2 < chi),
             ("surgery_overtwisted", surgery_overtwisted),
         )
-        if not ok
-    ]
+    )
     assumptions = {"surgery_overtwisted": surgery_overtwisted}
     inputs = {"tb": tb, "rot": rot, "chi": chi}
     if failed:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            details={**inputs, "failed_conditions": tuple(failed)},
-            reasons=(
-                Reason(
-                    "dual-tension-criterion",
-                    "hypotheses of the dual tension-one criterion are not all met",
-                    inputs,
-                ),
-            ),
-            assumptions=assumptions,
+        return _inconclusive(
+            failed,
+            "dual-tension-criterion",
+            "hypotheses of the dual tension-one criterion are not all met",
+            inputs,
+            assumptions,
         )
-    return Certificate(
+    return _certificate(
         Verdict.TENSION_EXACTLY_ONE,
-        details={**inputs, "tension_min": 1, "tension_max": 1},
-        reasons=(
-            Reason(
-                "dual-tension-criterion",
-                "a positive stabilization of the dual violates the rational "
-                "Bennequin bound, and the dual itself is non-loose",
-                inputs,
-            ),
-        ),
-        assumptions=assumptions,
+        {**inputs, "tension_min": 1, "tension_max": 1},
+        "dual-tension-criterion",
+        "a positive stabilization of the dual violates the rational "
+        "Bennequin bound, and the dual itself is non-loose",
+        inputs,
+        assumptions,
     )
 
 
@@ -520,42 +487,34 @@ def depth2_check(
         "is_stabilization": is_stabilization,
         "complement_tight": complement_tight,
     }
-    clauses = (
-        ("complement_tight", complement_tight),
-        ("not_a_stabilization", not is_stabilization),
-        ("tw_boundary == 0", w.tw_boundary == 0),
-        ("tw_curve == +1", w.tw_curve == 1),
-        ("essential", w.essential),
-        ("non_separating", w.non_separating),
-        ("orientation_preserving", w.orientation_preserving),
+    failed = _failed(
+        (
+            ("complement_tight", complement_tight),
+            ("not_a_stabilization", not is_stabilization),
+            ("tw_boundary == 0", w.tw_boundary == 0),
+            ("tw_curve == +1", w.tw_curve == 1),
+            ("essential", w.essential),
+            ("non_separating", w.non_separating),
+            ("orientation_preserving", w.orientation_preserving),
+        )
     )
-    failed = [name for name, ok in clauses if not ok]
     inputs = {"surface_kind": w.surface_kind}
     if failed:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            details={**inputs, "failed_conditions": tuple(failed)},
-            reasons=(
-                Reason(
-                    "depth-two-witness",
-                    "a clause of the depth-two characterization fails",
-                    inputs,
-                ),
-            ),
-            assumptions=assumptions,
+        return _inconclusive(
+            failed,
+            "depth-two-witness",
+            "a clause of the depth-two characterization fails",
+            inputs,
+            assumptions,
         )
-    return Certificate(
+    return _certificate(
         Verdict.DEPTH_EXACTLY_TWO,
-        details={**inputs, "depth_min": 2, "depth_max": 2},
-        reasons=(
-            Reason(
-                "depth-two-witness",
-                "the punctured surface compresses to an overtwisted disk met twice, "
-                "and no destabilization lowers the depth to 1",
-                inputs,
-            ),
-        ),
-        assumptions=assumptions,
+        {**inputs, "depth_min": 2, "depth_max": 2},
+        "depth-two-witness",
+        "the punctured surface compresses to an overtwisted disk met twice, "
+        "and no destabilization lowers the depth to 1",
+        inputs,
+        assumptions,
     )
 
 
@@ -567,34 +526,21 @@ def possurg_depth_one(tb: int, g_s: int) -> Certificate:
     if g_s < 0:
         raise InvalidParams("smooth 4-ball genus must be nonnegative")
     inputs = {"tb": tb, "g_s": g_s}
-    failed = [
-        name
-        for name, ok in (("tb == 2*g_s - 1", tb == 2 * g_s - 1), ("tb > 1", tb > 1))
-        if not ok
-    ]
+    failed = _failed((("tb == 2*g_s - 1", tb == 2 * g_s - 1), ("tb > 1", tb > 1)))
     if failed:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            details={**inputs, "failed_conditions": tuple(failed)},
-            reasons=(
-                Reason(
-                    "positive-surgery-tight",
-                    "the sharp slice-Bennequin hypothesis does not hold",
-                    inputs,
-                ),
-            ),
+        return _inconclusive(
+            failed,
+            "positive-surgery-tight",
+            "the sharp slice-Bennequin hypothesis does not hold",
+            inputs,
         )
-    return Certificate(
+    return _certificate(
         Verdict.DEPTH_ONE,
-        details={**inputs, "depth_min": 1, "depth_max": 1, "applies_to": "meridian-surgered image"},
-        reasons=(
-            Reason(
-                "positive-surgery-tight",
-                "tb = 2 g_s - 1 > 1 makes (+1)-surgery tight, so the image knot "
-                "meets an overtwisted disk exactly once",
-                inputs,
-            ),
-        ),
+        {**inputs, "depth_min": 1, "depth_max": 1, "applies_to": "meridian-surgered image"},
+        "positive-surgery-tight",
+        "tb = 2 g_s - 1 > 1 makes (+1)-surgery tight, so the image knot "
+        "meets an overtwisted disk exactly once",
+        inputs,
     )
 
 
@@ -609,21 +555,16 @@ def order_bounds(a: int, b: int, loosened: bool) -> Certificate:
         raise InvalidParams("stabilization counts must be nonnegative")
     if not loosened:
         raise NotLoosened("order bounds need a certified loosening")
-    details = {
-        "order_max": a,
-        "order_reversed_max": b,
-        "order_bar_max": a + b,
-    }
     note = "positive stabilizations multiply the invariant by U, negative ones fix it"
     if a + b == 0:
         note = "the knot itself is loose, so the invariant and both orders vanish"
-    return Certificate(
+    return _certificate(
         Verdict.ORDER_BOUNDS,
-        details=details,
-        reasons=(
-            Reason("stabilization-order-bound", note, {"a": a, "b": b}),
-        ),
-        assumptions={"loosened": loosened},
+        {"order_max": a, "order_reversed_max": b, "order_bar_max": a + b},
+        "stabilization-order-bound",
+        note,
+        {"a": a, "b": b},
+        {"loosened": loosened},
     )
 
 
@@ -636,34 +577,22 @@ def order_zero_by_tb_bound(
             "a positive order forces negative stabilizations to stay non-loose, "
             "so tb cannot be bounded below"
         )
+    assumptions = {"has_tb_lower_bound": has_tb_lower_bound}
     if not has_tb_lower_bound:
-        return Certificate(
+        return _certificate(
             Verdict.INCONCLUSIVE,
-            details={},
-            reasons=(
-                Reason(
-                    "tb-bound-order-zero",
-                    "no tb lower bound supplied; nothing follows",
-                ),
-            ),
-            assumptions={"has_tb_lower_bound": has_tb_lower_bound},
+            {},
+            "tb-bound-order-zero",
+            "no tb lower bound supplied; nothing follows",
+            assumptions=assumptions,
         )
-    return Certificate(
+    return _certificate(
         Verdict.ORDER_ZERO,
-        details={
-            "order_bar_min": 0,
-            "order_bar_max": 0,
-            "t_plus_finite": True,
-            "t_minus_finite": True,
-        },
-        reasons=(
-            Reason(
-                "tb-bound-order-zero",
-                "stabilizing past the tb bound loosens the knot with either sign, "
-                "so the invariant vanishes and both signed tensions are finite",
-            ),
-        ),
-        assumptions={"has_tb_lower_bound": has_tb_lower_bound},
+        {"order_bar_min": 0, "order_bar_max": 0, "t_plus_finite": True, "t_minus_finite": True},
+        "tb-bound-order-zero",
+        "stabilizing past the tb bound loosens the knot with either sign, "
+        "so the invariant vanishes and both signed tensions are finite",
+        assumptions=assumptions,
     )
 
 
@@ -687,28 +616,17 @@ def tension_refinement(
         "complement_tight": complement_tight,
     }
     if not complement_tight:
-        return Certificate(
-            Verdict.LOOSE_CERTIFIED,
-            details={"depth_min": 0, "depth_max": 0, "tension_min": 0, "tension_max": 0},
-            reasons=(
-                Reason(
-                    "loose-complement",
-                    "an overtwisted complement is the definition of loose",
-                ),
-            ),
+        return _loose(
+            "loose-complement",
+            "an overtwisted complement is the definition of loose",
             assumptions=assumptions,
         )
     if not is_positive_stab_of_pushoff:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            details={"failed_conditions": ("is_positive_stab_of_pushoff",)},
-            reasons=(
-                Reason(
-                    "signed-tension-refinement",
-                    "the construction needs the surgered knot to be a positive "
-                    "stabilization of a push-off",
-                ),
-            ),
+        return _inconclusive(
+            ("is_positive_stab_of_pushoff",),
+            "signed-tension-refinement",
+            "the construction needs the surgered knot to be a positive "
+            "stabilization of a push-off",
             assumptions=assumptions,
         )
     details: dict[str, Any] = {
@@ -769,35 +687,20 @@ def transverse_transfer(
         "is_negative_hopf_stabilization": is_negative_hopf_stabilization,
     }
     if is_negative_hopf_stabilization:
-        return Certificate(
+        return _certificate(
             Verdict.DEPTH_ONE,
-            details={
-                "depth_min": 1,
-                "depth_max": 1,
-                "tension_min": 1,
-                "tension_max": 1,
-            },
-            reasons=(
-                Reason(
-                    "hopf-binding-depth",
-                    "plumbing a positive Hopf band exposes an overtwisted disk met "
-                    "once by the binding",
-                ),
-            ),
+            {"depth_min": 1, "depth_max": 1, "tension_min": 1, "tension_max": 1},
+            "hopf-binding-depth",
+            "plumbing a positive Hopf band exposes an overtwisted disk met "
+            "once by the binding",
             assumptions=assumptions,
         )
     details = dict(legendrian_cert.details)
     if details.get("knot_type") == "unknot":
-        return Certificate(
-            Verdict.LOOSE_CERTIFIED,
-            details={"knot_type": "unknot", "depth_min": 0, "depth_max": 0,
-                     "tension_min": 0, "tension_max": 0},
-            reasons=(
-                Reason(
-                    "transverse-unknot-loose",
-                    "every transverse unknot in an overtwisted structure is loose",
-                ),
-            ),
+        return _loose(
+            "transverse-unknot-loose",
+            "every transverse unknot in an overtwisted structure is loose",
+            context={"knot_type": "unknot"},
             assumptions=assumptions,
         )
     if legendrian_cert.verdict is Verdict.SIGNED_TENSION_BOUND:
@@ -806,30 +709,17 @@ def transverse_transfer(
                 "finite negative tension speaks about the positive push-off"
             )
         if details.get("t_minus_max") is not None:
-            return Certificate(
-                Verdict.LOOSE_CERTIFIED,
-                details={"depth_min": 0, "depth_max": 0, "tension_min": 0,
-                         "tension_max": 0},
-                reasons=(
-                    Reason(
-                        "pushoff-loose",
-                        "negative stabilizations do not move the push-off, so a "
-                        "finite negative tension looses it",
-                        {"t_minus_max": details["t_minus_max"]},
-                    ),
-                ),
+            return _loose(
+                "pushoff-loose",
+                "negative stabilizations do not move the push-off, so a "
+                "finite negative tension looses it",
+                {"t_minus_max": details["t_minus_max"]},
                 assumptions=assumptions,
             )
     if legendrian_cert.verdict is Verdict.LOOSE_CERTIFIED and relation == "pushoff":
-        return Certificate(
-            Verdict.LOOSE_CERTIFIED,
-            details={"depth_min": 0, "depth_max": 0, "tension_min": 0, "tension_max": 0},
-            reasons=(
-                Reason(
-                    "pushoff-loose",
-                    "the push-off of a loose knot is loose (zero negative tension)",
-                ),
-            ),
+        return _loose(
+            "pushoff-loose",
+            "the push-off of a loose knot is loose (zero negative tension)",
             assumptions=assumptions,
         )
     witness = details.get("witness")
@@ -838,87 +728,73 @@ def transverse_transfer(
         if positive_used == 0:
             # loosened by negative stabilizations alone, which do not move
             # the transverse knot at all
-            return Certificate(
-                Verdict.LOOSE_CERTIFIED,
-                details={"depth_min": 0, "depth_max": 0, "tension_min": 0,
-                         "tension_max": 0},
-                reasons=(
-                    Reason(
-                        "pushoff-loose",
-                        "a purely negative loosening leaves the transverse knot "
-                        "unchanged, so it is loose",
-                    ),
-                ),
+            return _loose(
+                "pushoff-loose",
+                "a purely negative loosening leaves the transverse knot "
+                "unchanged, so it is loose",
                 assumptions=assumptions,
             )
-        return Certificate(
+        return _certificate(
             Verdict.TENSION_UPPER_BOUND,
-            details={"tension_max": positive_used, "positive_stabs_used": positive_used},
-            reasons=(
-                Reason(
-                    "approximation-tension",
-                    "only the positive stabilizations of an approximation survive "
-                    "as stabilizations of the transverse knot",
-                    {"positive_stabs_used": positive_used},
-                ),
-            ),
-            assumptions=assumptions,
+            {"tension_max": positive_used, "positive_stabs_used": positive_used},
+            "approximation-tension",
+            "only the positive stabilizations of an approximation survive "
+            "as stabilizations of the transverse knot",
+            {"positive_stabs_used": positive_used},
+            assumptions,
         )
-    return Certificate(
+    return _certificate(
         Verdict.INCONCLUSIVE,
-        details={"source_verdict": legendrian_cert.verdict.value},
-        reasons=(
-            Reason(
-                "transverse-transfer",
-                "no transfer rule applies to the supplied certificate",
-            ),
-        ),
+        {"source_verdict": legendrian_cert.verdict.value},
+        "transverse-transfer",
+        "no transfer rule applies to the supplied certificate",
         assumptions=assumptions,
     )
 
 
 # ---------------------------------------------------------------------------
-# Consistency of certificate bundles.
+# Consistency of each certificate's bound windows.
+
+_MEASURES = ("order_bar", "tension", "depth")  # the order of order <= tension <= depth
 
 
 def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
-    """Extract [min, max] windows for order, tension and depth.
+    """Extract [min, max] windows for order, tension and depth, in that order.
 
     Unstated minimum is 0, unstated maximum is unbounded.  For conditional
-    unknot certificates the ``if_nonloose`` values are used, since the bundle
-    statement is conditioned on non-looseness.
+    unknot certificates the ``if_nonloose`` values fill the unstated keys,
+    since the certificate's statement is conditioned on non-looseness.
     """
-    d = dict(cert.details)
-    conditional = d.get("if_nonloose")
-    if conditional:
-        d.setdefault("depth_min", conditional["depth"])
-        d.setdefault("depth_max", conditional["depth"])
-        d.setdefault("tension_min", conditional["tension"])
-        d.setdefault("tension_max", conditional["tension"])
-        d.setdefault("order_bar_max", conditional["order_bar"])
-    out = {}
-    for name, key in (
-        ("order_bar", "order_bar"),
-        ("tension", "tension"),
-        ("depth", "depth"),
-    ):
-        lo = d.get(f"{key}_min", 0)
-        hi = d.get(f"{key}_max", inf)
-        out[name] = (lo, hi)
-    return out
+    d = cert.details
+    c = d.get("if_nonloose")
+    if c:
+        d = {
+            "depth_min": c["depth"],
+            "depth_max": c["depth"],
+            "tension_min": c["tension"],
+            "tension_max": c["tension"],
+            "order_bar_max": c["order_bar"],
+            **d,
+        }
+    return {m: (d.get(f"{m}_min", 0), d.get(f"{m}_max", inf)) for m in _MEASURES}
 
 
 def bundle_is_consistent(cert: Certificate) -> bool:
-    """Feasibility of order <= tension <= depth within the stated windows."""
-    b = certificate_bounds(cert)
-    o_lo, _ = b["order_bar"]
-    t_lo, t_hi = b["tension"]
-    d_lo, d_hi = b["depth"]
-    if t_hi < o_lo:
-        return False
-    return d_hi >= max(t_lo, o_lo)
+    """Feasibility of order <= tension <= depth within the stated windows.
+
+    Each measure is at least the running lower bound of those below it, so
+    the chain is feasible exactly when no upper bound falls below it.
+    """
+    floor = 0
+    for lo, hi in certificate_bounds(cert).values():
+        floor = max(floor, lo)
+        if hi < floor:
+            return False
+    return True
 
 
 def check_consistency(certs: Iterable[Certificate]) -> list[Certificate]:
-    """Return the certificates whose bound windows are mutually infeasible."""
+    """Return the certificates whose own bound windows admit no order <=
+    tension <= depth.  Each certificate is checked on its own: certificates
+    do not name their subject, so two about the same knot are not compared."""
     return [c for c in certs if not bundle_is_consistent(c)]

@@ -45,6 +45,10 @@ class DiagramError(DomainError):
     """A surgery diagram is structurally malformed."""
 
 
+class LinalgError(DomainError, ValueError):
+    """A matrix or vector has the wrong shape or entries for the operation."""
+
+
 class SingularMatrix(DomainError):
     pass
 

@@ -20,6 +20,13 @@ def read_int(value: Any, what: str, error: type[DomainError]) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def read_str(value: Any, what: str, error: type[DomainError]) -> str:
+    """``value`` if it is a string; else raise ``error``."""
+    if isinstance(value, str):
+        return value
+    raise error(f"{what} must be a string, got {value!r}")
+
+
 def read_bool(value: Any, what: str, error: type[DomainError]) -> bool:
     """``value`` if it is ``true`` or ``false``; else raise ``error``."""
     if isinstance(value, bool):

@@ -15,7 +15,7 @@ from math import gcd
 from pathlib import Path
 
 from .errors import InvalidParams, UnknownTag
-from .fields import read_bool, read_int
+from .fields import read_bool, read_int, read_str
 
 AMBIENT_TIGHT_S3 = "tight-S3"
 
@@ -191,13 +191,13 @@ def record_from_dict(doc: dict) -> KnotRecord:
         return None if value is None else read(value, key, InvalidParams)
 
     return KnotRecord(
-        family=str(family),
+        family=read_str(family, "family", InvalidParams),
         max_tb=optional("max_tb", read_int),
         rot_at_max_tb=frozenset(read_int(r, "rot_at_max_tb entry", InvalidParams) for r in rots),
         chi=read_int(chi, "chi", InvalidParams),
         g_s=optional("g_s", read_int),
         plus_one_surgery_overtwisted=optional("plus_one_surgery_overtwisted", read_bool),
-        ambient=str(doc.get("ambient", AMBIENT_TIGHT_S3)),
+        ambient=read_str(doc.get("ambient", AMBIENT_TIGHT_S3), "ambient", InvalidParams),
         order_positive=read_bool(doc.get("order_positive", False), "order_positive", InvalidParams),
     )
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .errors import SingularMatrix
+from .errors import LinalgError, SingularMatrix
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -47,7 +47,7 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
+        raise LinalgError("incompatible shapes")
     inner = len(b)
     cols = len(b[0]) if b else 0
     return tuple(
@@ -58,14 +58,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence[Entry]) -> Vector:
     if a and len(a[0]) != len(v):
-        raise ValueError("incompatible shapes")
+        raise LinalgError("incompatible shapes")
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
 def _check_square(m: Matrix) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
+        raise LinalgError("matrix is not square")
     return n
 
 
@@ -191,9 +191,9 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
     nr = len(m)
     nc = len(m[0]) if m else 0
     if any(len(row) != nc for row in m):
-        raise ValueError("ragged matrix")
+        raise LinalgError("ragged matrix")
     if any(not isinstance(x, int) for row in m for x in row):
-        raise ValueError("Smith normal form requires integer entries")
+        raise LinalgError("Smith normal form requires integer entries")
     a = [list(row) for row in m]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
@@ -265,7 +265,7 @@ def homological_order(m: Matrix, lkvec: Sequence[int]) -> int | Infinite:
     """
     n = _check_square(m)
     if len(lkvec) != n:
-        raise ValueError("vector length must match matrix dimension")
+        raise LinalgError("vector length must match matrix dimension")
     if n == 0:
         return 1
     snf = smith_normal_form(m)

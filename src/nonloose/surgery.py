@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .calculus import RationalData
 from .errors import DiagramError, InfiniteOrder, MeridionalSlope, SingularMatrix
-from .fields import read_int
+from .fields import read_int, read_str
 from .linalg import (
     INFINITE,
     Matrix,
@@ -236,10 +236,10 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
             raise DiagramError(f"bad component entry {entry!r}") from exc
         comps.append(
             SurgeryComponent(
-                str(cid),
+                read_str(cid, "component id", DiagramError),
                 read_int(tb, "component tb", DiagramError),
                 read_int(rot, "component rot", DiagramError),
-                str(coeff),
+                read_str(coeff, "component coeff", DiagramError),
             )
         )
     raw_pairs = doc.get("lk", [])
@@ -249,8 +249,16 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
     for entry in raw_pairs:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
-        pairs.append((str(entry[0]), str(entry[1]), read_int(entry[2], "lk value", DiagramError)))
-    return SurgeryDiagram.build(tuple(comps), pairs, str(distinguished))
+        pairs.append(
+            (
+                read_str(entry[0], "lk id", DiagramError),
+                read_str(entry[1], "lk id", DiagramError),
+                read_int(entry[2], "lk value", DiagramError),
+            )
+        )
+    return SurgeryDiagram.build(
+        tuple(comps), pairs, read_str(distinguished, "distinguished", DiagramError)
+    )
 
 
 def diagram_to_json(diag: SurgeryDiagram) -> dict:

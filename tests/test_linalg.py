@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonloose.errors import SingularMatrix
+from nonloose.errors import DomainError, SingularMatrix
 from nonloose.linalg import (
     INFINITE,
     det_cofactor,
@@ -149,3 +149,21 @@ class TestHomologicalOrder:
             return
         lkvec = tuple(rng.randint(-9, 9) for _ in range(len(m)))
         assert homological_order(m, lkvec) == order_bruteforce(m, lkvec)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mat_mul(((1, 2),), ((1, 2),)),
+        lambda: mat_vec(((1, 2),), (1,)),
+        lambda: det_exact(((1, 2),)),
+        lambda: invert_exact(((1, 2),)),
+        lambda: smith_normal_form(((1, 2), (3,))),
+        lambda: smith_normal_form(((Fraction(1, 2),),)),
+        lambda: homological_order(identity(2), (1,)),
+    ],
+    ids=["mat_mul", "mat_vec", "det_exact", "invert_exact", "snf ragged", "snf fraction", "order length"],
+)
+def test_bad_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -103,6 +103,49 @@ def test_diagram_rejects_non_integers(value):
         diagram_from_json(put(README_DIAGRAM, ("lk", 0, 2), value))
 
 
+def rename_passive(value):
+    """The README diagram with the passive component's id set to ``value``
+    wherever that id appears."""
+    doc = put(README_DIAGRAM, ("components", 0, "id"), value)
+    doc = put(doc, ("lk", 0, 0), value)
+    return put(doc, ("distinguished",), value)
+
+
+# (the diagram document holding the value, the value the loaded diagram holds there)
+DIAGRAM_STRING_FIELDS = {
+    "component id": (rename_passive, lambda d: d.components[0].id),
+    "coeff": (lambda v: put(README_DIAGRAM, ("components", 1, "coeff"), v), lambda d: d.components[1].coeff),
+    "lk first id": (lambda v: put(README_DIAGRAM, ("lk", 0, 0), v), lambda d: d.components[0].id),
+    "lk second id": (lambda v: put(README_DIAGRAM, ("lk", 0, 1), v), lambda d: d.components[1].id),
+    "distinguished": (lambda v: put(README_DIAGRAM, ("distinguished",), v), lambda d: d.distinguished),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(DIAGRAM_STRING_FIELDS)), json_values | st.sampled_from(["Lstar", "L", "-1"]))
+def test_diagram_string_fields(field, value):
+    build, read_back = DIAGRAM_STRING_FIELDS[field]
+    try:
+        diag = diagram_from_json(build(value))
+    except DomainError as exc:
+        assert isinstance(exc, DiagramError)
+        return
+    assert isinstance(value, str) and read_back(diag) == value
+
+
+NON_STRING_DIAGRAMS = {
+    "list component id": rename_passive([2]),
+    "integer component id": rename_passive(2),
+    "integer coeff": put(README_DIAGRAM, ("components", 1, "coeff"), -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_STRING_DIAGRAMS))
+def test_diagram_rejects_non_strings(name):
+    with pytest.raises(DiagramError):
+        diagram_from_json(NON_STRING_DIAGRAMS[name])
+
+
 INT_FIELDS = ("max_tb", "chi", "g_s")
 OPTIONAL_FIELDS = ("max_tb", "g_s", "plus_one_surgery_overtwisted")
 
@@ -157,6 +200,24 @@ def test_record_rejects(field, value):
         record_from_dict(dict(RECORD, **{field: value}))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["family", "ambient"]), json_values)
+def test_record_string_fields(field, value):
+    try:
+        rec = record_from_dict(dict(RECORD, **{field: value}))
+    except DomainError as exc:
+        assert isinstance(exc, InvalidParams)
+        assert not isinstance(value, str)
+        return
+    assert isinstance(value, str) and getattr(rec, field) == value
+
+
+@pytest.mark.parametrize("field, value", [("family", None), ("family", 7), ("ambient", 7), ("ambient", None)])
+def test_record_rejects_non_strings(field, value):
+    with pytest.raises(InvalidParams):
+        record_from_dict(dict(RECORD, **{field: value}))
+
+
 def test_record_defaults():
     rec = record_from_dict({"family": "k", "chi": -5})
     assert rec.max_tb is None and rec.g_s is None
@@ -197,5 +258,31 @@ def test_cli_malformed_record(capsys, monkeypatch, tmp_path, field, value):
     path = tmp_path / "records.json"
     path.write_text(json.dumps([{"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": -5, field: value}]))
     code, doc = run_cli(capsys, monkeypatch, ["--records", str(path), "knot-record", "--name", "k"])
+    assert code == 1
+    assert doc["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("name", sorted(NON_STRING_DIAGRAMS))
+def test_cli_non_string_diagram_field(capsys, monkeypatch, name):
+    code, doc = run_cli(
+        capsys, monkeypatch, ["surgery-invariants", "-", "--chi", "-7"], json.dumps(NON_STRING_DIAGRAMS[name])
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "DiagramError"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"family": None, "max_tb": -3, "rot_at_max_tb": [0], "chi": -5},
+        # tb + |rot| = 6 > -chi: a tight-S3 record this would fail the Bennequin check
+        {"family": "k", "max_tb": 6, "rot_at_max_tb": [0], "chi": -5, "ambient": 7},
+    ],
+    ids=["null family", "numeric ambient"],
+)
+def test_cli_non_string_record_field(capsys, monkeypatch, tmp_path, record):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    code, doc = run_cli(capsys, monkeypatch, ["--records", str(path), "knot-record", "--name", str(record["family"])])
     assert code == 1
     assert doc["error"]["type"] == "InvalidParams"
