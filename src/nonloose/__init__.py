@@ -5,85 +5,128 @@ Legendrian and transverse knots from combinatorial front words and contact
 (+-1)-surgery presentations, entirely in exact arithmetic, and packages the
 resulting looseness obstructions and depth/tension/order bounds as tagged
 certificates.
+
+``import nonloose`` loads no submodule: each name below, and each submodule
+(``nonloose.surgery``, ...), is imported on first use, so a command loads
+only the modules it runs.
 """
 
-from .calculus import (
-    ClassicalPair,
-    RationalData,
-    pushoff_sl,
-    pushoff_sl_rational,
-    rational_from_classical,
-    reverse_class,
-    reverse_rational,
-    stabilize_class,
-    stabilize_rational,
-)
-from .certify import (
-    Certificate,
-    CheckResult,
-    Depth2Witness,
-    Reason,
-    Verdict,
-    bennequin_null,
-    bennequin_rational,
-    bundle_is_consistent,
-    certificate_bounds,
-    check_consistency,
-    depth2_check,
-    depth_one_dual,
-    not_a_stabilization_by_max_tb,
-    order_bounds,
-    order_zero_by_tb_bound,
-    possurg_depth_one,
-    tension_certificate,
-    tension_less_than_depth_search,
-    tension_one_dual,
-    tension_refinement,
-    tension_upper_bound,
-    transverse_bennequin,
-    transverse_transfer,
-    unknot_verdict,
-)
-from .diagram import (
-    Direction,
-    EventKind,
-    FrontEvent,
-    FrontWord,
-    OrientedFront,
-    destabilize_front,
-    detect_syntactic_destabilization,
-    parse_front,
-    resolve_orientation,
-    reverse_orientation,
-    rot,
-    serialize_front,
-    stabilize_front,
-    tb,
-)
-from .errors import DomainError
-from .knotdata import (
-    KnotRecord,
-    load_records,
-    named_example,
-    negative_torus_record,
-    nonloose_unknot_table,
-    positive_torus_record,
-    unknot_record,
-)
-from .linalg import INFINITE, SmithDecomposition
-from .surgery import (
-    SurgeryComponent,
-    SurgeryDiagram,
-    det_exact,
-    diagram_from_json,
-    diagram_to_json,
-    dual_invariants,
-    extended_matrix,
-    homological_order,
-    invert_exact,
-    linking_matrix,
-    rational_invariants,
-    smith_normal_form,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_SUBMODULES = (
+    "calculus",
+    "certify",
+    "cli",
+    "diagram",
+    "errors",
+    "fields",
+    "knotdata",
+    "linalg",
+    "surgery",
+)
+
+# The names the package exports, by the submodule that defines each.
+_EXPORTED_BY = {
+    "calculus": (
+        "ClassicalPair",
+        "RationalData",
+        "pushoff_sl",
+        "pushoff_sl_rational",
+        "rational_from_classical",
+        "reverse_class",
+        "reverse_rational",
+        "stabilize_class",
+        "stabilize_rational",
+    ),
+    "certify": (
+        "Certificate",
+        "CheckResult",
+        "Depth2Witness",
+        "Reason",
+        "Verdict",
+        "bennequin_null",
+        "bennequin_rational",
+        "bundle_is_consistent",
+        "certificate_bounds",
+        "check_consistency",
+        "depth2_check",
+        "depth_one_dual",
+        "not_a_stabilization_by_max_tb",
+        "order_bounds",
+        "order_zero_by_tb_bound",
+        "possurg_depth_one",
+        "tension_certificate",
+        "tension_less_than_depth_search",
+        "tension_one_dual",
+        "tension_refinement",
+        "tension_upper_bound",
+        "transverse_bennequin",
+        "transverse_transfer",
+        "unknot_verdict",
+    ),
+    "diagram": (
+        "Direction",
+        "EventKind",
+        "FrontEvent",
+        "FrontWord",
+        "OrientedFront",
+        "destabilize_front",
+        "detect_syntactic_destabilization",
+        "parse_front",
+        "resolve_orientation",
+        "reverse_orientation",
+        "rot",
+        "serialize_front",
+        "stabilize_front",
+        "tb",
+    ),
+    "errors": ("DomainError",),
+    "knotdata": (
+        "KnotRecord",
+        "load_records",
+        "named_example",
+        "negative_torus_record",
+        "nonloose_unknot_table",
+        "positive_torus_record",
+        "unknot_record",
+    ),
+    "linalg": (
+        "INFINITE",
+        "SmithDecomposition",
+        "det_exact",
+        "homological_order",
+        "invert_exact",
+        "smith_normal_form",
+    ),
+    "surgery": (
+        "SurgeryComponent",
+        "SurgeryDiagram",
+        "diagram_from_json",
+        "diagram_to_json",
+        "dual_invariants",
+        "extended_matrix",
+        "linking_matrix",
+        "rational_invariants",
+    ),
+}
+_EXPORTS = {name: module for module, names in _EXPORTED_BY.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import an exported name's submodule, or a submodule, on first use."""
+    home = _EXPORTS.get(name)
+    if home is not None:
+        value = getattr(import_module(f"{__name__}.{home}"), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import inf
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .calculus import ClassicalPair, RationalData
 from .errors import (
@@ -32,8 +32,9 @@ from .errors import (
     MissingChi,
     NotLoosened,
 )
-from .knotdata import AMBIENT_TIGHT_S3, KnotRecord, negative_torus_record
-from .surgery import dual_invariants
+
+if TYPE_CHECKING:
+    from .knotdata import KnotRecord
 
 
 class CheckResult(str, Enum):
@@ -353,6 +354,8 @@ def not_a_stabilization_by_max_tb(tb: int, record: KnotRecord) -> bool:
 
     False only means unknown.  Sound because stabilizations strictly drop tb.
     """
+    from .knotdata import AMBIENT_TIGHT_S3
+
     if record.ambient != AMBIENT_TIGHT_S3:
         raise AmbientMismatch(
             f"record ambient {record.ambient!r} is not the tight S3 classification"
@@ -412,6 +415,9 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
     certifiably not a stabilization, and has overtwisted (+1)-surgery, so the
     surgery dual separates tension from depth.
     """
+    from .knotdata import negative_torus_record
+    from .surgery import dual_invariants
+
     out: list[Certificate] = []
     for p in range(-3, -p_max - 1, -1):
         for q in range(2, -p):
@@ -764,10 +770,17 @@ def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
     Unstated minimum is 0, unstated maximum is unbounded.  For conditional
     unknot certificates the ``if_nonloose`` values fill the unstated keys,
     since the certificate's statement is conditioned on non-looseness.
+    Raises :class:`InvalidParams` when ``if_nonloose`` is not a mapping
+    holding all three of ``depth``, ``tension`` and ``order_bar``.
     """
     d = cert.details
     c = d.get("if_nonloose")
-    if c:
+    if c is not None:
+        if not isinstance(c, Mapping):
+            raise InvalidParams(f"if_nonloose must be a mapping, got {c!r}")
+        missing = [k for k in ("depth", "tension", "order_bar") if k not in c]
+        if missing:
+            raise InvalidParams(f"if_nonloose lacks {', '.join(missing)}")
         d = {
             "depth_min": c["depth"],
             "depth_max": c["depth"],

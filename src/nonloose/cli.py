@@ -3,7 +3,8 @@
 Every subcommand prints a single JSON document on stdout (or a flat
 ``key: value`` rendering with ``--format text``) and is a thin wrapper over
 the library calls.  Exit codes: 0 success, 1 domain error (with an error
-document on stdout), 2 usage error.
+document on stdout), 2 usage error.  Each handler imports the library modules
+it calls, so a command loads only those.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import calculus, certify, diagram, knotdata, surgery
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from . import calculus, diagram
 
 DEFAULT_RECORDS_PATH = Path.home() / ".config" / "nonloose" / "records.json"
 
@@ -26,13 +29,15 @@ class InputError(DomainError):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -61,6 +66,8 @@ def _render(doc: Any, fmt: str) -> str:
 
 
 def _front_doc(front: diagram.OrientedFront) -> dict:
+    from . import diagram
+
     return {
         "tb": diagram.tb(front),
         "rot": diagram.rot(front),
@@ -68,10 +75,6 @@ def _front_doc(front: diagram.OrientedFront) -> dict:
         "up_cusps": front.up_cusps,
         "down_cusps": front.down_cusps,
     }
-
-
-def _base_direction(name: str) -> diagram.Direction:
-    return diagram.Direction(name)
 
 
 def _rational_doc(d: calculus.RationalData) -> dict:
@@ -84,18 +87,24 @@ def _rational_doc(d: calculus.RationalData) -> dict:
 
 
 def cmd_front_invariants(args) -> dict:
+    from . import diagram
+
     word = diagram.parse_front(_read_text(args.front_file))
-    return _front_doc(diagram.resolve_orientation(word, _base_direction(args.base_direction)))
+    return _front_doc(diagram.resolve_orientation(word, diagram.Direction(args.base_direction)))
 
 
 def cmd_front_stabilize(args) -> dict:
+    from . import diagram
+
     word = diagram.parse_front(_read_text(args.front_file))
-    front = diagram.resolve_orientation(word, _base_direction(args.base_direction))
+    front = diagram.resolve_orientation(word, diagram.Direction(args.base_direction))
     result = diagram.stabilize_front(front, args.sign)
     return {"word": diagram.serialize_front(result.word), **_front_doc(result)}
 
 
 def cmd_front_destab(args) -> dict:
+    from . import diagram
+
     word = diagram.parse_front(_read_text(args.front_file))
     pair = diagram.detect_syntactic_destabilization(word)
     if pair is None:
@@ -111,9 +120,13 @@ def cmd_front_destab(args) -> dict:
 
 
 def cmd_surgery_invariants(args) -> dict:
+    from . import surgery
+
+    text = _read_text(args.diagram_file)
     try:
-        doc = json.loads(_read_text(args.diagram_file))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    # malformed JSON, an integer past int()'s digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"surgery diagram is not valid JSON: {exc}") from exc
     diag = surgery.diagram_from_json(doc)
     data = surgery.rational_invariants(
@@ -123,6 +136,8 @@ def cmd_surgery_invariants(args) -> dict:
 
 
 def cmd_dual_invariants(args) -> dict:
+    from . import surgery
+
     a = sum(s for s in args.stab if s > 0)
     b = sum(-s for s in args.stab if s < 0)
     data = surgery.dual_invariants(args.tb, args.rot, a, b, args.chi)
@@ -130,6 +145,8 @@ def cmd_dual_invariants(args) -> dict:
 
 
 def cmd_certify_bennequin(args) -> dict:
+    from . import calculus, certify
+
     if args.sl_q is not None:
         result = certify.transverse_bennequin(args.sl_q, args.chi, args.order)
         return {"check": "transverse", "result": result.value}
@@ -145,10 +162,14 @@ def cmd_certify_bennequin(args) -> dict:
 
 
 def cmd_certify_unknot(args) -> dict:
+    from . import calculus, certify
+
     return certify.unknot_verdict(calculus.ClassicalPair(args.tb, args.rot)).to_dict()
 
 
 def cmd_certify_dual(args) -> dict:
+    from . import certify, surgery
+
     dual = surgery.dual_invariants(args.tb, args.rot, 1, 0, args.chi)
     tension = certify.tension_one_dual(
         args.tb, args.rot, args.chi, args.surgery_overtwisted
@@ -163,6 +184,8 @@ def cmd_certify_dual(args) -> dict:
 
 
 def cmd_certify_tension(args) -> dict:
+    from . import calculus, certify
+
     if args.tb_q is not None:
         if args.rot_q is None:
             raise DomainError("rational search needs both --tb-q and --rot-q")
@@ -181,6 +204,8 @@ def cmd_certify_tension(args) -> dict:
 
 
 def cmd_search_examples(args) -> dict:
+    from . import certify
+
     certs = certify.tension_less_than_depth_search(args.p_max)
     out = []
     for cert in certs:
@@ -205,6 +230,8 @@ def _records_path(args) -> str | None:
 
 
 def cmd_knot_record(args) -> dict:
+    from . import knotdata
+
     if args.tag is not None:
         return knotdata.record_to_dict(knotdata.named_example(args.tag))
     if args.name is not None:

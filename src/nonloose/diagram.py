@@ -186,7 +186,7 @@ class OrientedFront:
     down_cusps: int
 
 
-_NUMBER_RE = re.compile(r"\d+")
+_NUMBER_RE = re.compile(r"[0-9]+")
 _KINDS = {k.value: k for k in EventKind}
 
 
@@ -207,7 +207,13 @@ def parse_front(text: str) -> FrontWord:
         num = tokens[pos + 1]
         if not _NUMBER_RE.fullmatch(num):
             raise UnknownToken(f"expected a positive integer after {tok!r}, got {num!r}")
-        value = int(num)
+        try:
+            value = int(num)
+        except ValueError:  # more digits than int() converts
+            raise PositionOutOfRange(
+                f"event {len(events)}: a position of {len(num)} digits exceeds any strand count",
+                event_index=len(events),
+            ) from None
         if value < 1:
             raise PositionOutOfRange(
                 f"event {len(events)}: position must be >= 1", event_index=len(events)

@@ -209,7 +209,9 @@ def load_records(path: str | Path) -> tuple[KnotRecord, ...]:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidParams(f"cannot read records file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # malformed JSON or UTF-8, an integer past int()'s digit limit, or nesting
+    # past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InvalidParams(f"records file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidParams("records file must hold a JSON list")

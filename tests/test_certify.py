@@ -401,6 +401,29 @@ class TestCertificateStructure:
         assert not bundle_is_consistent(bad)
         assert check_consistency([bad]) == [bad]
 
+    @pytest.mark.parametrize(
+        "if_nonloose, problem",
+        [
+            ({"tension": 1, "order_bar": 0}, "lacks depth"),
+            ({"depth": 1, "order_bar": 0}, "lacks tension"),
+            ({"depth": 1, "tension": 1}, "lacks order_bar"),
+            ({"depth": 1}, "lacks tension, order_bar"),
+            ({}, "lacks depth, tension, order_bar"),
+            ([1, 1, 0], "must be a mapping"),
+            (1, "must be a mapping"),
+            ("depth", "must be a mapping"),
+        ],
+    )
+    def test_malformed_if_nonloose(self, if_nonloose, problem):
+        cert = Certificate(
+            Verdict.INCONCLUSIVE,
+            details={"if_nonloose": if_nonloose},
+            reasons=(Reason("unknot-classification", "made-up"),),
+        )
+        for check in (certificate_bounds, bundle_is_consistent, lambda c: check_consistency([c])):
+            with pytest.raises(InvalidParams, match=problem):
+                check(cert)
+
     def test_consistency_accepts_emitted_certificates(self):
         certs = [
             unknot_verdict(ClassicalPair(2, 1)),

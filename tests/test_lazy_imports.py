@@ -1,0 +1,164 @@
+"""``import nonloose`` loads no submodule, and a command loads only the
+modules it runs.  Module sets are read in a fresh interpreter per command,
+since a test process has long since imported everything."""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import nonloose
+
+SRC = Path(nonloose.__file__).resolve().parents[1]
+
+UNKNOT = "l 1\nr 1\n"
+README_DIAGRAM = {
+    "components": [
+        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
+        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
+    ],
+    "lk": [["Lstar", "L", -15]],
+    "distinguished": "Lstar",
+}
+
+FRONT = {"cli", "diagram", "errors"}
+SURGERY = {"calculus", "cli", "errors", "fields", "linalg", "surgery"}
+CERTIFY = {"calculus", "certify", "cli", "errors"}
+
+# argv (FRONT_FILE and DIAGRAM_FILE stand for files written by the test),
+# and the nonloose submodules the command leaves loaded
+COMMANDS = {
+    "front-invariants": (["front-invariants", "FRONT_FILE"], FRONT),
+    "front-stabilize": (["front-stabilize", "FRONT_FILE", "--sign", "+"], FRONT),
+    "front-destab": (["front-destab", "FRONT_FILE"], FRONT),
+    "dual-invariants": (["dual-invariants", "--tb", "-15", "--rot", "-2", "--chi", "-7", "--stab", "+1"], SURGERY),
+    "surgery-invariants": (["surgery-invariants", "DIAGRAM_FILE", "--chi", "-7"], SURGERY),
+    "certify-bennequin": (["certify-bennequin", "--tb", "0", "--rot", "3", "--chi", "-1"], CERTIFY),
+    "certify-unknot": (["certify-unknot", "--tb", "2", "--rot", "1"], CERTIFY),
+    "certify-tension": (["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1"], CERTIFY),
+    "certify-dual": (["certify-dual", "--tb", "-15", "--rot", "-2", "--chi", "-7"], CERTIFY | SURGERY),
+    "search-examples": (["search-examples", "--p-max", "5"], CERTIFY | SURGERY | {"knotdata"}),
+    "knot-record": (["knot-record", "--family", "unknot"], {"cli", "errors", "fields", "knotdata"}),
+}
+
+# Runs argv through cli.main, then prints its exit code and the loaded
+# nonloose submodules as one JSON line.
+PROBE = """
+import contextlib, io, json, sys
+from nonloose import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nonloose."))]))
+"""
+
+
+def fresh(code, *argv):
+    paths = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = fresh('import json, sys, nonloose; print(json.dumps(sorted(m for m in sys.modules if "nonloose" in m)))')
+    assert loaded == ["nonloose"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_what_it_runs(tmp_path, command):
+    argv, expected = COMMANDS[command]
+    files = {"FRONT_FILE": tmp_path / "unknot.front", "DIAGRAM_FILE": tmp_path / "diagram.json"}
+    files["FRONT_FILE"].write_text(UNKNOT)
+    files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
+    code, loaded = fresh(PROBE, *[str(files.get(arg, arg)) for arg in argv])
+    assert code == 0
+    assert loaded == sorted(f"nonloose.{name}" for name in expected)
+
+
+# every name the package exported when it imported its submodules eagerly
+EXPORTED = {
+    "calculus": [
+        "ClassicalPair", "RationalData", "pushoff_sl", "pushoff_sl_rational", "rational_from_classical",
+        "reverse_class", "reverse_rational", "stabilize_class", "stabilize_rational",
+    ],
+    "certify": [
+        "Certificate", "CheckResult", "Depth2Witness", "Reason", "Verdict", "bennequin_null",
+        "bennequin_rational", "bundle_is_consistent", "certificate_bounds", "check_consistency",
+        "depth2_check", "depth_one_dual", "not_a_stabilization_by_max_tb", "order_bounds",
+        "order_zero_by_tb_bound", "possurg_depth_one", "tension_certificate",
+        "tension_less_than_depth_search", "tension_one_dual", "tension_refinement",
+        "tension_upper_bound", "transverse_bennequin", "transverse_transfer", "unknot_verdict",
+    ],
+    "diagram": [
+        "Direction", "EventKind", "FrontEvent", "FrontWord", "OrientedFront", "destabilize_front",
+        "detect_syntactic_destabilization", "parse_front", "resolve_orientation", "reverse_orientation",
+        "rot", "serialize_front", "stabilize_front", "tb",
+    ],
+    "errors": ["DomainError"],
+    "knotdata": [
+        "KnotRecord", "load_records", "named_example", "negative_torus_record", "nonloose_unknot_table",
+        "positive_torus_record", "unknot_record",
+    ],
+    "linalg": ["INFINITE", "SmithDecomposition", "det_exact", "homological_order", "invert_exact", "smith_normal_form"],
+    "surgery": [
+        "SurgeryComponent", "SurgeryDiagram", "diagram_from_json", "diagram_to_json", "dual_invariants",
+        "extended_matrix", "linking_matrix", "rational_invariants",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_exported_names_resolve(module):
+    home = getattr(nonloose, module)
+    for name in EXPORTED[module]:
+        assert getattr(nonloose, name) is getattr(home, name)
+        assert name in nonloose.__all__ and name in dir(nonloose)
+
+
+def test_all_lists_exactly_the_exports():
+    assert sorted(nonloose.__all__) == sorted(name for names in EXPORTED.values() for name in names)
+
+
+def test_readme_library_example():
+    from nonloose import (
+        ClassicalPair,
+        bennequin_rational,
+        dual_invariants,
+        parse_front,
+        resolve_orientation,
+        rot,
+        stabilize_front,
+        tb,
+        tension_upper_bound,
+        unknot_verdict,
+    )
+
+    front = resolve_orientation(parse_front("l 1 ; l 2 ; x 1 ; x 1 ; x 1 ; r 2 ; r 1"))
+    assert (tb(front), rot(front)) == (1, 0)
+    dual = dual_invariants(-15, -2, 1, 0, -7)
+    assert dual.tb_q == Fraction(1, 14)
+    bound, witness = tension_upper_bound(ClassicalPair(3, 0, chi=-1))
+    assert bound == 3
+    assert callable(stabilize_front) and callable(bennequin_rational) and callable(unknot_verdict)
+
+
+def test_submodule_attribute_after_bare_import():
+    name, loaded = fresh(
+        "import json, sys, nonloose\n"
+        "m = nonloose.surgery\n"
+        "print(json.dumps([m.__name__, 'nonloose.surgery' in sys.modules]))"
+    )
+    assert (name, loaded) == ("nonloose.surgery", True)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "Surgery", "__wrapped__", "obs"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(nonloose, name)
+    assert not hasattr(nonloose, name)
