@@ -81,7 +81,7 @@ def pushoff_sl(p: ClassicalPair, sign: str) -> int:
         return p.tb - p.rot
     if sign == "-":
         return p.tb + p.rot
-    raise ValueError("sign must be '+' or '-'")
+    raise InvalidParams(f"sign must be '+' or '-', got {sign!r}")
 
 
 def stabilize_rational(d: RationalData, a: int, b: int) -> RationalData:

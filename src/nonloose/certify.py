@@ -764,6 +764,15 @@ def transverse_transfer(
 _MEASURES = ("order_bar", "tension", "depth")  # the order of order <= tension <= depth
 
 
+def _bound(name: str, value: Any) -> int | Fraction | float:
+    """``value`` if it is a bound: an int that is not a bool, a Fraction or inf."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value == inf:
+        return value
+    raise InvalidParams(f"{name} must be an integer, a Fraction or inf, got {value!r}")
+
+
 def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
     """Extract [min, max] windows for order, tension and depth, in that order.
 
@@ -771,7 +780,8 @@ def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
     unknot certificates the ``if_nonloose`` values fill the unstated keys,
     since the certificate's statement is conditioned on non-looseness.
     Raises :class:`InvalidParams` when ``if_nonloose`` is not a mapping
-    holding all three of ``depth``, ``tension`` and ``order_bar``.
+    holding all three of ``depth``, ``tension`` and ``order_bar``, or when a
+    bound is not an int (bools excluded), a Fraction or inf.
     """
     d = cert.details
     c = d.get("if_nonloose")
@@ -781,15 +791,19 @@ def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
         missing = [k for k in ("depth", "tension", "order_bar") if k not in c]
         if missing:
             raise InvalidParams(f"if_nonloose lacks {', '.join(missing)}")
+        depth, tension, order_bar = (_bound(f"if_nonloose {k}", c[k]) for k in ("depth", "tension", "order_bar"))
         d = {
-            "depth_min": c["depth"],
-            "depth_max": c["depth"],
-            "tension_min": c["tension"],
-            "tension_max": c["tension"],
-            "order_bar_max": c["order_bar"],
+            "depth_min": depth,
+            "depth_max": depth,
+            "tension_min": tension,
+            "tension_max": tension,
+            "order_bar_max": order_bar,
             **d,
         }
-    return {m: (d.get(f"{m}_min", 0), d.get(f"{m}_max", inf)) for m in _MEASURES}
+    return {
+        m: (_bound(f"{m}_min", d.get(f"{m}_min", 0)), _bound(f"{m}_max", d.get(f"{m}_max", inf)))
+        for m in _MEASURES
+    }
 
 
 def bundle_is_consistent(cert: Certificate) -> bool:

@@ -27,6 +27,17 @@ Sign conventions, fixed once here and inherited by everything downstream:
     stabilization creates two down cusps.
 
 With writhe w and cusp counts (u, d):  tb = w - (u + d)/2,  rot = (d - u)/2.
+
+Arcs are the strand segments between cusps, numbered by the left cusp that
+opens them: the k-th left cusp opens arc 2k below and arc 2k + 1 above.  Only
+public construction (``FrontWord(...)``, ``dataclasses.replace``, and so
+:func:`parse_front`) traces a word; an edit derives the edited word's
+orientation from its parent's.  A stabilization opens its zigzag as the
+second left cusp, so its arcs become 2 and 3, every later arc moves up by
+two, and the continuation of arc 0 past the zigzag is now arc 2 or 3.  A
+destabilization deletes the two arcs of the removed left cusp, every later
+arc moves down by two, and the strand that ran into the zigzag takes over
+its continuation.  The writhe never changes.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from typing import NamedTuple
 from .errors import (
     EmptyWord,
     FrontEditError,
-    FrontParseError,
     MultipleComponents,
     NonzeroFinalStrands,
     PositionOutOfRange,
@@ -190,36 +200,46 @@ _NUMBER_RE = re.compile(r"[0-9]+")
 _KINDS = {k.value: k for k in EventKind}
 
 
+def _parse_event(tok: str, num: str | None, index: int) -> FrontEvent:
+    """Check one ``token number`` pair (``num`` None when the stream ends
+    after ``tok``) and build its event, the ``index``-th of the word."""
+    if tok not in _KINDS:
+        raise UnknownToken(f"unknown token {tok!r}")
+    if num is None:
+        raise UnknownToken(f"missing position after {tok!r}")
+    if not _NUMBER_RE.fullmatch(num):
+        raise UnknownToken(f"expected a positive integer after {tok!r}, got {num!r}")
+    try:
+        value = int(num)
+    except ValueError:  # more digits than int() converts
+        raise PositionOutOfRange(
+            f"event {index}: a position of {len(num)} digits exceeds any strand count",
+            event_index=index,
+        ) from None
+    if value < 1:
+        raise PositionOutOfRange(f"event {index}: position must be >= 1", event_index=index)
+    return FrontEvent(_KINDS[tok], value)
+
+
 def parse_front(text: str) -> FrontWord:
-    """Parse the ``l/r/x <position>`` token stream into a validated word."""
+    """Parse the ``l/r/x <position>`` token stream into a validated word.
+
+    Each distinct ``token number`` pair is checked and built once; its later
+    occurrences share that (frozen) event.
+    """
     stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     tokens = stripped.replace(";", " ").split()
     if not tokens:
         raise EmptyWord("no events in input")
     events: list[FrontEvent] = []
-    pos = 0
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok not in _KINDS:
-            raise UnknownToken(f"unknown token {tok!r}")
-        if pos + 1 >= len(tokens):
-            raise UnknownToken(f"missing position after {tok!r}")
-        num = tokens[pos + 1]
-        if not _NUMBER_RE.fullmatch(num):
-            raise UnknownToken(f"expected a positive integer after {tok!r}, got {num!r}")
-        try:
-            value = int(num)
-        except ValueError:  # more digits than int() converts
-            raise PositionOutOfRange(
-                f"event {len(events)}: a position of {len(num)} digits exceeds any strand count",
-                event_index=len(events),
-            ) from None
-        if value < 1:
-            raise PositionOutOfRange(
-                f"event {len(events)}: position must be >= 1", event_index=len(events)
-            )
-        events.append(FrontEvent(_KINDS[tok], value))
-        pos += 2
+    known: dict[tuple[str, str], FrontEvent] = {}
+    for pair in zip(tokens[::2], tokens[1::2]):
+        event = known.get(pair)
+        if event is None:
+            event = known[pair] = _parse_event(*pair, len(events))
+        events.append(event)
+    if len(tokens) % 2:
+        _parse_event(tokens[-1], None, len(events))
     return FrontWord(tuple(events))
 
 
@@ -262,6 +282,24 @@ def reverse_orientation(front: OrientedFront) -> OrientedFront:
     return resolve_orientation(front.word, front.base_direction.reversed)
 
 
+def _edited(word: FrontWord, events: tuple[FrontEvent, ...], orientation: _Orientation) -> FrontWord:
+    """A word of ``word``'s class with a known orientation, built without a
+    trace.  The class comes from ``word``, not from the module global
+    ``FrontWord``, which a tracer may rebind."""
+    edited = object.__new__(type(word))
+    object.__setattr__(edited, "events", events)
+    object.__setattr__(edited, "_orientation", orientation)
+    return edited
+
+
+# The two zigzags, inserted after the first left cusp.  ``l 1 r 2`` runs arc 0
+# into its right cusp from above and back along arc 3: two down cusps for a
+# rightward base.  ``l 2 r 1`` runs arc 0 in from below and back along arc 2:
+# two up cusps.
+_ZIGZAG_DOWN = (FrontEvent(EventKind.LEFT_CUSP, 1), FrontEvent(EventKind.RIGHT_CUSP, 2))
+_ZIGZAG_UP = (FrontEvent(EventKind.LEFT_CUSP, 2), FrontEvent(EventKind.RIGHT_CUSP, 1))
+
+
 def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     """Insert a stabilization zigzag right after the first left cusp.
 
@@ -272,47 +310,44 @@ def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     """
     if sign not in ("+", "-"):
         raise FrontEditError("sign must be '+' or '-'")
-    positive = sign == "+"
-    onto_rightward = front.base_direction is Direction.RIGHTWARD
-    if positive == onto_rightward:
-        zigzag = (
-            FrontEvent(EventKind.LEFT_CUSP, 1),
-            FrontEvent(EventKind.RIGHT_CUSP, 2),
-        )
+    word = front.word
+    o = word._orientation
+    dirs = o.arc_directions
+    rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
+    if (sign == "+") == (front.base_direction is rightward):
+        zigzag = _ZIGZAG_DOWN
+        o = _Orientation(dirs[:2] + (rightward, leftward) + dirs[2:], o.writhe, o.up_cusps, o.down_cusps + 2)
     else:
-        zigzag = (
-            FrontEvent(EventKind.LEFT_CUSP, 2),
-            FrontEvent(EventKind.RIGHT_CUSP, 1),
-        )
-    events = front.word.events[:1] + zigzag + front.word.events[1:]
-    return resolve_orientation(FrontWord(events), front.base_direction)
+        zigzag = _ZIGZAG_UP
+        o = _Orientation(dirs[:2] + (leftward, rightward) + dirs[2:], o.writhe, o.up_cusps + 2, o.down_cusps)
+    events = word.events[:1] + zigzag + word.events[1:]
+    return resolve_orientation(_edited(word, events, o), front.base_direction)
 
 
 def detect_syntactic_destabilization(word: FrontWord) -> tuple[int, int] | None:
     """Find a removable zigzag: adjacent left/right cusps at offset one.
 
-    Returns the event-index pair of the first such zigzag, or None.  Absence
-    does not certify that the knot admits no destabilization at all.
+    Returns the event-index pair of the first such zigzag, or None.  Every
+    such pair rides a single strand, so removing it always leaves a valid
+    word.  Absence does not certify that the knot admits no destabilization
+    at all.
     """
     ev = word.events
+    left_cusp, right_cusp = EventKind.LEFT_CUSP, EventKind.RIGHT_CUSP
     for k in range(len(ev) - 1):
         a, b = ev[k], ev[k + 1]
-        if (
-            a.kind is EventKind.LEFT_CUSP
-            and b.kind is EventKind.RIGHT_CUSP
-            and abs(a.position - b.position) == 1
-        ):
-            candidate = ev[:k] + ev[k + 2 :]
-            try:
-                FrontWord(candidate)
-            except FrontParseError:
-                continue
+        if a.kind is left_cusp and b.kind is right_cusp and abs(a.position - b.position) == 1:
             return (k, k + 1)
     return None
 
 
 def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
-    """Remove the zigzag found by :func:`detect_syntactic_destabilization`."""
+    """Remove the zigzag found by :func:`detect_syntactic_destabilization`.
+
+    The zigzag's left cusp opens arcs 2m and 2m + 1, where m counts the left
+    cusps before it.  Both of its cusps are up when arc 2m runs leftward
+    (for a rightward base) and down otherwise.
+    """
     i, j = pair
     ev = word.events
     if not (
@@ -324,4 +359,10 @@ def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
         and abs(ev[i].position - ev[j].position) == 1
     ):
         raise FrontEditError(f"events {pair} do not form a removable zigzag")
-    return FrontWord(ev[:i] + ev[j + 1 :])
+    left_cusp = EventKind.LEFT_CUSP
+    lo = 2 * sum([e.kind is left_cusp for e in ev[:i]])
+    o = word._orientation
+    dirs = o.arc_directions
+    up = 2 * (dirs[lo] is Direction.LEFTWARD)  # cusps removed that were up
+    o = _Orientation(dirs[:lo] + dirs[lo + 2 :], o.writhe, o.up_cusps - up, o.down_cusps - (2 - up))
+    return _edited(word, ev[:i] + ev[j + 1 :], o)
