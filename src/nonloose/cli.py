@@ -144,21 +144,45 @@ def cmd_dual_invariants(args) -> dict:
     return _rational_doc(data)
 
 
-def cmd_certify_bennequin(args) -> dict:
-    from . import calculus, certify
+def _invariant_data(args) -> tuple[str, calculus.ClassicalPair | calculus.RationalData | Fraction]:
+    """The one kind of invariants the flags give, and its data.
 
-    if args.sl_q is not None:
-        result = certify.transverse_bennequin(args.sl_q, args.chi, args.order)
-        return {"check": "transverse", "result": result.value}
-    if args.tb_q is not None or args.rot_q is not None:
-        if args.tb_q is None or args.rot_q is None:
-            raise DomainError("rational check needs both --tb-q and --rot-q")
-        data = calculus.RationalData(args.tb_q, args.rot_q, args.order, args.chi)
-        return {"check": "rational", "result": certify.bennequin_rational(data).value}
-    if args.tb is None or args.rot is None:
-        raise DomainError("classical check needs --tb and --rot")
-    pair = calculus.ClassicalPair(args.tb, args.rot, args.chi)
-    return {"check": "classical", "result": certify.bennequin_null(pair).value}
+    "classical" (--tb with --rot) gives a ``ClassicalPair``, "rational" (--tb-q
+    with --rot-q) a ``RationalData`` of order --order, and "transverse" (--sl-q,
+    certify-bennequin only) the self-linking number itself.  A half-given pair
+    or flags of two kinds raise ``DomainError``.
+    """
+    from . import calculus
+
+    flags = {
+        "classical": {"--tb": args.tb, "--rot": args.rot},
+        "rational": {"--tb-q": args.tb_q, "--rot-q": args.rot_q},
+        "transverse": {"--sl-q": getattr(args, "sl_q", None)},
+    }
+    given = [kind for kind, values in flags.items() if any(v is not None for v in values.values())]
+    if len(given) > 1:
+        raise DomainError(f"give one kind of invariants, not {' and '.join(given)} flags together")
+    kind = given[0] if given else "classical"
+    if None in flags[kind].values():
+        raise DomainError(f"{kind} invariants need {' and '.join(flags[kind])}")
+    if kind == "transverse":
+        return kind, args.sl_q
+    if kind == "rational":
+        return kind, calculus.RationalData(args.tb_q, args.rot_q, args.order, args.chi)
+    return kind, calculus.ClassicalPair(args.tb, args.rot, args.chi)
+
+
+def cmd_certify_bennequin(args) -> dict:
+    from . import certify
+
+    kind, data = _invariant_data(args)
+    if kind == "transverse":
+        result = certify.transverse_bennequin(data, args.chi, args.order)
+    elif kind == "rational":
+        result = certify.bennequin_rational(data)
+    else:
+        result = certify.bennequin_null(data)
+    return {"check": kind, "result": result.value}
 
 
 def cmd_certify_unknot(args) -> dict:
@@ -184,18 +208,9 @@ def cmd_certify_dual(args) -> dict:
 
 
 def cmd_certify_tension(args) -> dict:
-    from . import calculus, certify
+    from . import certify
 
-    if args.tb_q is not None:
-        if args.rot_q is None:
-            raise DomainError("rational search needs both --tb-q and --rot-q")
-        data: calculus.ClassicalPair | calculus.RationalData = calculus.RationalData(
-            args.tb_q, args.rot_q, args.order, args.chi
-        )
-    else:
-        if args.tb is None or args.rot is None:
-            raise DomainError("classical search needs --tb and --rot")
-        data = calculus.ClassicalPair(args.tb, args.rot, args.chi)
+    _, data = _invariant_data(args)
     found = certify.tension_upper_bound(data, max_n=args.max_n, side=args.side)
     if found is None:
         return {"bound": None, "witness": None, "max_n": args.max_n}

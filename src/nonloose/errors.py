@@ -53,10 +53,6 @@ class SingularMatrix(DomainError):
     pass
 
 
-class InfiniteOrder(DomainError):
-    pass
-
-
 class MeridionalSlope(DomainError):
     pass
 

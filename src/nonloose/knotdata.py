@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 from pathlib import Path
 
@@ -147,29 +147,14 @@ def named_example(tag: str) -> KnotRecord:
     raise UnknownTag(f"unrecognized tag {tag!r}")
 
 
-_RECORD_KEYS = {
-    "family",
-    "max_tb",
-    "rot_at_max_tb",
-    "chi",
-    "g_s",
-    "plus_one_surgery_overtwisted",
-    "ambient",
-    "order_positive",
-}
+_RECORD_KEYS = frozenset(field.name for field in fields(KnotRecord))
 
 
 def record_to_dict(rec: KnotRecord) -> dict:
-    return {
-        "family": rec.family,
-        "max_tb": rec.max_tb,
-        "rot_at_max_tb": sorted(rec.rot_at_max_tb),
-        "chi": rec.chi,
-        "g_s": rec.g_s,
-        "plus_one_surgery_overtwisted": rec.plus_one_surgery_overtwisted,
-        "ambient": rec.ambient,
-        "order_positive": rec.order_positive,
-    }
+    """Every field by name, in declaration order; the rotation set as a sorted list."""
+    doc = {field.name: getattr(rec, field.name) for field in fields(KnotRecord)}
+    doc["rot_at_max_tb"] = sorted(rec.rot_at_max_tb)
+    return doc
 
 
 def record_from_dict(doc: dict) -> KnotRecord:

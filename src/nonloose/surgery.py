@@ -13,8 +13,10 @@ surgered manifold are computed from the linking data:
     rot_Q = rot_0 - <rotvec, M^{-1} lkvec>
 
 and the homological order of the distinguished class comes from the Smith
-normal form of M.  Only contact coefficients +-1 are supported; the surgered
-contact manifold is unique for those slopes.
+normal form of M.  The stabilized dual of (+1)-surgery on one knot has a 1x1
+M, and ``dual_invariants`` gives its invariants in closed form.  Only contact
+coefficients +-1 are supported; the surgered contact manifold is unique for
+those slopes.
 """
 
 from __future__ import annotations
@@ -24,34 +26,19 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .calculus import RationalData
-from .errors import DiagramError, InfiniteOrder, MeridionalSlope, SingularMatrix
+from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix
 from .fields import read_int, read_str
-from .linalg import (
-    INFINITE,
-    Matrix,
-    SmithDecomposition,
-    det_exact,
-    homological_order,
-    invert_exact,
-    mat_vec,
-    smith_normal_form,
-)
+from .linalg import Matrix, det_exact, homological_order, invert_exact, mat_vec
 
 __all__ = [
     "SurgeryComponent",
     "SurgeryDiagram",
-    "SmithDecomposition",
     "linking_matrix",
     "extended_matrix",
-    "det_exact",
-    "invert_exact",
-    "smith_normal_form",
-    "homological_order",
     "rational_invariants",
     "dual_invariants",
     "diagram_from_json",
     "diagram_to_json",
-    "INFINITE",
 ]
 
 COEFF_PLUS = "+1"
@@ -190,9 +177,8 @@ def rational_invariants(
         rot0 = -rot0
         lkvec = tuple(-x for x in lkvec)
 
+    # M is nonsingular, so the order is finite
     order = homological_order(m, lkvec)
-    if order is INFINITE:
-        raise InfiniteOrder("distinguished class has infinite homological order")
 
     # the bordered determinant is even in the border sign, so no adjustment
     # is needed for the reversed orientation
@@ -205,18 +191,25 @@ def rational_invariants(
 def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData:
     """Invariants of an (a, b)-stabilized push-off of the dual to (+1)-surgery.
 
-    Builds the two-component diagram: the surgered knot with coefficient +1
-    and its push-off, stabilized a times positively and b times negatively,
-    as the passive component; their linking number is tb.
+    The diagram has two components: the surgered knot, with classical
+    invariants (tb, rot) and coefficient +1, and its push-off, stabilized a
+    times positively and b times negatively, as the passive component; their
+    linking number is tb.  So M = [tb + 1] and lk = tb, and the formulas of
+    ``rational_invariants`` close up:
+
+        tb_Q  = (tb - a - b) - tb^2/(tb + 1)  = tb/(tb + 1) - a - b
+        rot_Q = (rot + a - b) - rot tb/(tb + 1) = rot/(tb + 1) + a - b
+        r     = |tb + 1|
+
+    r is the order of tb in Z/(tb + 1), which is all of |tb + 1| because
+    gcd(tb, tb + 1) = 1.
     """
     if tb == -1:
         raise MeridionalSlope("tb = -1 makes (+1)-surgery meridional (det M = 0)")
-    comps = (
-        SurgeryComponent("L", tb, rot, COEFF_PLUS),
-        SurgeryComponent("L*", tb - a - b, rot + a - b, COEFF_PASSIVE),
-    )
-    diag = SurgeryDiagram.build(comps, [("L", "L*", tb)], "L*")
-    return rational_invariants(diag, chi)
+    if a < 0 or b < 0:
+        raise InvalidParams("stabilization counts must be nonnegative")
+    n = tb + 1
+    return RationalData(Fraction(tb, n) - a - b, Fraction(rot, n) + a - b, abs(n), chi)
 
 
 def diagram_from_json(doc: dict) -> SurgeryDiagram:

@@ -1,0 +1,96 @@
+"""certify-bennequin and certify-tension read their invariant flags one way:
+exactly one kind, classical (--tb, --rot), rational (--tb-q, --rot-q) or,
+for certify-bennequin, transverse (--sl-q), each pair given whole."""
+
+import json
+
+import pytest
+
+from nonloose.cli import main
+
+
+def run_json(capsys, *argv):
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+REJECTED = [
+    # a rational flag beside a classical pair
+    ["certify-tension", "--tb", "3", "--rot", "0", "--rot-q", "1/2", "--chi", "-1"],
+    ["certify-bennequin", "--tb", "3", "--rot", "0", "--rot-q", "1/2", "--chi", "-1"],
+    ["certify-tension", "--tb", "3", "--rot", "0", "--tb-q", "1/2", "--chi", "-1"],
+    # a classical flag beside a rational pair
+    ["certify-tension", "--tb-q", "1/2", "--rot-q", "1/2", "--tb", "4", "--chi", "-1"],
+    ["certify-bennequin", "--tb-q", "1/2", "--rot-q", "1/2", "--rot", "4", "--chi", "-1"],
+    # a classical flag beside the transverse one
+    ["certify-bennequin", "--sl-q", "1", "--tb", "3", "--chi", "-1"],
+    ["certify-bennequin", "--sl-q", "1", "--tb", "3", "--rot", "0", "--chi", "-1"],
+    # a rational flag beside the transverse one
+    ["certify-bennequin", "--sl-q", "1", "--tb-q", "1/2", "--rot-q", "1/2", "--chi", "-1"],
+    # half a rational pair
+    ["certify-bennequin", "--rot-q", "1/2", "--chi", "-1"],
+    ["certify-bennequin", "--tb-q", "1/2", "--chi", "-1"],
+    ["certify-tension", "--rot-q", "1/2", "--chi", "-1"],
+    ["certify-tension", "--tb-q", "1/2", "--chi", "-1"],
+    # half a classical pair, or nothing
+    ["certify-bennequin", "--tb", "3", "--chi", "-1"],
+    ["certify-tension", "--rot", "0", "--chi", "-1"],
+    ["certify-bennequin", "--chi", "-1"],
+    ["certify-tension", "--chi", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_mixed_or_half_given_flags_are_domain_errors(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "DomainError"
+
+
+ACCEPTED = [
+    (
+        ["certify-bennequin", "--tb", "0", "--rot", "3", "--chi", "-1"],
+        {"check": "classical", "result": "Violated"},
+    ),
+    (
+        ["certify-bennequin", "--tb", "0", "--rot", "3", "--order", "5", "--chi", "-1"],
+        {"check": "classical", "result": "Violated"},
+    ),
+    (
+        ["certify-bennequin", "--tb-q", "15/14", "--rot-q", "1/7", "--order", "14", "--chi", "-7"],
+        {"check": "rational", "result": "Holds"},
+    ),
+    (
+        ["certify-bennequin", "--sl-q=-15/14", "--order", "14", "--chi", "-7"],
+        {"check": "transverse", "result": "Holds"},
+    ),
+    (
+        ["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1"],
+        {"bound": 3, "witness": [0, 3], "max_n": 64},
+    ),
+    (
+        ["certify-tension", "--tb-q", "15/14", "--rot-q", "1/7", "--order", "14", "--chi", "-7",
+         "--side", "positive_only"],
+        {"bound": 1, "witness": [1, 0], "max_n": 64},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ACCEPTED, ids=[" ".join(argv) for argv, _ in ACCEPTED])
+def test_one_whole_kind_is_read(capsys, argv, expected):
+    assert run_json(capsys, *argv) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["certify-bennequin", "--tb", "0", "--rot", "3", "--chi", "2"], "InvalidParams"),
+        (["certify-bennequin", "--tb-q", "1", "--rot-q", "0", "--order", "0", "--chi", "-1"], "InvalidParams"),
+        (["certify-bennequin", "--sl-q", "1", "--order", "0", "--chi", "-1"], "InvalidParams"),
+        (["certify-tension", "--tb-q", "1", "--rot-q", "0", "--order", "0", "--chi", "-1"], "InvalidParams"),
+    ],
+)
+def test_values_are_still_checked_by_the_library(capsys, argv, error):
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == error

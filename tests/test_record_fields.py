@@ -1,0 +1,57 @@
+"""A knot record's JSON keys are its dataclass fields, in declaration order."""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from nonloose.cli import main
+from nonloose.knotdata import (
+    KnotRecord,
+    named_example,
+    negative_torus_record,
+    record_from_dict,
+    record_to_dict,
+    unknot_record,
+)
+
+RECORDS = [unknot_record(), negative_torus_record(-7, 5), named_example("L2q(5)"), named_example("LOSSfamily(3)")]
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: rec.family)
+def test_keys_follow_the_fields(rec):
+    doc = record_to_dict(rec)
+    assert list(doc) == [field.name for field in fields(KnotRecord)]
+    assert doc["rot_at_max_tb"] == sorted(rec.rot_at_max_tb)
+    assert record_from_dict(json.loads(json.dumps(doc))) == rec
+
+
+def test_negative_torus_document():
+    assert record_to_dict(negative_torus_record(-5, 3)) == {
+        "family": "torus(-5,3)",
+        "max_tb": -15,
+        "rot_at_max_tb": [-2],
+        "chi": -7,
+        "g_s": None,
+        "plus_one_surgery_overtwisted": True,
+        "ambient": "tight-S3",
+        "order_positive": False,
+    }
+
+
+def test_knot_record_command_text(capsys):
+    assert main(["knot-record", "--family", "negative-torus", "--p", "-5", "--q", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "family": "torus(-5,3)",\n'
+        '  "max_tb": -15,\n'
+        '  "rot_at_max_tb": [\n'
+        "    -2\n"
+        "  ],\n"
+        '  "chi": -7,\n'
+        '  "g_s": null,\n'
+        '  "plus_one_surgery_overtwisted": true,\n'
+        '  "ambient": "tight-S3",\n'
+        '  "order_positive": false\n'
+        "}\n"
+    )
