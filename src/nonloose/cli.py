@@ -247,6 +247,14 @@ def _records_path(args) -> str | None:
 def cmd_knot_record(args) -> dict:
     from . import knotdata
 
+    selectors = {"--family": args.family, "--tag": args.tag, "--name": args.name}
+    given = [flag for flag, value in selectors.items() if value is not None]
+    if not given:
+        raise DomainError("choose --family, --tag or --name")
+    if len(given) > 1:
+        raise DomainError(f"choose one of --family, --tag and --name, not {' and '.join(given)}")
+    if args.family in (None, "unknot") and (args.p is not None or args.q is not None):
+        raise DomainError("--p and --q go with --family negative-torus or positive-torus only")
     if args.tag is not None:
         return knotdata.record_to_dict(knotdata.named_example(args.tag))
     if args.name is not None:
@@ -261,16 +269,11 @@ def cmd_knot_record(args) -> dict:
         raise DomainError(f"no record named {args.name!r} in {path}")
     if args.family == "unknot":
         return knotdata.record_to_dict(knotdata.unknot_record())
-    if args.family in ("negative-torus", "positive-torus"):
-        if args.p is None or args.q is None:
-            raise DomainError(f"{args.family} needs --p and --q")
-        maker = (
-            knotdata.negative_torus_record
-            if args.family == "negative-torus"
-            else knotdata.positive_torus_record
-        )
-        return knotdata.record_to_dict(maker(args.p, args.q))
-    raise DomainError("choose --family, --tag or --name")
+    if args.p is None or args.q is None:
+        raise DomainError(f"{args.family} needs --p and --q")
+    negative = args.family == "negative-torus"
+    maker = knotdata.negative_torus_record if negative else knotdata.positive_torus_record
+    return knotdata.record_to_dict(maker(args.p, args.q))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,19 +2,17 @@
 
 A diagram holds Legendrian components with integer (tb, rot), contact
 coefficients +1 or -1 on the surgered components, pairwise linking numbers,
-and one distinguished passive component whose rational invariants in the
-surgered manifold are computed from the linking data:
+and one distinguished passive component.  Its rational invariants in the
+surgered manifold are read off one solution vector x = M^{-1} lkvec, with M
+the linking matrix of the surgered components (diagonal tb_i + coeff_i) and
+lkvec their linking numbers with the distinguished one:
 
-    M    = topological linking matrix of the surgered components
-           (diagonal tb_i + coeff_i, off-diagonal lk_ij)
-    M0   = M bordered by a zero corner and the linking numbers of the
-           distinguished component
-    tb_Q  = tb_0 + det M0 / det M
-    rot_Q = rot_0 - <rotvec, M^{-1} lkvec>
+    tb_Q  = tb_0 - <lkvec, x>    (= tb_0 + det M0 / det M, M0 of ``extended_matrix``)
+    rot_Q = rot_0 - <rotvec, x>
+    r     = lcm of the denominators of x, the order of [lkvec] in Z^n / M Z^n
 
-and the homological order of the distinguished class comes from the Smith
-normal form of M.  The stabilized dual of (+1)-surgery on one knot has a 1x1
-M, and ``dual_invariants`` gives its invariants in closed form.  Only contact
+The stabilized dual of (+1)-surgery on one knot has a 1x1 M, and
+``dual_invariants`` gives its invariants in closed form.  Only contact
 coefficients +-1 are supported; the surgered contact manifold is unique for
 those slopes.
 """
@@ -23,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .calculus import RationalData
 from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix
 from .fields import read_int, read_str
-from .linalg import Matrix, det_exact, homological_order, invert_exact, mat_vec
+from .linalg import Matrix, invert_exact, mat_vec
+from .linalg import det_exact, homological_order  # noqa: F401 (tests patch them here)
 
 __all__ = [
     "SurgeryComponent",
@@ -147,7 +147,10 @@ def _distinguished_lk(diag: SurgeryDiagram) -> tuple[int, ...]:
 
 
 def extended_matrix(diag: SurgeryDiagram) -> Matrix:
-    """M bordered by a zero corner and the distinguished linking numbers."""
+    """M bordered by a zero corner and the distinguished linking numbers.
+
+    By the Schur complement, det M0 = -det M * lk^T M^{-1} lk.
+    """
     m = linking_matrix(diag)
     border = _distinguished_lk(diag)
     top = (0,) + border
@@ -162,30 +165,21 @@ def rational_invariants(
 ) -> RationalData:
     """Exact (tb_Q, rot_Q, r) of the distinguished component after surgery.
 
+    All three come from x = M^{-1} lkvec: tb_Q = tb_0 - <lkvec, x>,
+    rot_Q = rot_0 - <rotvec, x>, r = lcm of the denominators of x.
     ``reverse_distinguished`` evaluates the other orientation of the passive
     component (rot_Q negates, tb_Q and r are unchanged).
     """
-    m = linking_matrix(diag)
-    det_m = det_exact(m)
-    if det_m == 0:
-        raise SingularMatrix("surgery linking matrix is singular")
     lkvec = _distinguished_lk(diag)
-    rotvec = tuple(c.rot for c in diag.surgered())
+    try:
+        x = mat_vec(invert_exact(linking_matrix(diag)), lkvec)
+    except SingularMatrix:
+        raise SingularMatrix("surgery linking matrix is singular") from None
     dist = diag.passive()
-    tb0, rot0 = dist.tb, dist.rot
-    if reverse_distinguished:
-        rot0 = -rot0
-        lkvec = tuple(-x for x in lkvec)
-
-    # M is nonsingular, so the order is finite
-    order = homological_order(m, lkvec)
-
-    # the bordered determinant is even in the border sign, so no adjustment
-    # is needed for the reversed orientation
-    tb_q = tb0 + Fraction(det_exact(extended_matrix(diag)), det_m)
-    solved = mat_vec(invert_exact(m), lkvec)
-    rot_q = rot0 - sum(r * s for r, s in zip(rotvec, solved))
-    return RationalData(Fraction(tb_q), Fraction(rot_q), order, chi)
+    tb_q = dist.tb - sum(lk * xi for lk, xi in zip(lkvec, x))
+    rot_q = dist.rot - sum(c.rot * xi for c, xi in zip(diag.surgered(), x))
+    order = lcm(*(xi.denominator for xi in x))
+    return RationalData(Fraction(tb_q), Fraction(-rot_q if reverse_distinguished else rot_q), order, chi)
 
 
 def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData:

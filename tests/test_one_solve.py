@@ -1,0 +1,136 @@
+"""``rational_invariants`` reads tb_Q, rot_Q and r off one solution vector
+x = M^{-1} lk.  The four-elimination formulas it replaced (det M, det M0 of
+the bordered matrix, the inverse and the Smith normal form) are its oracle."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nonloose import cli, linalg, surgery
+from nonloose.linalg import det_cofactor, homological_order, invert_exact, mat_vec
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, rational_invariants
+
+README_DIAGRAM = {
+    "components": [
+        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
+        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
+    ],
+    "lk": [["Lstar", "L", -15]],
+    "distinguished": "Lstar",
+}
+README_DOC = {"tb_q": "1/14", "rot_q": "8/7", "r": 14, "chi": -7}
+
+
+def four_eliminations(diag, chi, reverse):
+    """tb_0 + det M0 / det M, rot through the inverse, r through the SNF.
+
+    M and the border are built here from the components, not by the library.
+    Reversing the passive component negates its rot and its linking numbers.
+    """
+    sign = -1 if reverse else 1
+    d = next(i for i, c in enumerate(diag.components) if c.coeff == "passive")
+    idx = [i for i, c in enumerate(diag.components) if c.coeff != "passive"]
+    comps = [diag.components[i] for i in idx]
+    m = tuple(
+        tuple(
+            comps[a].tb + (1 if comps[a].coeff == "+1" else -1) if a == b else diag.lk[i][j]
+            for b, j in enumerate(idx)
+        )
+        for a, i in enumerate(idx)
+    )
+    border = tuple(diag.lk[d][i] for i in idx)
+    m0 = ((0,) + border,) + tuple((border[a],) + row for a, row in enumerate(m))
+    lkvec = tuple(sign * v for v in border)
+    dist = diag.components[d]
+    tb_q = dist.tb + Fraction(det_cofactor(m0), det_cofactor(m))
+    solved = mat_vec(invert_exact(m), lkvec)
+    rot_q = sign * dist.rot - sum(c.rot * s for c, s in zip(comps, solved))
+    return (tb_q, rot_q, homological_order(m, lkvec), chi)
+
+
+@st.composite
+def diagrams(draw):
+    n = draw(st.integers(0, 5))
+    comps = [
+        SurgeryComponent(
+            f"L{i}", draw(st.integers(-9, 9)), draw(st.integers(-5, 5)), draw(st.sampled_from(["+1", "-1"]))
+        )
+        for i in range(n)
+    ]
+    passive = SurgeryComponent("K", draw(st.integers(-9, 9)), draw(st.integers(-5, 5)), "passive")
+    comps.insert(draw(st.integers(0, n)), passive)
+    ids = [c.id for c in comps]
+    pairs = [(a, b, draw(st.integers(-4, 4))) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    return SurgeryDiagram.build(tuple(comps), pairs, "K")
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams(), st.integers(-21, 1), st.booleans())
+def test_one_solve_matches_four_eliminations(diag, chi, reverse):
+    m = surgery.linking_matrix(diag)
+    assume(det_cofactor(m) != 0)
+    got = rational_invariants(diag, chi, reverse_distinguished=reverse)
+    assert (got.tb_q, got.rot_q, got.order_r, got.chi) == four_eliminations(diag, chi, reverse)
+
+
+def run_cli(monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+SINGULAR_MESSAGE = "surgery linking matrix is singular"
+SINGULAR_DIAGRAMS = {
+    # M = [0]: (+1)-surgery on a tb = -1 knot
+    "one component": {
+        "components": [
+            {"id": "K", "tb": 0, "rot": 0, "coeff": "passive"},
+            {"id": "L", "tb": -1, "rot": 0, "coeff": "+1"},
+        ],
+        "lk": [["K", "L", 1]],
+        "distinguished": "K",
+    },
+    # M = [[1, 1], [1, 1]]: singular only after the first pivot
+    "rank one": {
+        "components": [
+            {"id": "K", "tb": 0, "rot": 0, "coeff": "passive"},
+            {"id": "A", "tb": 0, "rot": 1, "coeff": "+1"},
+            {"id": "B", "tb": 2, "rot": 1, "coeff": "-1"},
+        ],
+        "lk": [["A", "B", 1], ["K", "A", 2]],
+        "distinguished": "K",
+    },
+}
+
+
+def test_singular_diagram_keeps_its_error(monkeypatch):
+    for name, doc in SINGULAR_DIAGRAMS.items():
+        for extra in ([], ["--reverse-distinguished"]):
+            argv = ["surgery-invariants", "-", "--chi", "1", *extra]
+            code, out = run_cli(monkeypatch, argv, json.dumps(doc))
+            assert code == 1, name
+            assert out == {"error": {"type": "SingularMatrix", "message": SINGULAR_MESSAGE}}, name
+
+
+def test_no_determinant_or_smith_form_on_the_surgery_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second elimination on the surgery path")
+
+    for name in ("det_exact", "homological_order", "extended_matrix"):
+        monkeypatch.setattr(surgery, name, forbidden)
+    for name in ("det_exact", "homological_order", "smith_normal_form"):
+        monkeypatch.setattr(linalg, name, forbidden)
+
+    data = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
+    assert (data.tb_q, data.rot_q, data.order_r, data.chi) == (Fraction(1, 14), Fraction(8, 7), 14, -7)
+    argv = ["surgery-invariants", "-", "--chi", "-7"]
+    assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, README_DOC)
+    reversed_doc = dict(README_DOC, rot_q="-8/7")
+    argv.append("--reverse-distinguished")
+    assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, reversed_doc)
