@@ -2,8 +2,10 @@
 
 Matrices are tuples of tuples (row major) over Python ints or
 ``fractions.Fraction``; everything is computed exactly and no floating point
-appears anywhere.  Sizes in this library stay in the dozens, so the plain
-O(n^3) algorithms below are the right tool.
+appears anywhere.  Sizes stay in the dozens, so plain O(n^3) algorithms fit.
+One pivoted Gaussian elimination over the rationals, ``_eliminate``, gives
+``det_exact``, ``invert_exact`` and ``solve_exact``; the Smith normal form
+reduces over the integers on its own.
 """
 
 from __future__ import annotations
@@ -69,32 +71,42 @@ def _check_square(m: Matrix) -> int:
     return n
 
 
-def det_exact(m: Matrix) -> Entry:
-    """Determinant by fraction-based Gaussian elimination.
-
-    The empty 0x0 matrix has determinant 1.  Integer input gives an integer
-    result.
-    """
+def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[Fraction, list[Vector]]:
+    """det m and each x_j with m x_j = columns[j]: forward elimination with
+    first-nonzero row pivots carries the columns along, then back substitution.
+    Raises ``SingularMatrix`` at the first column with no pivot."""
     n = _check_square(m)
-    if n == 0:
-        return 1
-    integral = all(isinstance(x, int) for row in m for x in row)
-    a = [[Fraction(x) for x in row] for row in m]
+    if any(len(col) != n for col in columns):
+        raise LinalgError("vector length must match matrix dimension")
+    a = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in columns] for i, row in enumerate(m)]
     det = Fraction(1)
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
         if pivot_row is None:
-            return 0
+            raise SingularMatrix("matrix has determinant 0")
         if pivot_row != c:
             a[c], a[pivot_row] = a[pivot_row], a[c]
             det = -det
         det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
         for r in range(c + 1, n):
             if a[r][c]:
-                factor = a[r][c] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
-    if integral:
+                factor = a[r][c] / a[c][c]
+                a[r][c:] = [x - factor * y for x, y in zip(a[r][c:], a[c][c:])]
+    for i in reversed(range(n)):
+        a[i][n:] = [y / a[i][i] for y in a[i][n:]]
+        for r in range(i):
+            if a[r][i]:
+                a[r][n:] = [x - a[r][i] * y for x, y in zip(a[r][n:], a[i][n:])]
+    return det, [tuple(row[j] for row in a) for j in range(n, n + len(columns))]
+
+
+def det_exact(m: Matrix) -> Entry:
+    """Determinant by ``_eliminate``: 0 if singular, 1 for the 0x0 matrix, an int for int input."""
+    try:
+        det, _ = _eliminate(m, ())
+    except SingularMatrix:
+        return 0
+    if all(isinstance(x, int) for row in m for x in row):
         assert det.denominator == 1
         return int(det)
     return det
@@ -120,26 +132,14 @@ def det_cofactor(m: Matrix) -> Entry:
 
 
 def invert_exact(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan elimination over the rationals."""
-    n = _check_square(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix has determinant 0")
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            inv[c], inv[pivot_row] = inv[pivot_row], inv[c]
-        scale = Fraction(1) / a[c][c]
-        a[c] = [x * scale for x in a[c]]
-        inv[c] = [x * scale for x in inv[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                factor = a[r][c]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[c])]
-    return freeze(inv)
+    """Exact inverse over the rationals: ``_eliminate`` on the identity's columns."""
+    _, columns = _eliminate(m, identity(len(m)))
+    return freeze(zip(*columns))
+
+
+def solve_exact(m: Matrix, v: Sequence[Entry]) -> Vector:
+    """The exact rational x with m x = v, by ``_eliminate``; no inverse is formed."""
+    return _eliminate(m, (v,))[1][0]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 A diagram holds Legendrian components with integer (tb, rot), contact
 coefficients +1 or -1 on the surgered components, pairwise linking numbers,
 and one distinguished passive component.  Its rational invariants in the
-surgered manifold are read off one solution vector x = M^{-1} lkvec, with M
-the linking matrix of the surgered components (diagonal tb_i + coeff_i) and
-lkvec their linking numbers with the distinguished one:
+surgered manifold are read off the solution x of M x = lkvec, found with no
+inverse formed; M is the linking matrix of the surgered components (diagonal
+tb_i + coeff_i) and lkvec their linking numbers with the distinguished one:
 
     tb_Q  = tb_0 - <lkvec, x>    (= tb_0 + det M0 / det M, M0 of ``extended_matrix``)
     rot_Q = rot_0 - <rotvec, x>
@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 from .calculus import RationalData
 from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix
 from .fields import read_int, read_str
-from .linalg import Matrix, invert_exact, mat_vec
-from .linalg import det_exact, homological_order  # noqa: F401 (tests patch them here)
+from .linalg import Matrix, solve_exact
+from .linalg import det_exact, homological_order, invert_exact  # noqa: F401 (tests patch them here)
 
 __all__ = [
     "SurgeryComponent",
@@ -165,14 +165,14 @@ def rational_invariants(
 ) -> RationalData:
     """Exact (tb_Q, rot_Q, r) of the distinguished component after surgery.
 
-    All three come from x = M^{-1} lkvec: tb_Q = tb_0 - <lkvec, x>,
-    rot_Q = rot_0 - <rotvec, x>, r = lcm of the denominators of x.
+    All three come from x with M x = lkvec, solved with no inverse formed:
+    tb_Q = tb_0 - <lkvec, x>, rot_Q = rot_0 - <rotvec, x>, r = lcm of the denominators of x.
     ``reverse_distinguished`` evaluates the other orientation of the passive
     component (rot_Q negates, tb_Q and r are unchanged).
     """
     lkvec = _distinguished_lk(diag)
     try:
-        x = mat_vec(invert_exact(linking_matrix(diag)), lkvec)
+        x = solve_exact(linking_matrix(diag), lkvec)
     except SingularMatrix:
         raise SingularMatrix("surgery linking matrix is singular") from None
     dist = diag.passive()

@@ -77,8 +77,9 @@ def test_criterion_1_closed_form_equivalence():
                 assert d.rot_q == Fraction(rot_val + tb_val + 1, tb_val + 1)
                 assert d.order_r == abs(tb_val + 1)
     print(
-        f"\nACCEPTANCE 1: PASS - closed forms match the matrix pipeline on "
-        f"tb in [-20,-2] x rot in [-10,-1] ({budget.elapsed:.3f}s)"
+        f"\nACCEPTANCE 1: PASS - dual_invariants matches the closed forms on "
+        f"tb in [-20,-2] x rot in [-10,-1] ({budget.elapsed:.3f}s); the matrix "
+        "pipeline is checked in tests/test_dual_closed_form.py"
     )
 
 

@@ -1,0 +1,126 @@
+"""One test for each branch no other test reaches: the empty tension search
+in both renderings, records lookups that find nothing, rejected parameters of
+the certify, calculus and knotdata layers, directly built malformed surgery
+diagrams and the infinite-order sentinel's repr."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from nonloose import cli
+from nonloose.calculus import ClassicalPair, RationalData, rational_from_classical, stabilize_rational
+from nonloose.certify import (
+    Certificate,
+    Reason,
+    Verdict,
+    not_a_stabilization_by_max_tb,
+    order_bounds,
+    possurg_depth_one,
+    tension_upper_bound,
+)
+from nonloose.errors import DiagramError, InvalidParams
+from nonloose.knotdata import KnotRecord, record_from_dict
+from nonloose.linalg import INFINITE
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_certify_tension_without_a_witness(capsys):
+    code, out = run(capsys, "certify-tension", "--tb", "-5", "--rot", "0", "--chi", "1")
+    assert code == 0
+    assert json.loads(out) == {"bound": None, "witness": None, "max_n": 64}
+
+
+def test_certify_tension_text_rendering(capsys):
+    code, out = run(capsys, "--format", "text", "certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1")
+    assert code == 0
+    assert out == "bound: 3\nwitness: [0, 3]\nmax_n: 64\n"
+
+
+def test_knot_record_name_without_records_file(capsys, monkeypatch, tmp_path):
+    missing = tmp_path / "records.json"
+    monkeypatch.setattr(cli, "DEFAULT_RECORDS_PATH", missing)
+    code, out = run(capsys, "knot-record", "--name", "foo")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "DomainError", "message": f"--name needs a --records file or one at {missing}"}
+    }
+
+
+def test_knot_record_unknown_name(capsys, tmp_path):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{"family": "house", "max_tb": -2, "chi": -1}]))
+    code, out = run(capsys, "--records", str(path), "knot-record", "--name", "foo")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "DomainError", "message": f"no record named 'foo' in {path}"}}
+
+
+def test_tension_search_rejects_negative_budget():
+    with pytest.raises(InvalidParams, match="max_n must be nonnegative"):
+        tension_upper_bound(ClassicalPair(3, 0, -1), max_n=-1)
+
+
+def test_max_tb_rule_needs_a_maximal_tb():
+    record = KnotRecord("mystery", None, frozenset(), -1)
+    with pytest.raises(InvalidParams, match="carries no maximal tb"):
+        not_a_stabilization_by_max_tb(-1, record)
+
+
+def test_negative_four_ball_genus_and_stabilization_counts():
+    with pytest.raises(InvalidParams, match="smooth 4-ball genus must be nonnegative"):
+        possurg_depth_one(3, -1)
+    with pytest.raises(InvalidParams, match="stabilization counts must be nonnegative"):
+        order_bounds(-1, 0, True)
+
+
+def test_certificate_serializes_frozenset_details_sorted():
+    cert = Certificate(Verdict.ORDER_ZERO, {"rots": frozenset({3, -1, 1})}, (Reason("rule", "note"),))
+    assert cert.to_dict()["details"] == {"rots": [-1, 1, 3]}
+
+
+def test_rational_calculus_rejects_bad_parameters():
+    data = RationalData(Fraction(1, 14), Fraction(8, 7), 14, -7)
+    with pytest.raises(InvalidParams, match="stabilization counts must be nonnegative"):
+        stabilize_rational(data, -1, 0)
+    with pytest.raises(InvalidParams, match="chi required"):
+        rational_from_classical(ClassicalPair(-1, 0))
+
+
+def test_knot_record_rejects_bad_chi_and_genus():
+    with pytest.raises(InvalidParams, match="chi must be <= 1"):
+        KnotRecord("unknot", -1, frozenset({0}), 2)
+    with pytest.raises(InvalidParams, match="smooth 4-ball genus must be nonnegative"):
+        KnotRecord("unknot", -1, frozenset({0}), 1, g_s=-1)
+
+
+def test_record_from_dict_rejects_non_objects_and_missing_keys():
+    with pytest.raises(InvalidParams, match="record entry must be an object, got list"):
+        record_from_dict([])
+    with pytest.raises(InvalidParams, match="record entry missing key 'chi'"):
+        record_from_dict({"family": "house"})
+
+
+PASSIVE = SurgeryComponent("K", 0, 0, "passive")
+PLUS = SurgeryComponent("L", -1, 0, "+1")
+
+
+@pytest.mark.parametrize(
+    "components, lk, message",
+    [
+        ((PASSIVE, PASSIVE), ((0, 0), (0, 0)), "component ids must be unique"),
+        ((PASSIVE, PLUS), ((0, 1),), "linking matrix shape must match the component count"),
+        ((PASSIVE, PLUS), ((0, 1), (2, 0)), "linking matrix must be symmetric"),
+    ],
+)
+def test_surgery_diagram_rejects_malformed_fields(components, lk, message):
+    with pytest.raises(DiagramError, match=message):
+        SurgeryDiagram(components, lk, "K")
+
+
+def test_infinite_repr():
+    assert repr(INFINITE) == "Infinite"
