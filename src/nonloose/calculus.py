@@ -13,11 +13,12 @@ from fractions import Fraction
 from .errors import InvalidParams
 
 
-def _check_chi(chi: int) -> None:
-    # chi = 1 - 2g for a Seifert surface of a knot, so odd and at most 1
+def check_chi(chi: int, odd: bool = True) -> None:
+    """chi <= 1, and chi = 1 - 2g is odd for a knot's Seifert surface; a rational
+    one may have several boundary components, so ``odd=False`` skips parity."""
     if chi > 1:
         raise InvalidParams(f"chi must be <= 1, got {chi}")
-    if chi % 2 == 0:
+    if odd and chi % 2 == 0:
         raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {chi}")
 
 
@@ -32,7 +33,7 @@ class ClassicalPair:
 
     def __post_init__(self):
         if self.chi is not None:
-            _check_chi(self.chi)
+            check_chi(self.chi)
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class RationalData:
     def __post_init__(self):
         object.__setattr__(self, "tb_q", Fraction(self.tb_q))
         object.__setattr__(self, "rot_q", Fraction(self.rot_q))
+        check_chi(self.chi, odd=False)
         if self.order_r < 1:
             raise InvalidParams(f"homological order must be >= 1, got {self.order_r}")
 
@@ -99,9 +101,8 @@ def pushoff_sl_rational(d: RationalData) -> Fraction:
     return d.tb_q - d.rot_q
 
 
-def rational_from_classical(p: ClassicalPair, chi: int | None = None) -> RationalData:
+def rational_from_classical(p: ClassicalPair) -> RationalData:
     """Lift integral invariants to the rational setting with order 1."""
-    use_chi = chi if chi is not None else p.chi
-    if use_chi is None:
+    if p.chi is None:
         raise InvalidParams("chi required to build rational data")
-    return RationalData(Fraction(p.tb), Fraction(p.rot), 1, use_chi)
+    return RationalData(Fraction(p.tb), Fraction(p.rot), 1, p.chi)

@@ -23,7 +23,7 @@ from math import inf
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from .calculus import ClassicalPair, RationalData
+from .calculus import ClassicalPair, RationalData, check_chi
 from .errors import (
     AmbientMismatch,
     ContradictoryEvidence,
@@ -175,6 +175,7 @@ def transverse_bennequin(sl_q: Fraction | int, chi: int, order_r: int) -> CheckR
     """sl_Q <= -chi/r for non-loose transverse knots."""
     if order_r < 1:
         raise InvalidParams("homological order must be >= 1")
+    check_chi(chi, odd=False)
     return (
         CheckResult.VIOLATED
         if Fraction(sl_q) > Fraction(-chi, order_r)
@@ -410,14 +411,24 @@ def tension_one_dual(
 def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
     """Certificates with tension 1 but depth at least 2 from negative torus knots.
 
-    Enumerates coprime (p, q) with -p > q >= 2 and |p| <= p_max.  Each
-    maximal-tb representative satisfies the dual tension-one criterion, is
-    certifiably not a stabilization, and has overtwisted (+1)-surgery, so the
-    surgery dual separates tension from depth.
+    One certificate for each coprime (p, q) with -p > q >= 2 and |p| <= p_max;
+    ``negative_torus_record`` rejects the other pairs.  Every hypothesis holds
+    for every such pair, so none is tested (p <= -3 and 2 <= q < -p):
+
+      * tb = pq <= -6 and rot = p + q < 0;
+      * tb + rot + 2 < chi = q - p + pq reduces to p < -1;
+      * the record sets the overtwisted flag of (+1)-surgery;
+      * tb is the record's max_tb, so the knot is not a stabilization;
+      * the once positively stabilized dual has r = n = -(pq + 1) >= 5,
+        tb_Q = 1/n and rot_Q = (p + q)/(pq + 1) + 1 = (n - p - q)/n > 0, so
+        its rational Bennequin violation -|tb_Q| + |rot_Q| > -chi/r reads
+        n - 1 - p - q > p - q - pq, which reduces to p < -1 as well.
     """
     from .knotdata import negative_torus_record
     from .surgery import dual_invariants
 
+    depth = depth_one_dual(is_stabilization=False, complement_tight=True)
+    assumptions = {"surgery_overtwisted": True, "complement_tight": True}
     out: list[Certificate] = []
     for p in range(-3, -p_max - 1, -1):
         for q in range(2, -p):
@@ -426,58 +437,29 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
             except InvalidParams:
                 continue
             tb, chi = rec.max_tb, rec.chi
-            rot = p + q
+            (rot,) = rec.rot_at_max_tb
             tension = tension_one_dual(tb, rot, chi, rec.plus_one_surgery_overtwisted)
-            if tension.verdict is not Verdict.TENSION_EXACTLY_ONE:
-                continue
-            if not not_a_stabilization_by_max_tb(tb, rec):
-                continue
-            depth = depth_one_dual(is_stabilization=False, complement_tight=True)
-            stabilized_dual = dual_invariants(tb, rot, 1, 0, chi)
-            violation = bennequin_rational(stabilized_dual)
-            if violation is not CheckResult.VIOLATED:
-                continue
-            out.append(
-                Certificate(
-                    Verdict.TENSION_EXACTLY_ONE,
-                    details={
-                        "knot": rec.family,
-                        "tb": tb,
-                        "rot": rot,
-                        "chi": chi,
-                        "tension_min": 1,
-                        "tension_max": 1,
-                        "depth_min": 2,
-                        "dual_tb_q": stabilized_dual.tb_q,
-                        "dual_rot_q": stabilized_dual.rot_q,
-                        "dual_order_r": stabilized_dual.order_r,
-                    },
-                    reasons=tuple(tension.reasons)
-                    + tuple(depth.reasons)
-                    + (
-                        Reason(
-                            "max-tb-witness",
-                            "tb equals the classified maximum, ruling out a "
-                            "destabilization",
-                            {"tb": tb, "max_tb": rec.max_tb},
-                        ),
-                        Reason(
-                            "bennequin-rational",
-                            "the stabilized dual violates the rational Bennequin bound",
-                            {
-                                "tb_q": stabilized_dual.tb_q,
-                                "rot_q": stabilized_dual.rot_q,
-                                "r": stabilized_dual.order_r,
-                                "chi": chi,
-                            },
-                        ),
-                    ),
-                    assumptions={
-                        "surgery_overtwisted": True,
-                        "complement_tight": True,
-                    },
-                )
+            dual = dual_invariants(tb, rot, 1, 0, chi)
+            details = {
+                "knot": rec.family,
+                **tension.details,  # tb, rot, chi and the tension window
+                **depth.details,  # depth_min 2
+                "dual_tb_q": dual.tb_q,
+                "dual_rot_q": dual.rot_q,
+                "dual_order_r": dual.order_r,
+            }
+            max_tb = Reason(
+                "max-tb-witness",
+                "tb equals the classified maximum, ruling out a destabilization",
+                {"tb": tb, "max_tb": rec.max_tb},
             )
+            violation = Reason(
+                "bennequin-rational",
+                "the stabilized dual violates the rational Bennequin bound",
+                {"tb_q": dual.tb_q, "rot_q": dual.rot_q, "r": dual.order_r, "chi": chi},
+            )
+            reasons = (*tension.reasons, *depth.reasons, max_tb, violation)
+            out.append(Certificate(Verdict.TENSION_EXACTLY_ONE, details, reasons, assumptions))
     return out
 
 
@@ -671,7 +653,7 @@ _RELATIONS = ("pushoff", "approximation")
 def transverse_transfer(
     legendrian_cert: Certificate,
     relation: str,
-    p_stabs_used: int = 0,
+    *,
     is_negative_hopf_stabilization: bool = False,
 ) -> Certificate:
     """Transfer a Legendrian certificate to the related transverse knot.
@@ -680,8 +662,8 @@ def transverse_transfer(
     push-off of the Legendrian knot, or with the Legendrian knot as one of
     its approximations.  Rules:
 
-      * a loosening witness using p positive stabilizations bounds the
-        transverse tension by p;
+      * a tension bound transfers only with its witness: one using p
+        positive stabilizations bounds the transverse tension by p;
       * finite negative tension makes the push-off loose;
       * a transverse unknot is loose outright;
       * the binding of a negatively Hopf-stabilized open book (evidence
@@ -729,8 +711,8 @@ def transverse_transfer(
             assumptions=assumptions,
         )
     witness = details.get("witness")
-    positive_used = witness[0] if witness is not None else p_stabs_used
-    if legendrian_cert.verdict is Verdict.TENSION_UPPER_BOUND:
+    if legendrian_cert.verdict is Verdict.TENSION_UPPER_BOUND and witness is not None:
+        positive_used = witness[0]
         if positive_used == 0:
             # loosened by negative stabilizations alone, which do not move
             # the transverse knot at all

@@ -37,8 +37,11 @@ class KnotRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "rot_at_max_tb", frozenset(self.rot_at_max_tb))
+        # calculus.check_chi, repeated so that a record loads without calculus
         if self.chi > 1:
             raise InvalidParams(f"chi must be <= 1, got {self.chi}")
+        if self.chi % 2 == 0:
+            raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {self.chi}")
         if self.g_s is not None and self.g_s < 0:
             raise InvalidParams("smooth 4-ball genus must be nonnegative")
         if self.ambient == AMBIENT_TIGHT_S3 and self.max_tb is not None:

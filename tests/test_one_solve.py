@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonloose import cli, linalg, surgery
-from nonloose.linalg import det_cofactor, homological_order, invert_exact, mat_vec
+from nonloose.linalg import det_cofactor, homological_order
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, rational_invariants
 
 README_DIAGRAM = {
@@ -26,9 +26,10 @@ README_DOC = {"tb_q": "1/14", "rot_q": "8/7", "r": 14, "chi": -7}
 
 
 def four_eliminations(diag, chi, reverse):
-    """tb_0 + det M0 / det M, rot through the inverse, r through the SNF.
+    """tb_0 + det M0 / det M, rot through Cramer's rule, r through the SNF.
 
-    M and the border are built here from the components, not by the library.
+    M and the border are built here from the components, not by the library,
+    and every determinant is a cofactor expansion, so no elimination runs.
     Reversing the passive component negates its rot and its linking numbers.
     """
     sign = -1 if reverse else 1
@@ -46,8 +47,13 @@ def four_eliminations(diag, chi, reverse):
     m0 = ((0,) + border,) + tuple((border[a],) + row for a, row in enumerate(m))
     lkvec = tuple(sign * v for v in border)
     dist = diag.components[d]
-    tb_q = dist.tb + Fraction(det_cofactor(m0), det_cofactor(m))
-    solved = mat_vec(invert_exact(m), lkvec)
+    det_m = det_cofactor(m)
+    tb_q = dist.tb + Fraction(det_cofactor(m0), det_m)
+    # x_k = det(M with column k replaced by lkvec) / det M
+    solved = [
+        Fraction(det_cofactor(tuple(row[:k] + (v,) + row[k + 1 :] for row, v in zip(m, lkvec))), det_m)
+        for k in range(len(m))
+    ]
     rot_q = sign * dist.rot - sum(c.rot * s for c, s in zip(comps, solved))
     return (tb_q, rot_q, homological_order(m, lkvec), chi)
 
