@@ -214,3 +214,48 @@ def test_repeated_pairs_share_one_event():
     ev = word.events
     assert ev[0] is ev[1] and ev[2] is ev[4]
     assert ev[3] == ev[0] and ev[3] is not ev[0]  # "01" is a different token
+
+
+# Every code point at which str.splitlines ends a line; a '#' comment runs
+# to the first of them.
+LINE_BOUNDARIES = ["\n", "\x0b", "\x0c", "\r", "\r\n", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_boundaries_are_those_of_splitlines():
+    ends = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]
+    assert ends == [b for b in LINE_BOUNDARIES if len(b) == 1]
+
+
+separators = st.tuples(
+    st.sampled_from(["", "# note", "#"]), st.sampled_from([" ", " ; ", *LINE_BOUNDARIES])
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    token_streams.flatmap(
+        lambda tokens: st.tuples(st.just(tokens), st.lists(separators, min_size=len(tokens), max_size=len(tokens)))
+    )
+)
+def test_comments_end_where_the_event_by_event_loop_ends_them(stream):
+    tokens, seps = stream
+    text = "".join(t + s for t, s in zip(tokens, seps))
+    assert outcome(parse_front, text) == outcome(old_parse_front, text)
+
+
+@pytest.mark.parametrize(
+    "text, events",
+    [
+        ("l 1 # c\rr 1\n", [("l", 1), ("r", 1)]),
+        ("l 1 # x 1\nr 1", [("l", 1), ("r", 1)]),
+        ("l 1 # ; x 1 ; 2 3 r 1 # r 1", [("l", 1), ("r", 1)]),
+        ("# l 1 r 1\x85l 1 #x 1;x 1\x1cr 1 #", [("l", 1), ("r", 1)]),
+        ("l 1;# 12 ;\r\nl 2 # l\x0bx 1 #\x0cx 1 #\x1dx 1 #\x1er 2 # r 1", [
+            ("l", 1), ("l", 2), ("x", 1), ("x", 1), ("x", 1), ("r", 2), ("r", 1)
+        ]),
+    ],
+)
+def test_comments_hold_separators_digits_and_events(text, events):
+    word = parse_front(text)
+    assert [(e.kind.value, e.position) for e in word.events] == events
+    assert outcome(parse_front, text) == outcome(old_parse_front, text)
