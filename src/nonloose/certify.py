@@ -377,8 +377,10 @@ def tension_one_dual(
 
     tb < -1, rot < 0 and tb + rot + 2 < chi force a positive stabilization of
     the dual to violate the rational Bennequin bound, so its tension is
-    exactly 1 once the surgery is overtwisted.
+    exactly 1 once the surgery is overtwisted.  ``chi`` is that of the knot's
+    Seifert surface: odd and at most 1, else ``InvalidParams``.
     """
+    check_chi(chi)
     failed = _failed(
         (
             ("tb < -1", tb < -1),

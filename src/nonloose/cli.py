@@ -144,13 +144,16 @@ def cmd_dual_invariants(args) -> dict:
     return _rational_doc(data)
 
 
-def _invariant_data(args) -> tuple[str, calculus.ClassicalPair | calculus.RationalData | Fraction]:
+def _invariant_data(
+    args,
+) -> tuple[str, calculus.ClassicalPair | calculus.RationalData | tuple[Fraction, int]]:
     """The one kind of invariants the flags give, and its data.
 
     "classical" (--tb with --rot) gives a ``ClassicalPair``, "rational" (--tb-q
     with --rot-q) a ``RationalData`` of order --order, and "transverse" (--sl-q,
-    certify-bennequin only) the self-linking number itself.  A half-given pair
-    or flags of two kinds raise ``DomainError``.
+    certify-bennequin only) the self-linking number and the order.  --order
+    defaults to 1 for the last two and is a ``DomainError`` with the first, as
+    are a half-given pair and flags of two kinds.
     """
     from . import calculus
 
@@ -165,11 +168,14 @@ def _invariant_data(args) -> tuple[str, calculus.ClassicalPair | calculus.Ration
     kind = given[0] if given else "classical"
     if None in flags[kind].values():
         raise DomainError(f"{kind} invariants need {' and '.join(flags[kind])}")
+    if kind == "classical":
+        if args.order is not None:
+            raise DomainError("--order goes with rational or transverse invariants, not --tb and --rot")
+        return kind, calculus.ClassicalPair(args.tb, args.rot, args.chi)
+    order = 1 if args.order is None else args.order
     if kind == "transverse":
-        return kind, args.sl_q
-    if kind == "rational":
-        return kind, calculus.RationalData(args.tb_q, args.rot_q, args.order, args.chi)
-    return kind, calculus.ClassicalPair(args.tb, args.rot, args.chi)
+        return kind, (args.sl_q, order)
+    return kind, calculus.RationalData(args.tb_q, args.rot_q, order, args.chi)
 
 
 def cmd_certify_bennequin(args) -> dict:
@@ -177,7 +183,8 @@ def cmd_certify_bennequin(args) -> dict:
 
     kind, data = _invariant_data(args)
     if kind == "transverse":
-        result = certify.transverse_bennequin(data, args.chi, args.order)
+        sl_q, order = data
+        result = certify.transverse_bennequin(sl_q, args.chi, order)
     elif kind == "rational":
         result = certify.bennequin_rational(data)
     else:
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tb-q", type=_fraction_arg)
     p.add_argument("--rot-q", type=_fraction_arg)
     p.add_argument("--sl-q", type=_fraction_arg)
-    p.add_argument("--order", type=int, default=1, help="homological order r")
+    p.add_argument("--order", type=int, help="homological order r (default 1)")
     p.add_argument("--chi", type=int, required=True)
     p.set_defaults(handler=cmd_certify_bennequin)
 
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rot", type=int)
     p.add_argument("--tb-q", type=_fraction_arg)
     p.add_argument("--rot-q", type=_fraction_arg)
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--order", type=int, help="homological order r (default 1)")
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--max-n", type=int, default=64)
     p.add_argument(

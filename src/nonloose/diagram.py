@@ -76,6 +76,11 @@ class Direction(Enum):
 class FrontEvent:
     kind: EventKind
     position: int
+    # the event's line in :func:`serialize_front`, fixed when it is built
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "text", f"{self.kind.value} {self.position}\n")
 
 
 class _Orientation(NamedTuple):
@@ -197,12 +202,15 @@ class OrientedFront:
 
 
 _NUMBER_RE = re.compile(r"[0-9]+")
+# A comment runs from '#' to the next line boundary of ``str.splitlines``.
+_COMMENT_RE = re.compile(r"#[^\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]*")
 _KINDS = {k.value: k for k in EventKind}
 
 
-def _parse_event(tok: str, num: str | None, index: int) -> FrontEvent:
+def _parse_event(tok: str, num: str | None, pairs: list[tuple[str, str]]) -> FrontEvent:
     """Check one ``token number`` pair (``num`` None when the stream ends
-    after ``tok``) and build its event, the ``index``-th of the word."""
+    after ``tok``) and build its event.  An error that names the event gives
+    the index of the pair's first occurrence in ``pairs``."""
     if tok not in _KINDS:
         raise UnknownToken(f"unknown token {tok!r}")
     if num is None:
@@ -212,11 +220,13 @@ def _parse_event(tok: str, num: str | None, index: int) -> FrontEvent:
     try:
         value = int(num)
     except ValueError:  # more digits than int() converts
+        index = pairs.index((tok, num))
         raise PositionOutOfRange(
             f"event {index}: a position of {len(num)} digits exceeds any strand count",
             event_index=index,
         ) from None
     if value < 1:
+        index = pairs.index((tok, num))
         raise PositionOutOfRange(f"event {index}: position must be >= 1", event_index=index)
     return FrontEvent(_KINDS[tok], value)
 
@@ -224,29 +234,24 @@ def _parse_event(tok: str, num: str | None, index: int) -> FrontEvent:
 def parse_front(text: str) -> FrontWord:
     """Parse the ``l/r/x <position>`` token stream into a validated word.
 
-    Each distinct ``token number`` pair is checked and built once; its later
-    occurrences share that (frozen) event.
+    Each distinct ``token number`` pair is checked and built once, in order
+    of first occurrence; its later occurrences share that (frozen) event.
     """
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = stripped.replace(";", " ").split()
+    tokens = _COMMENT_RE.sub("", text).replace(";", " ").split()
     if not tokens:
         raise EmptyWord("no events in input")
-    events: list[FrontEvent] = []
-    known: dict[tuple[str, str], FrontEvent] = {}
-    for pair in zip(tokens[::2], tokens[1::2]):
-        event = known.get(pair)
-        if event is None:
-            event = known[pair] = _parse_event(*pair, len(events))
-        events.append(event)
+    pairs = list(zip(tokens[::2], tokens[1::2]))
+    known = dict.fromkeys(pairs)
+    for pair in known:
+        known[pair] = _parse_event(*pair, pairs)
     if len(tokens) % 2:
-        _parse_event(tokens[-1], None, len(events))
-    return FrontWord(tuple(events))
+        _parse_event(tokens[-1], None, pairs)
+    return FrontWord(tuple(map(known.__getitem__, pairs)))
 
 
 def serialize_front(word: FrontWord) -> str:
     """One event per line; inverse of :func:`parse_front`."""
-    # ``_value_`` is what the ``value`` property returns, without the property call
-    return "".join([f"{e.kind._value_} {e.position}\n" for e in word.events])
+    return "".join([e.text for e in word.events])
 
 
 def resolve_orientation(

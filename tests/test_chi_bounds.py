@@ -2,7 +2,8 @@
 
 A rational Seifert surface may have several boundary components, so the
 rational and transverse data take an even chi but no chi > 1; a knot record,
-like a ``ClassicalPair``, takes only an odd chi <= 1."""
+like a ``ClassicalPair`` and the surgered knot of certify-dual, takes only an
+odd chi <= 1."""
 
 import contextlib
 import io
@@ -13,7 +14,7 @@ import pytest
 
 from nonloose import cli
 from nonloose.calculus import ClassicalPair, RationalData, rational_from_classical
-from nonloose.certify import CheckResult, transverse_bennequin
+from nonloose.certify import CheckResult, tension_one_dual, transverse_bennequin
 from nonloose.errors import InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
 
@@ -35,6 +36,8 @@ RATIONAL_COMMANDS = {
     "certify-tension rational": ["certify-tension", "--tb-q", "1/3", "--rot-q", "0", "--order", "3", "--chi"],
     "certify-dual": ["certify-dual", "--tb", "-15", "--rot", "-2", "--surgery-overtwisted", "--chi"],
 }
+# those of them whose chi is also a knot's, and so odd
+KNOT_CHI_COMMANDS = {"certify-dual"}
 
 
 def run_cli(monkeypatch, argv, stdin=""):
@@ -54,8 +57,15 @@ def test_rational_commands_reject_chi_above_one(monkeypatch, command, chi):
     assert doc == {"error": {"type": "InvalidParams", "message": f"chi must be <= 1, got {chi}"}}
 
 
-@pytest.mark.parametrize("command", sorted(RATIONAL_COMMANDS))
-@pytest.mark.parametrize("chi", [1, 0, -2, -7])
+@pytest.mark.parametrize(
+    "chi, command",
+    [
+        (chi, command)
+        for chi in (1, 0, -2, -7)
+        for command in sorted(RATIONAL_COMMANDS)
+        if chi % 2 or command not in KNOT_CHI_COMMANDS
+    ],
+)
 def test_rational_commands_take_any_chi_up_to_one(monkeypatch, command, chi):
     argv = RATIONAL_COMMANDS[command] + [str(chi)]
     code, doc = run_cli(monkeypatch, argv, json.dumps(DIAGRAM))
@@ -72,6 +82,20 @@ def test_rational_commands_take_any_chi_up_to_one(monkeypatch, command, chi):
 )
 def test_classical_commands_keep_chi_odd_and_at_most_one(monkeypatch, argv, message):
     assert run_cli(monkeypatch, argv) == (1, {"error": {"type": "InvalidParams", "message": message}})
+
+
+@pytest.mark.parametrize("chi", [0, -2, -8])
+def test_certify_dual_takes_only_a_knots_chi(monkeypatch, chi):
+    """The dual's chi is the surgered knot's, so the tension criterion checks
+    it is odd, as it checks a knot record's."""
+    message = f"chi of a knot's Seifert surface is odd, got {chi}"
+    argv = ["certify-dual", "--tb", "-15", "--rot", "-2", "--chi", str(chi), "--surgery-overtwisted",
+            "--complement-tight"]
+    assert run_cli(monkeypatch, argv) == (1, {"error": {"type": "InvalidParams", "message": message}})
+    with pytest.raises(InvalidParams, match=message):
+        tension_one_dual(-15, -2, chi, True)
+    with pytest.raises(InvalidParams, match=message):
+        tension_one_dual(-2, 1, chi, False)  # hypotheses failing too
 
 
 def test_library_checks():

@@ -1,7 +1,11 @@
-"""Edits derive a word's orientation from its parent's, and parsing builds
-each distinct token pair once.  These tests hold both to the slower code
-they replaced, kept here as oracles, and to the independent recount."""
+"""Edits derive a word's orientation from its parent's, parsing builds each
+distinct token pair once, and serializing joins each event's fixed text.
+These tests hold all three to the slower code they replaced, kept here as
+oracles, and to the independent recount."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -209,6 +213,21 @@ def test_parse_matches_the_event_by_event_loop_on_words(seed):
     assert outcome(parse_front, text) == outcome(old_parse_front, text)
 
 
+@pytest.mark.parametrize(
+    "text, index",
+    [
+        ("l 1 x 0 r 1 x 0", 1),
+        ("l 1 l 2 x 1 x 1 x 00 r 2 x 00 r 1", 4),
+        ("l 1 l 1 r 2 l 1 r " + "9" * 5000 + " r " + "9" * 5000, 4),
+    ],
+)
+def test_a_failing_pair_names_its_first_occurrence(text, index):
+    with pytest.raises(PositionOutOfRange) as exc:
+        parse_front(text)
+    assert exc.value.event_index == index and str(exc.value).startswith(f"event {index}: ")
+    assert outcome(parse_front, text) == outcome(old_parse_front, text)
+
+
 def test_repeated_pairs_share_one_event():
     word = parse_front("l 1 l 1 r 2 l 01 r 2 r 1")
     ev = word.events
@@ -259,3 +278,47 @@ def test_comments_hold_separators_digits_and_events(text, events):
     word = parse_front(text)
     assert [(e.kind.value, e.position) for e in word.events] == events
     assert outcome(parse_front, text) == outcome(old_parse_front, text)
+
+
+def old_serialize_front(word: FrontWord) -> str:
+    """The serializer that formatted every event on every call."""
+    return "".join(f"{e.kind.value} {e.position}\n" for e in word.events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zigzag_words(), bases, st.sampled_from(["+", "-"]))
+def test_serialize_matches_formatting_every_event(word, base, sign):
+    stabilized = stabilize_front(resolve_orientation(word, base), sign).word
+    words = [word, stabilized, destabilize_front(stabilized, detect_syntactic_destabilization(stabilized))]
+    words += [destabilize_front(word, pair) for pair in zigzags(word)]
+    for w in words:
+        assert serialize_front(w) == old_serialize_front(w)
+        assert serialize_front(parse_front(serialize_front(w))) == serialize_front(w)
+
+
+@pytest.mark.parametrize("kind", list(EventKind))
+def test_front_events_keep_their_value_semantics(kind):
+    event = FrontEvent(kind, 12)
+    assert repr(event) == f"FrontEvent(kind={kind!r}, position=12)"
+    assert event == FrontEvent(kind, 12) and event != FrontEvent(kind, 13)
+    assert hash(event) == hash((kind, 12))
+    assert event.text == f"{kind.value} 12\n"
+    assert FrontEvent(LEFT, 1) == parse_front("l 01 r 1").events[0]
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [
+        dataclasses.replace,
+        lambda e: dataclasses.replace(e, position=e.position + 3),
+        lambda e: dataclasses.replace(e, kind=EventKind.CROSSING),
+        copy.copy,
+        copy.deepcopy,
+        lambda e: pickle.loads(pickle.dumps(e)),
+    ],
+    ids=["replace", "replace position", "replace kind", "copy", "deepcopy", "pickle"],
+)
+def test_event_text_survives_every_way_of_building_an_event(rebuild):
+    for event in [*diagram._ZIGZAG_DOWN, *diagram._ZIGZAG_UP, *parse_front("l 1 l 2 x 1 x 1 x 1 r 2 r 1").events]:
+        made = rebuild(event)
+        assert made.text == f"{made.kind.value} {made.position}\n"

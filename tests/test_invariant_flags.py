@@ -1,6 +1,7 @@
 """certify-bennequin and certify-tension read their invariant flags one way:
 exactly one kind, classical (--tb, --rot), rational (--tb-q, --rot-q) or,
-for certify-bennequin, transverse (--sl-q), each pair given whole."""
+for certify-bennequin, transverse (--sl-q), each pair given whole.  --order
+goes with the rational and transverse kinds only, and defaults to 1 there."""
 
 import json
 
@@ -37,6 +38,9 @@ REJECTED = [
     ["certify-tension", "--rot", "0", "--chi", "-1"],
     ["certify-bennequin", "--chi", "-1"],
     ["certify-tension", "--chi", "-1"],
+    # --order, which only rational and transverse invariants have, beside a classical pair
+    ["certify-bennequin", "--tb", "0", "--rot", "3", "--order", "5", "--chi", "-1"],
+    ["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1", "--order", "9"],
 ]
 
 
@@ -50,10 +54,6 @@ def test_mixed_or_half_given_flags_are_domain_errors(capsys, argv):
 ACCEPTED = [
     (
         ["certify-bennequin", "--tb", "0", "--rot", "3", "--chi", "-1"],
-        {"check": "classical", "result": "Violated"},
-    ),
-    (
-        ["certify-bennequin", "--tb", "0", "--rot", "3", "--order", "5", "--chi", "-1"],
         {"check": "classical", "result": "Violated"},
     ),
     (
@@ -94,3 +94,19 @@ def test_values_are_still_checked_by_the_library(capsys, argv, error):
     code, doc = run_json(capsys, *argv)
     assert code == 1
     assert doc["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify-bennequin", "--sl-q", "1", "--chi", "-1"],
+        ["certify-bennequin", "--tb-q", "0", "--rot-q", "3/4", "--chi", "-1"],
+        ["certify-tension", "--tb-q", "3", "--rot-q", "0", "--chi", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_order_defaults_to_one(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert run_json(capsys, *argv, "--order", "1") == (0, doc)
+    assert run_json(capsys, *argv, "--order", "2") != (0, doc)

@@ -1,0 +1,65 @@
+"""Exact answers of the stabilization search at the edges of its loop: the
+signs of a rational move, the side filter, the budget and its default.
+Each case pins one place where a changed search would still pass the
+property tests in ``test_certify.py``."""
+
+from fractions import Fraction
+
+import pytest
+
+from nonloose.calculus import ClassicalPair, RationalData
+from nonloose.certify import Verdict, tension_certificate, tension_upper_bound
+
+# -|tb_Q| + |rot_Q| > -chi/r = 1/3 first after one negative stabilization, or
+# after two positive ones.
+RATIONAL = RationalData(Fraction(5, 3), Fraction(-1, 3), 3, -1)
+
+
+@pytest.mark.parametrize(
+    "side, expected",
+    [("both", (1, (0, 1))), ("negative_only", (1, (0, 1))), ("positive_only", (2, (2, 0)))],
+)
+def test_rational_search_moves_tb_and_rot_by_each_sign(side, expected):
+    assert tension_upper_bound(RATIONAL, 8, side) == expected
+
+
+@pytest.mark.parametrize(
+    "data, both, negative",
+    [
+        # three positive stabilizations violate before four negative ones
+        (ClassicalPair(4, 1, -1), (3, (3, 0)), (4, (0, 4))),
+        # positive ones violate after two; negative ones never do
+        (ClassicalPair(2, 1, -1), (2, (2, 0)), None),
+    ],
+)
+def test_negative_only_skips_every_positive_stabilization(data, both, negative):
+    assert tension_upper_bound(data, 16, "both") == both
+    assert tension_upper_bound(data, 16, "negative_only") == negative
+
+
+@pytest.mark.parametrize("side", ["both", "negative_only"])
+def test_a_witness_at_the_budget_is_found(side):
+    data = ClassicalPair(3, 0, -1)  # first violated at (0, 3)
+    assert tension_upper_bound(data, 3, side) == (3, (0, 3))
+    assert tension_upper_bound(data, 2, side) is None
+
+
+@pytest.mark.parametrize("side", ["both", "positive_only", "negative_only"])
+def test_a_budget_of_zero_checks_the_knot_itself(side):
+    assert tension_upper_bound(ClassicalPair(0, 3, -1), 0, side) == (0, (0, 0))
+    assert tension_upper_bound(ClassicalPair(3, 0, -1), 0, side) is None
+
+
+def test_the_default_budget_is_64():
+    # with rot 0 and chi -1 the least violating total is the least s with
+    # 2s - tb > 1: 64 for tb 125, 65 for tb 127
+    at_64, at_65 = ClassicalPair(125, 0, -1), ClassicalPair(127, 0, -1)
+    assert tension_upper_bound(at_64) == (64, (0, 64))
+    assert tension_upper_bound(at_65) is None
+    assert tension_upper_bound(at_65, 65) == (65, (0, 65))
+    found = tension_certificate(at_64)
+    assert found.verdict is Verdict.TENSION_UPPER_BOUND
+    assert found.details["tension_max"] == 64
+    absent = tension_certificate(at_65)
+    assert absent.verdict is Verdict.NO_OBSTRUCTION
+    assert absent.details["max_n"] == 64
