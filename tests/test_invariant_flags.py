@@ -38,9 +38,6 @@ REJECTED = [
     ["certify-tension", "--rot", "0", "--chi", "-1"],
     ["certify-bennequin", "--chi", "-1"],
     ["certify-tension", "--chi", "-1"],
-    # --order, which only rational and transverse invariants have, beside a classical pair
-    ["certify-bennequin", "--tb", "0", "--rot", "3", "--order", "5", "--chi", "-1"],
-    ["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1", "--order", "9"],
 ]
 
 
@@ -49,6 +46,24 @@ def test_mixed_or_half_given_flags_are_domain_errors(capsys, argv):
     code, doc = run_json(capsys, *argv)
     assert code == 1
     assert doc["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify-bennequin", "--tb", "0", "--rot", "3", "--order", "5", "--chi", "-1"],
+        ["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1", "--order", "9"],
+    ],
+    ids=" ".join,
+)
+def test_order_beside_a_classical_pair_is_a_domain_error(capsys, argv):
+    # only rational and transverse invariants have an order
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "DomainError",
+        "message": "--order goes with rational or transverse invariants, not --tb and --rot",
+    }
 
 
 ACCEPTED = [
