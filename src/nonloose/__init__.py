@@ -92,21 +92,13 @@ _EXPORTED_BY = {
         "positive_torus_record",
         "unknot_record",
     ),
-    "linalg": (
-        "INFINITE",
-        "SmithDecomposition",
-        "det_exact",
-        "homological_order",
-        "invert_exact",
-        "smith_normal_form",
-    ),
+    "linalg": ("det_exact",),
     "surgery": (
         "SurgeryComponent",
         "SurgeryDiagram",
         "diagram_from_json",
         "diagram_to_json",
         "dual_invariants",
-        "extended_matrix",
         "linking_matrix",
         "rational_invariants",
     ),

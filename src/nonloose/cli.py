@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from . import calculus, diagram
 
 DEFAULT_RECORDS_PATH = Path.home() / ".config" / "nonloose" / "records.json"
@@ -41,6 +42,8 @@ def _read_text(path: str) -> str:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

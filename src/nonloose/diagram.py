@@ -50,6 +50,7 @@ from typing import NamedTuple
 from .errors import (
     EmptyWord,
     FrontEditError,
+    InvalidParams,
     MultipleComponents,
     NonzeroFinalStrands,
     PositionOutOfRange,
@@ -80,7 +81,12 @@ class FrontEvent:
     text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "text", f"{self.kind.value} {self.position}\n")
+        if not isinstance(self.kind, EventKind):
+            raise InvalidParams(f"event kind must be an EventKind, got {self.kind!r}")
+        position = self.position
+        if not isinstance(position, int) or isinstance(position, bool) or position < 1:
+            raise InvalidParams(f"event position must be an integer >= 1, got {position!r}")
+        object.__setattr__(self, "text", f"{self.kind.value} {position}\n")
 
 
 class _Orientation(NamedTuple):

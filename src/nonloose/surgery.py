@@ -3,11 +3,12 @@
 A diagram holds Legendrian components with integer (tb, rot), contact
 coefficients +1 or -1 on the surgered components, pairwise linking numbers,
 and one distinguished passive component.  Its rational invariants in the
-surgered manifold are read off the solution x of M x = lkvec, found with no
-inverse formed; M is the linking matrix of the surgered components (diagonal
-tb_i + coeff_i) and lkvec their linking numbers with the distinguished one:
+surgered manifold are read off the solution x of M x = lkvec, one
+``linalg.solve_exact`` with no inverse, determinant or Smith form formed; M
+is the linking matrix of the surgered components (diagonal tb_i + coeff_i)
+and lkvec their linking numbers with the distinguished one:
 
-    tb_Q  = tb_0 - <lkvec, x>    (= tb_0 + det M0 / det M, M0 of ``extended_matrix``)
+    tb_Q  = tb_0 - <lkvec, x>    (= tb_0 + det M0 / det M, M0 = M bordered by 0 and lkvec)
     rot_Q = rot_0 - <rotvec, x>
     r     = lcm of the denominators of x, the order of [lkvec] in Z^n / M Z^n
 
@@ -28,13 +29,11 @@ from .calculus import RationalData
 from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix
 from .fields import read_int, read_str
 from .linalg import Matrix, solve_exact
-from .linalg import det_exact, homological_order, invert_exact  # noqa: F401 (tests patch them here)
 
 __all__ = [
     "SurgeryComponent",
     "SurgeryDiagram",
     "linking_matrix",
-    "extended_matrix",
     "rational_invariants",
     "dual_invariants",
     "diagram_from_json",
@@ -144,20 +143,6 @@ def linking_matrix(diag: SurgeryDiagram) -> Matrix:
 def _distinguished_lk(diag: SurgeryDiagram) -> tuple[int, ...]:
     d = diag._index(diag.distinguished)
     return tuple(diag.lk[d][diag._index(c.id)] for c in diag.surgered())
-
-
-def extended_matrix(diag: SurgeryDiagram) -> Matrix:
-    """M bordered by a zero corner and the distinguished linking numbers.
-
-    By the Schur complement, det M0 = -det M * lk^T M^{-1} lk.
-    """
-    m = linking_matrix(diag)
-    border = _distinguished_lk(diag)
-    top = (0,) + border
-    rows = [top]
-    for i, row in enumerate(m):
-        rows.append((border[i],) + row)
-    return tuple(rows)
 
 
 def rational_invariants(

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+from linalg_oracles import homological_order, invert_exact, mat_mul, mat_vec, smith_normal_form
 from nonloose.calculus import ClassicalPair, RationalData
 from nonloose.certify import (
     CheckResult,
@@ -40,14 +41,7 @@ from nonloose.diagram import (
     tb,
 )
 from nonloose.knotdata import negative_torus_record, positive_torus_record
-from nonloose.linalg import (
-    det_exact,
-    homological_order,
-    invert_exact,
-    mat_mul,
-    mat_vec,
-    smith_normal_form,
-)
+from nonloose.linalg import det_exact
 from nonloose.surgery import dual_invariants
 
 

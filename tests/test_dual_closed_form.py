@@ -13,6 +13,7 @@ from nonloose import cli, linalg, surgery
 from nonloose.certify import tension_less_than_depth_search
 from nonloose.errors import InvalidParams
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, dual_invariants, rational_invariants
+from test_one_solve import assert_moved_to_oracles
 
 TBS = st.integers(-40, 40).filter(lambda tb: tb != -1)
 CHIS = st.integers(-21, 0).map(lambda k: 2 * k + 1)
@@ -69,9 +70,10 @@ def test_certify_path_runs_no_linear_algebra(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("linear algebra on the certify path")
 
-    for name in ("det_exact", "homological_order", "invert_exact", "rational_invariants"):
+    assert_moved_to_oracles()
+    monkeypatch.setattr(linalg, "det_exact", forbidden)
+    for name in ("solve_exact", "rational_invariants"):
         monkeypatch.setattr(surgery, name, forbidden)
-    monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
 
     assert dual_invariants(-15, -2, 1, 0, -7) == expected[0]
     assert tension_less_than_depth_search(13) == expected[1]

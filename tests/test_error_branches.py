@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from linalg_oracles import INFINITE
 from nonloose import cli
 from nonloose.calculus import ClassicalPair, RationalData, rational_from_classical, stabilize_rational
 from nonloose.certify import (
@@ -21,7 +22,6 @@ from nonloose.certify import (
 )
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
-from nonloose.linalg import INFINITE
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram
 
 

@@ -27,7 +27,7 @@ from nonloose.diagram import (
     stabilize_front,
     tb,
 )
-from nonloose.errors import EmptyWord, FrontParseError, PositionOutOfRange, UnknownToken
+from nonloose.errors import EmptyWord, FrontParseError, InvalidParams, PositionOutOfRange, UnknownToken
 from test_front_orientation import oriented_data, recount
 from wordgen import random_front_word
 
@@ -322,3 +322,23 @@ def test_event_text_survives_every_way_of_building_an_event(rebuild):
     for event in [*diagram._ZIGZAG_DOWN, *diagram._ZIGZAG_UP, *parse_front("l 1 l 2 x 1 x 1 x 1 r 2 r 1").events]:
         made = rebuild(event)
         assert made.text == f"{made.kind.value} {made.position}\n"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FrontWord((FrontEvent(LEFT, True), FrontEvent(RIGHT, True))),
+        lambda: FrontEvent("l", 1),
+        lambda: FrontEvent(LEFT, 0),
+        lambda: FrontEvent(LEFT, -1),
+        lambda: FrontEvent(LEFT, 1.0),
+        lambda: FrontEvent(LEFT, "1"),
+        lambda: dataclasses.replace(FrontEvent(LEFT, 1), position=0),
+    ],
+    ids=["bool position", "str kind", "position 0", "position -1", "float position", "str position", "replace to 0"],
+)
+def test_front_event_checks_its_fields(build):
+    """An event holds an ``EventKind`` and an int position >= 1, so its text
+    always parses back; anything else is a domain error when it is built."""
+    with pytest.raises(InvalidParams):
+        build()

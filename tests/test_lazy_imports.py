@@ -81,6 +81,33 @@ def test_command_loads_only_what_it_runs(tmp_path, command):
     assert loaded == sorted(f"nonloose.{name}" for name in expected)
 
 
+# Runs argv through cli.main, then prints its exit code and whether
+# ``fractions`` got loaded, as one JSON line.
+FRACTIONS_PROBE = """
+import contextlib, io, json, sys
+from nonloose import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, "fractions" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, parses_a_fraction",
+    [
+        (["front-invariants", "FRONT_FILE"], False),
+        (["knot-record", "--family", "unknot"], False),
+        (["certify-bennequin", "--tb-q", "1/2", "--rot-q", "1/2", "--chi", "-1"], True),
+    ],
+    ids=["front-invariants", "knot-record", "certify-bennequin"],
+)
+def test_fractions_loads_only_to_parse_a_fraction(tmp_path, argv, parses_a_fraction):
+    front = tmp_path / "unknot.front"
+    front.write_text(UNKNOT)
+    code, loaded = fresh(FRACTIONS_PROBE, *[str(front) if arg == "FRONT_FILE" else arg for arg in argv])
+    assert (code, loaded) == (0, parses_a_fraction)
+
+
 # every name the package exported when it imported its submodules eagerly
 EXPORTED = {
     "calculus": [
@@ -105,10 +132,10 @@ EXPORTED = {
         "KnotRecord", "load_records", "named_example", "negative_torus_record", "nonloose_unknot_table",
         "positive_torus_record", "unknot_record",
     ],
-    "linalg": ["INFINITE", "SmithDecomposition", "det_exact", "homological_order", "invert_exact", "smith_normal_form"],
+    "linalg": ["det_exact"],
     "surgery": [
         "SurgeryComponent", "SurgeryDiagram", "diagram_from_json", "diagram_to_json", "dual_invariants",
-        "extended_matrix", "linking_matrix", "rational_invariants",
+        "linking_matrix", "rational_invariants",
     ],
 }
 

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linalg_oracles import det_cofactor, identity, invert_exact, mat_mul, mat_vec
 from nonloose import linalg, surgery
 from nonloose.errors import LinalgError, SingularMatrix
-from nonloose.linalg import det_cofactor, det_exact, identity, invert_exact, mat_mul, mat_vec, solve_exact
+from nonloose.linalg import det_exact, solve_exact
 from nonloose.surgery import diagram_from_json, rational_invariants
-from test_one_solve import README_DIAGRAM, README_DOC, run_cli
+from test_one_solve import README_DIAGRAM, README_DOC, assert_moved_to_oracles, run_cli
 
 INTS = st.integers(-9, 9)
 FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
@@ -132,11 +133,14 @@ def test_non_square_det_and_inverse(m):
 
 
 def test_surgery_path_builds_no_inverse(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an inverse on the surgery path")
+    solved = []
 
-    monkeypatch.setattr(surgery, "invert_exact", forbidden)
-    monkeypatch.setattr(linalg, "invert_exact", forbidden)
+    def one_vector(m, v):
+        solved.append(v)
+        return linalg.solve_exact(m, v)
+
+    assert_moved_to_oracles()
+    monkeypatch.setattr(surgery, "solve_exact", one_vector)
 
     data = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
     assert (data.tb_q, data.rot_q, data.order_r, data.chi) == (Fraction(1, 14), Fraction(8, 7), 14, -7)
@@ -144,3 +148,5 @@ def test_surgery_path_builds_no_inverse(monkeypatch):
     assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, README_DOC)
     argv.append("--reverse-distinguished")
     assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, dict(README_DOC, rot_q="-8/7"))
+    # one right-hand side per diagram, never the identity's columns
+    assert solved == [(-15,)] * 3

@@ -10,8 +10,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linalg_oracles import det_cofactor, homological_order
 from nonloose import cli, linalg, surgery
-from nonloose.linalg import det_cofactor, homological_order
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, rational_invariants
 
 README_DIAGRAM = {
@@ -23,6 +23,19 @@ README_DIAGRAM = {
     "distinguished": "Lstar",
 }
 README_DOC = {"tb_q": "1/14", "rot_q": "8/7", "r": 14, "chi": -7}
+
+# the matrix routines that left the library for the test oracles
+MOVED_TO_ORACLES = (
+    "INFINITE", "Infinite", "freeze", "identity", "mat_mul", "mat_vec", "det_cofactor", "invert_exact",
+    "SmithDecomposition", "smith_normal_form", "homological_order", "extended_matrix",
+)
+
+
+def assert_moved_to_oracles():
+    """No moved routine is left in ``linalg`` or ``surgery``, nor ``det_exact`` in ``surgery``."""
+    for module in (linalg, surgery):
+        assert not [name for name in MOVED_TO_ORACLES if hasattr(module, name)], module.__name__
+    assert not hasattr(surgery, "det_exact")
 
 
 def four_eliminations(diag, chi, reverse):
@@ -128,10 +141,8 @@ def test_no_determinant_or_smith_form_on_the_surgery_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a second elimination on the surgery path")
 
-    for name in ("det_exact", "homological_order", "extended_matrix"):
-        monkeypatch.setattr(surgery, name, forbidden)
-    for name in ("det_exact", "homological_order", "smith_normal_form"):
-        monkeypatch.setattr(linalg, name, forbidden)
+    assert_moved_to_oracles()
+    monkeypatch.setattr(linalg, "det_exact", forbidden)
 
     data = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
     assert (data.tb_q, data.rot_q, data.order_r, data.chi) == (Fraction(1, 14), Fraction(8, 7), 14, -7)

@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_oracles import det_cofactor, extended_matrix
 from nonloose.calculus import stabilize_rational
 from nonloose.errors import DiagramError, MeridionalSlope, SingularMatrix
-from nonloose.linalg import det_cofactor
+from nonloose.linalg import det_exact
 from nonloose.surgery import (
     SurgeryComponent,
     SurgeryDiagram,
-    det_exact,
     diagram_from_json,
     diagram_to_json,
     dual_invariants,
-    extended_matrix,
     linking_matrix,
     rational_invariants,
 )
