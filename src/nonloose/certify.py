@@ -156,19 +156,22 @@ class Depth2Witness:
 # Bennequin-type checks: the looseness oracle.
 
 
+def _exceeds(tb, rot, rhs) -> bool:
+    """-|tb| + |rot| > rhs: the Bennequin-type inequality fails."""
+    return -abs(tb) + abs(rot) > rhs
+
+
 def bennequin_null(p: ClassicalPair) -> CheckResult:
     """-|tb| + |rot| <= -chi, required of every non-loose null-homologous knot."""
     if p.chi is None:
         raise MissingChi("the classical Bennequin check needs chi")
-    lhs = -abs(p.tb) + abs(p.rot)
-    return CheckResult.VIOLATED if lhs > -p.chi else CheckResult.HOLDS
+    return CheckResult.VIOLATED if _exceeds(p.tb, p.rot, -p.chi) else CheckResult.HOLDS
 
 
 def bennequin_rational(d: RationalData) -> CheckResult:
     """-|tb_Q| + |rot_Q| <= -chi/r, the rational analogue; exact comparison."""
-    lhs = -abs(d.tb_q) + abs(d.rot_q)
     rhs = Fraction(-d.chi, d.order_r)
-    return CheckResult.VIOLATED if lhs > rhs else CheckResult.HOLDS
+    return CheckResult.VIOLATED if _exceeds(d.tb_q, d.rot_q, rhs) else CheckResult.HOLDS
 
 
 def transverse_bennequin(sl_q: Fraction | int, chi: int, order_r: int) -> CheckResult:
@@ -241,14 +244,6 @@ def unknot_verdict(p: ClassicalPair) -> Certificate:
 _SIDES = ("both", "positive_only", "negative_only")
 
 
-def _violates(data: ClassicalPair | RationalData, a: int, b: int) -> bool:
-    if isinstance(data, RationalData):
-        moved = RationalData(data.tb_q - a - b, data.rot_q + a - b, data.order_r, data.chi)
-        return bennequin_rational(moved) is CheckResult.VIOLATED
-    moved = ClassicalPair(data.tb - a - b, data.rot + a - b, data.chi, data.oriented)
-    return bennequin_null(moved) is CheckResult.VIOLATED
-
-
 def tension_upper_bound(
     data: ClassicalPair | RationalData,
     max_n: int = 64,
@@ -256,11 +251,12 @@ def tension_upper_bound(
 ) -> tuple[int, tuple[int, int]] | None:
     """Least total number of stabilizations whose result violates Bennequin.
 
-    Searches 0 <= a+b <= max_n, restricted by ``side``; the violation
-    certifies that the stabilized knot is loose, so the returned total bounds
-    the (signed) tension from above.  Among minimal witnesses the
-    lexicographically least (a, b) is returned.  ``None`` means no violation
-    within the budget, never that the tension is infinite.
+    Checks the totals s = 0..max_n in order and, within a total, only the
+    splits into a positive and b negative stabilizations that ``side``
+    allows, with a ascending.  A violation certifies that the stabilized knot
+    is loose, so the returned total bounds the (signed) tension from above;
+    the witness (a, b) is the lexicographically least minimal one.  ``None``
+    means no violation within the budget, never that the tension is infinite.
     """
     if side not in _SIDES:
         raise InvalidParams(f"side must be one of {_SIDES}, got {side!r}")
@@ -268,15 +264,16 @@ def tension_upper_bound(
         raise MissingChi("the stabilization search needs chi")
     if max_n < 0:
         raise InvalidParams("max_n must be nonnegative")
+    if isinstance(data, RationalData):
+        tb, rot, rhs = data.tb_q, data.rot_q, Fraction(-data.chi, data.order_r)
+    else:
+        tb, rot, rhs = data.tb, data.rot, -data.chi
     for total in range(max_n + 1):
-        for a in range(total + 1):
-            b = total - a
-            if side == "positive_only" and b != 0:
-                continue
-            if side == "negative_only" and a != 0:
-                continue
-            if _violates(data, a, b):
-                return total, (a, b)
+        first = total if side == "positive_only" else 0
+        last = 0 if side == "negative_only" else total
+        for a in range(first, last + 1):
+            if _exceeds(tb - total, rot + 2 * a - total, rhs):
+                return total, (a, total - a)
     return None
 
 
@@ -413,9 +410,9 @@ def tension_one_dual(
 def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
     """Certificates with tension 1 but depth at least 2 from negative torus knots.
 
-    One certificate for each coprime (p, q) with -p > q >= 2 and |p| <= p_max;
-    ``negative_torus_record`` rejects the other pairs.  Every hypothesis holds
-    for every such pair, so none is tested (p <= -3 and 2 <= q < -p):
+    One certificate for each coprime (p, q) with -p > q >= 2 and |p| <= p_max,
+    a nonnegative budget; ``negative_torus_record`` rejects the other pairs.
+    Every hypothesis holds for each such pair, so none is tested (p <= -3, 2 <= q < -p):
 
       * tb = pq <= -6 and rot = p + q < 0;
       * tb + rot + 2 < chi = q - p + pq reduces to p < -1;
@@ -426,6 +423,8 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
         its rational Bennequin violation -|tb_Q| + |rot_Q| > -chi/r reads
         n - 1 - p - q > p - q - pq, which reduces to p < -1 as well.
     """
+    if p_max < 0:
+        raise InvalidParams("p_max must be nonnegative")
     from .knotdata import negative_torus_record
     from .surgery import dual_invariants
 

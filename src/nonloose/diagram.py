@@ -213,10 +213,9 @@ _COMMENT_RE = re.compile(r"#[^\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]*")
 _KINDS = {k.value: k for k in EventKind}
 
 
-def _parse_event(tok: str, num: str | None, pairs: list[tuple[str, str]]) -> FrontEvent:
+def _parse_event(tok: str, num: str | None, index: int) -> FrontEvent:
     """Check one ``token number`` pair (``num`` None when the stream ends
-    after ``tok``) and build its event.  An error that names the event gives
-    the index of the pair's first occurrence in ``pairs``."""
+    after ``tok``) and build its event, the ``index``-th of the word."""
     if tok not in _KINDS:
         raise UnknownToken(f"unknown token {tok!r}")
     if num is None:
@@ -226,13 +225,11 @@ def _parse_event(tok: str, num: str | None, pairs: list[tuple[str, str]]) -> Fro
     try:
         value = int(num)
     except ValueError:  # more digits than int() converts
-        index = pairs.index((tok, num))
         raise PositionOutOfRange(
             f"event {index}: a position of {len(num)} digits exceeds any strand count",
             event_index=index,
         ) from None
     if value < 1:
-        index = pairs.index((tok, num))
         raise PositionOutOfRange(f"event {index}: position must be >= 1", event_index=index)
     return FrontEvent(_KINDS[tok], value)
 
@@ -246,13 +243,16 @@ def parse_front(text: str) -> FrontWord:
     tokens = _COMMENT_RE.sub("", text).replace(";", " ").split()
     if not tokens:
         raise EmptyWord("no events in input")
-    pairs = list(zip(tokens[::2], tokens[1::2]))
-    known = dict.fromkeys(pairs)
-    for pair in known:
-        known[pair] = _parse_event(*pair, pairs)
+    events: list[FrontEvent] = []
+    known: dict[tuple[str, str], FrontEvent] = {}
+    for pair in zip(tokens[::2], tokens[1::2]):
+        event = known.get(pair)
+        if event is None:
+            event = known[pair] = _parse_event(*pair, len(events))
+        events.append(event)
     if len(tokens) % 2:
-        _parse_event(tokens[-1], None, pairs)
-    return FrontWord(tuple(map(known.__getitem__, pairs)))
+        _parse_event(tokens[-1], None, len(events))
+    return FrontWord(tuple(events))
 
 
 def serialize_front(word: FrontWord) -> str:

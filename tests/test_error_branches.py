@@ -18,6 +18,7 @@ from nonloose.certify import (
     not_a_stabilization_by_max_tb,
     order_bounds,
     possurg_depth_one,
+    tension_less_than_depth_search,
     tension_upper_bound,
 )
 from nonloose.errors import DiagramError, InvalidParams
@@ -63,6 +64,20 @@ def test_knot_record_unknown_name(capsys, tmp_path):
 def test_tension_search_rejects_negative_budget():
     with pytest.raises(InvalidParams, match="max_n must be nonnegative"):
         tension_upper_bound(ClassicalPair(3, 0, -1), max_n=-1)
+
+
+@pytest.mark.parametrize("p_max", [-1, -5])
+def test_example_search_rejects_negative_budget(capsys, p_max):
+    with pytest.raises(InvalidParams, match="p_max must be nonnegative"):
+        tension_less_than_depth_search(p_max)
+    code, out = run(capsys, "search-examples", "--p-max", str(p_max))
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "InvalidParams", "message": "p_max must be nonnegative"}}
+
+
+def test_example_search_takes_a_zero_budget(capsys):
+    code, out = run(capsys, "search-examples", "--p-max", "0")
+    assert (code, json.loads(out)) == (0, {"certificates": []})
 
 
 def test_max_tb_rule_needs_a_maximal_tb():

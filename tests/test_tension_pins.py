@@ -1,14 +1,69 @@
 """Exact answers of the stabilization search at the edges of its loop: the
 signs of a rational move, the side filter, the budget and its default.
 Each case pins one place where a changed search would still pass the
-property tests in ``test_certify.py``."""
+property tests in ``test_certify.py``.  The search also agrees with its
+reference loop, which builds and checks one stabilized class per
+candidate split and filters the splits by side."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonloose.calculus import ClassicalPair, RationalData
-from nonloose.certify import Verdict, tension_certificate, tension_upper_bound
+from nonloose.certify import (
+    CheckResult,
+    Verdict,
+    bennequin_null,
+    bennequin_rational,
+    tension_certificate,
+    tension_upper_bound,
+)
+
+SIDES = ("both", "positive_only", "negative_only")
+
+
+def _violates(data: ClassicalPair | RationalData, a: int, b: int) -> bool:
+    if isinstance(data, RationalData):
+        moved = RationalData(data.tb_q - a - b, data.rot_q + a - b, data.order_r, data.chi)
+        return bennequin_rational(moved) is CheckResult.VIOLATED
+    moved = ClassicalPair(data.tb - a - b, data.rot + a - b, data.chi, data.oriented)
+    return bennequin_null(moved) is CheckResult.VIOLATED
+
+
+def reference_search(data, max_n, side):
+    """The search as a loop over every split of every total, skipping the
+    splits ``side`` forbids."""
+    for total in range(max_n + 1):
+        for a in range(total + 1):
+            b = total - a
+            if side == "positive_only" and b != 0:
+                continue
+            if side == "negative_only" and a != 0:
+                continue
+            if _violates(data, a, b):
+                return total, (a, b)
+    return None
+
+
+classical = st.builds(
+    ClassicalPair,
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(-11, 0).map(lambda k: 2 * k + 1),  # odd chi in [-21, 1]
+)
+fractions = st.builds(Fraction, st.integers(-120, 120), st.integers(1, 6))
+rational = st.builds(RationalData, fractions, fractions, st.integers(1, 6), st.integers(-12, 1))
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=100, deadline=None)
+@given(data=classical | rational)
+def test_search_agrees_with_the_reference_loop(side, data):
+    for max_n in range(25):
+        assert tension_upper_bound(data, max_n, side) == reference_search(data, max_n, side), max_n
+
 
 # -|tb_Q| + |rot_Q| > -chi/r = 1/3 first after one negative stabilization, or
 # after two positive ones.
