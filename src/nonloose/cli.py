@@ -246,14 +246,6 @@ def cmd_search_examples(args) -> dict:
     return {"certificates": out}
 
 
-def _records_path(args) -> str | None:
-    if args.records:
-        return args.records
-    if DEFAULT_RECORDS_PATH.is_file():
-        return str(DEFAULT_RECORDS_PATH)
-    return None
-
-
 def cmd_knot_record(args) -> dict:
     from . import knotdata
 
@@ -268,11 +260,13 @@ def cmd_knot_record(args) -> dict:
     if args.tag is not None:
         return knotdata.record_to_dict(knotdata.named_example(args.tag))
     if args.name is not None:
-        path = _records_path(args)
+        path = args.records
         if path is None:
-            raise DomainError(
-                f"--name needs a --records file or one at {DEFAULT_RECORDS_PATH}"
-            )
+            if not DEFAULT_RECORDS_PATH.is_file():
+                raise DomainError(
+                    f"--name needs a --records file or one at {DEFAULT_RECORDS_PATH}"
+                )
+            path = str(DEFAULT_RECORDS_PATH)
         for rec in knotdata.load_records(path):
             if rec.family == args.name:
                 return knotdata.record_to_dict(rec)

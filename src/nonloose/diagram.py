@@ -335,6 +335,11 @@ def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     return resolve_orientation(_edited(word, events, o), front.base_direction)
 
 
+def _is_zigzag(a: FrontEvent, b: FrontEvent) -> bool:
+    """A left cusp followed by a right cusp at offset one: a removable zigzag."""
+    return a.kind is EventKind.LEFT_CUSP and b.kind is EventKind.RIGHT_CUSP and abs(a.position - b.position) == 1
+
+
 def detect_syntactic_destabilization(word: FrontWord) -> tuple[int, int] | None:
     """Find a removable zigzag: adjacent left/right cusps at offset one.
 
@@ -344,10 +349,8 @@ def detect_syntactic_destabilization(word: FrontWord) -> tuple[int, int] | None:
     at all.
     """
     ev = word.events
-    left_cusp, right_cusp = EventKind.LEFT_CUSP, EventKind.RIGHT_CUSP
     for k in range(len(ev) - 1):
-        a, b = ev[k], ev[k + 1]
-        if a.kind is left_cusp and b.kind is right_cusp and abs(a.position - b.position) == 1:
+        if _is_zigzag(ev[k], ev[k + 1]):
             return (k, k + 1)
     return None
 
@@ -361,14 +364,7 @@ def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
     """
     i, j = pair
     ev = word.events
-    if not (
-        0 <= i < len(ev)
-        and j == i + 1
-        and j < len(ev)
-        and ev[i].kind is EventKind.LEFT_CUSP
-        and ev[j].kind is EventKind.RIGHT_CUSP
-        and abs(ev[i].position - ev[j].position) == 1
-    ):
+    if not (0 <= i < len(ev) and j == i + 1 and j < len(ev) and _is_zigzag(ev[i], ev[j])):
         raise FrontEditError(f"events {pair} do not form a removable zigzag")
     left_cusp = EventKind.LEFT_CUSP
     lo = 2 * sum([e.kind is left_cusp for e in ev[:i]])

@@ -108,8 +108,7 @@ def nonloose_unknot_table(n_max: int) -> list[tuple[int, int]]:
     return pairs
 
 
-_L2Q_RE = re.compile(r"L2q\((\d+)\)")
-_LOSS_RE = re.compile(r"LOSSfamily\((\d+)\)")
+_TAG_RE = re.compile(r"(L2q|LOSSfamily)\(([0-9]+)\)")
 
 
 def named_example(tag: str) -> KnotRecord:
@@ -121,10 +120,19 @@ def named_example(tag: str) -> KnotRecord:
     ``LOSSfamily(n)``: the (2, 2n-1) torus knot family in the overtwisted
     S^3 of Hopf invariant 1-2n, carrying a nonvanishing positive-order
     torsion invariant (n >= 2; n = 1 would be an unknot).
+
+    The number is written in ASCII digits.
     """
-    m = _L2Q_RE.fullmatch(tag)
-    if m:
-        q = int(m.group(1))
+    m = _TAG_RE.fullmatch(tag)
+    if m is None:
+        raise UnknownTag(f"unrecognized tag {tag!r}")
+    family, digits = m.groups()
+    try:
+        number = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise UnknownTag(f"{family} number of {len(digits)} digits is too large") from None
+    if family == "L2q":
+        q = number
         if q < 3 or q % 2 == 0:
             raise UnknownTag(f"L2q needs odd q >= 3, got {q}")
         return KnotRecord(
@@ -134,20 +142,17 @@ def named_example(tag: str) -> KnotRecord:
             chi=2 - q,
             ambient=ambient_overtwisted_s3(-1),
         )
-    m = _LOSS_RE.fullmatch(tag)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise UnknownTag(f"LOSSfamily needs n >= 2, got {n}")
-        return KnotRecord(
-            family=f"torus(2,{2 * n - 1})",
-            max_tb=None,
-            rot_at_max_tb=frozenset(),
-            chi=3 - 2 * n,
-            ambient=ambient_overtwisted_s3(1 - 2 * n),
-            order_positive=True,
-        )
-    raise UnknownTag(f"unrecognized tag {tag!r}")
+    n = number
+    if n < 2:
+        raise UnknownTag(f"LOSSfamily needs n >= 2, got {n}")
+    return KnotRecord(
+        family=f"torus(2,{2 * n - 1})",
+        max_tb=None,
+        rot_at_max_tb=frozenset(),
+        chi=3 - 2 * n,
+        ambient=ambient_overtwisted_s3(1 - 2 * n),
+        order_positive=True,
+    )
 
 
 _RECORD_KEYS = frozenset(field.name for field in fields(KnotRecord))

@@ -30,16 +30,6 @@ from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix
 from .fields import read_int, read_str
 from .linalg import Matrix, solve_exact
 
-__all__ = [
-    "SurgeryComponent",
-    "SurgeryDiagram",
-    "linking_matrix",
-    "rational_invariants",
-    "dual_invariants",
-    "diagram_from_json",
-    "diagram_to_json",
-]
-
 COEFF_PLUS = "+1"
 COEFF_MINUS = "-1"
 COEFF_PASSIVE = "passive"
@@ -84,10 +74,11 @@ class SurgeryDiagram:
         n = len(self.components)
         if len(self.lk) != n or any(len(row) != n for row in self.lk):
             raise DiagramError("linking matrix shape must match the component count")
-        for i in range(n):
-            for j in range(n):
-                if self.lk[i][j] != self.lk[j][i]:
-                    raise DiagramError("linking matrix must be symmetric")
+        for i, row in enumerate(self.lk):
+            if row[i]:
+                raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
+            if any(row[j] != self.lk[j][i] for j in range(i)):
+                raise DiagramError("linking matrix must be symmetric")
 
     @classmethod
     def build(
@@ -114,35 +105,29 @@ class SurgeryDiagram:
             lk[i][j] = lk[j][i] = value
         return cls(tuple(components), tuple(tuple(row) for row in lk), distinguished)
 
-    def surgered(self) -> tuple[SurgeryComponent, ...]:
-        return tuple(c for c in self.components if c.coeff != COEFF_PASSIVE)
 
-    def passive(self) -> SurgeryComponent:
-        return next(c for c in self.components if c.coeff == COEFF_PASSIVE)
-
-    def _index(self, cid: str) -> int:
-        return next(i for i, c in enumerate(self.components) if c.id == cid)
+def _split(diag: SurgeryDiagram) -> tuple[int, tuple[int, ...]]:
+    """The index of the passive component and those of the surgered ones, in diagram order."""
+    passive = next(i for i, c in enumerate(diag.components) if c.coeff == COEFF_PASSIVE)
+    return passive, tuple(i for i in range(len(diag.components)) if i != passive)
 
 
 def linking_matrix(diag: SurgeryDiagram) -> Matrix:
     """Topological linking matrix over the surgered components only."""
-    surgered = diag.surgered()
-    idx = [diag._index(c.id) for c in surgered]
-    rows = []
-    for a, comp in enumerate(surgered):
-        coeff = 1 if comp.coeff == COEFF_PLUS else -1
-        rows.append(
-            tuple(
-                comp.tb + coeff if a == b else diag.lk[idx[a]][idx[b]]
-                for b in range(len(surgered))
-            )
+    _, surgered = _split(diag)
+    comps, lk = diag.components, diag.lk
+    return tuple(
+        tuple(
+            comps[i].tb + (1 if comps[i].coeff == COEFF_PLUS else -1) if i == j else lk[i][j]
+            for j in surgered
         )
-    return tuple(rows)
+        for i in surgered
+    )
 
 
 def _distinguished_lk(diag: SurgeryDiagram) -> tuple[int, ...]:
-    d = diag._index(diag.distinguished)
-    return tuple(diag.lk[d][diag._index(c.id)] for c in diag.surgered())
+    passive, surgered = _split(diag)
+    return tuple(diag.lk[passive][i] for i in surgered)
 
 
 def rational_invariants(
@@ -160,9 +145,10 @@ def rational_invariants(
         x = solve_exact(linking_matrix(diag), lkvec)
     except SingularMatrix:
         raise SingularMatrix("surgery linking matrix is singular") from None
-    dist = diag.passive()
-    tb_q = dist.tb - sum(lk * xi for lk, xi in zip(lkvec, x))
-    rot_q = dist.rot - sum(c.rot * xi for c, xi in zip(diag.surgered(), x))
+    passive, surgered = _split(diag)
+    comps = diag.components
+    tb_q = comps[passive].tb - sum(lk * xi for lk, xi in zip(lkvec, x))
+    rot_q = comps[passive].rot - sum(comps[i].rot * xi for i, xi in zip(surgered, x))
     order = lcm(*(xi.denominator for xi in x))
     return RationalData(Fraction(tb_q), Fraction(-rot_q if reverse_distinguished else rot_q), order, chi)
 

@@ -1,7 +1,7 @@
 """One test for each branch no other test reaches: the empty tension search
 in both renderings, records lookups that find nothing, rejected parameters of
 the certify, calculus and knotdata layers, directly built malformed surgery
-diagrams and the infinite-order sentinel's repr."""
+diagrams, a zero self-linking pair and the infinite-order sentinel's repr."""
 
 import json
 from fractions import Fraction
@@ -23,7 +23,7 @@ from nonloose.certify import (
 )
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
-from nonloose.surgery import SurgeryComponent, SurgeryDiagram
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
 
 def run(capsys, *argv):
@@ -130,11 +130,22 @@ PLUS = SurgeryComponent("L", -1, 0, "+1")
         ((PASSIVE, PASSIVE), ((0, 0), (0, 0)), "component ids must be unique"),
         ((PASSIVE, PLUS), ((0, 1),), "linking matrix shape must match the component count"),
         ((PASSIVE, PLUS), ((0, 1), (2, 0)), "linking matrix must be symmetric"),
+        ((PASSIVE, PLUS), ((7, 1), (1, 0)), "self-linking entry for 'K' is not allowed"),
     ],
 )
 def test_surgery_diagram_rejects_malformed_fields(components, lk, message):
     with pytest.raises(DiagramError, match=message):
         SurgeryDiagram(components, lk, "K")
+
+
+def test_zero_self_linking_pair_is_rejected_too():
+    doc = {
+        "components": [{"id": "K", "tb": 0, "rot": 0, "coeff": "passive"}],
+        "lk": [["K", "K", 0]],
+        "distinguished": "K",
+    }
+    with pytest.raises(DiagramError, match="self-linking entry for 'K' is not allowed"):
+        diagram_from_json(doc)
 
 
 def test_infinite_repr():
