@@ -7,6 +7,10 @@ a complement, overtwistedness of a surgery, nonvanishing of a Floer class)
 enter as boolean evidence flags supplied by the caller, and every certificate
 echoes exactly the flags it consumed.
 
+A theorem checked against its hypotheses is one criterion: named clauses and
+a bound window.  If every clause holds it gives its verdict with that window,
+else Inconclusive, with ``failed_conditions`` naming the failing clauses in order.
+
 Bound bookkeeping inside certificate details uses the flat keys
 ``depth_min/depth_max``, ``tension_min/tension_max`` and
 ``order_bar_min/order_bar_max``; :func:`certificate_bounds` alone reads them
@@ -122,15 +126,19 @@ def _loose(rule, note, inputs=None, *, context=None, assumptions=None, **extra) 
     return _certificate(Verdict.LOOSE_CERTIFIED, details, rule, note, inputs, assumptions)
 
 
-def _failed(clauses: Iterable[tuple[str, bool]]) -> tuple[str, ...]:
-    """Names of the clauses that do not hold."""
-    return tuple(name for name, ok in clauses if not ok)
+_LOOSE_COMPLEMENT = ("loose-complement", "an overtwisted complement is the definition of loose")
 
 
-def _inconclusive(failed, rule, note, inputs=None, assumptions=None) -> Certificate:
-    """Inconclusive because the hypotheses named in ``failed`` do not hold."""
-    details = {**(inputs or {}), "failed_conditions": failed}
-    return _certificate(Verdict.INCONCLUSIVE, details, rule, note, inputs, assumptions)
+def _criterion(
+    clauses: Mapping[str, bool], rule, verdict, window, note, unmet, inputs, assumptions=None
+) -> Certificate:
+    """``verdict``, ``window`` and ``note`` if every named clause holds; else
+    Inconclusive, ``unmet`` and the failing names as ``failed_conditions``.
+    Details start with ``inputs``, which the one reason echoes."""
+    failed = tuple(name for name, ok in clauses.items() if not ok)
+    if failed:
+        verdict, window, note = Verdict.INCONCLUSIVE, {"failed_conditions": failed}, unmet
+    return _certificate(verdict, {**inputs, **window}, rule, note, inputs, assumptions)
 
 
 @dataclass(frozen=True)
@@ -324,11 +332,7 @@ def depth_one_dual(is_stabilization: bool, complement_tight: bool) -> Certificat
         "complement_tight": complement_tight,
     }
     if not complement_tight:
-        return _loose(
-            "loose-complement",
-            "an overtwisted complement is the definition of loose",
-            assumptions=assumptions,
-        )
+        return _loose(*_LOOSE_COMPLEMENT, assumptions=assumptions)
     if is_stabilization:
         return _certificate(
             Verdict.DEPTH_ONE,
@@ -378,32 +382,21 @@ def tension_one_dual(
     Seifert surface: odd and at most 1, else ``InvalidParams``.
     """
     check_chi(chi)
-    failed = _failed(
-        (
-            ("tb < -1", tb < -1),
-            ("rot < 0", rot < 0),
-            ("tb + rot + 2 < chi", tb + rot + 2 < chi),
-            ("surgery_overtwisted", surgery_overtwisted),
-        )
-    )
-    assumptions = {"surgery_overtwisted": surgery_overtwisted}
-    inputs = {"tb": tb, "rot": rot, "chi": chi}
-    if failed:
-        return _inconclusive(
-            failed,
-            "dual-tension-criterion",
-            "hypotheses of the dual tension-one criterion are not all met",
-            inputs,
-            assumptions,
-        )
-    return _certificate(
-        Verdict.TENSION_EXACTLY_ONE,
-        {**inputs, "tension_min": 1, "tension_max": 1},
+    return _criterion(
+        {
+            "tb < -1": tb < -1,
+            "rot < 0": rot < 0,
+            "tb + rot + 2 < chi": tb + rot + 2 < chi,
+            "surgery_overtwisted": surgery_overtwisted,
+        },
         "dual-tension-criterion",
+        Verdict.TENSION_EXACTLY_ONE,
+        {"tension_min": 1, "tension_max": 1},
         "a positive stabilization of the dual violates the rational "
         "Bennequin bound, and the dual itself is non-loose",
-        inputs,
-        assumptions,
+        "hypotheses of the dual tension-one criterion are not all met",
+        {"tb": tb, "rot": rot, "chi": chi},
+        {"surgery_overtwisted": surgery_overtwisted},
     )
 
 
@@ -472,38 +465,24 @@ def depth2_check(
     All clauses together give depth exactly 2; any failure is reported as
     Inconclusive naming the clause (witness absence never refutes depth 2).
     """
-    assumptions = {
-        "is_stabilization": is_stabilization,
-        "complement_tight": complement_tight,
-    }
-    failed = _failed(
-        (
-            ("complement_tight", complement_tight),
-            ("not_a_stabilization", not is_stabilization),
-            ("tw_boundary == 0", w.tw_boundary == 0),
-            ("tw_curve == +1", w.tw_curve == 1),
-            ("essential", w.essential),
-            ("non_separating", w.non_separating),
-            ("orientation_preserving", w.orientation_preserving),
-        )
-    )
-    inputs = {"surface_kind": w.surface_kind}
-    if failed:
-        return _inconclusive(
-            failed,
-            "depth-two-witness",
-            "a clause of the depth-two characterization fails",
-            inputs,
-            assumptions,
-        )
-    return _certificate(
-        Verdict.DEPTH_EXACTLY_TWO,
-        {**inputs, "depth_min": 2, "depth_max": 2},
+    return _criterion(
+        {
+            "complement_tight": complement_tight,
+            "not_a_stabilization": not is_stabilization,
+            "tw_boundary == 0": w.tw_boundary == 0,
+            "tw_curve == +1": w.tw_curve == 1,
+            "essential": w.essential,
+            "non_separating": w.non_separating,
+            "orientation_preserving": w.orientation_preserving,
+        },
         "depth-two-witness",
+        Verdict.DEPTH_EXACTLY_TWO,
+        {"depth_min": 2, "depth_max": 2},
         "the punctured surface compresses to an overtwisted disk met twice, "
         "and no destabilization lowers the depth to 1",
-        inputs,
-        assumptions,
+        "a clause of the depth-two characterization fails",
+        {"surface_kind": w.surface_kind},
+        {"is_stabilization": is_stabilization, "complement_tight": complement_tight},
     )
 
 
@@ -514,22 +493,15 @@ def possurg_depth_one(tb: int, g_s: int) -> Certificate:
     """
     if g_s < 0:
         raise InvalidParams("smooth 4-ball genus must be nonnegative")
-    inputs = {"tb": tb, "g_s": g_s}
-    failed = _failed((("tb == 2*g_s - 1", tb == 2 * g_s - 1), ("tb > 1", tb > 1)))
-    if failed:
-        return _inconclusive(
-            failed,
-            "positive-surgery-tight",
-            "the sharp slice-Bennequin hypothesis does not hold",
-            inputs,
-        )
-    return _certificate(
-        Verdict.DEPTH_ONE,
-        {**inputs, "depth_min": 1, "depth_max": 1, "applies_to": "meridian-surgered image"},
+    return _criterion(
+        {"tb == 2*g_s - 1": tb == 2 * g_s - 1, "tb > 1": tb > 1},
         "positive-surgery-tight",
+        Verdict.DEPTH_ONE,
+        {"depth_min": 1, "depth_max": 1, "applies_to": "meridian-surgered image"},
         "tb = 2 g_s - 1 > 1 makes (+1)-surgery tight, so the image knot "
         "meets an overtwisted disk exactly once",
-        inputs,
+        "the sharp slice-Bennequin hypothesis does not hold",
+        {"tb": tb, "g_s": g_s},
     )
 
 
@@ -605,14 +577,11 @@ def tension_refinement(
         "complement_tight": complement_tight,
     }
     if not complement_tight:
-        return _loose(
-            "loose-complement",
-            "an overtwisted complement is the definition of loose",
-            assumptions=assumptions,
-        )
+        return _loose(*_LOOSE_COMPLEMENT, assumptions=assumptions)
     if not is_positive_stab_of_pushoff:
-        return _inconclusive(
-            ("is_positive_stab_of_pushoff",),
+        return _certificate(
+            Verdict.INCONCLUSIVE,
+            {"failed_conditions": ("is_positive_stab_of_pushoff",)},
             "signed-tension-refinement",
             "the construction needs the surgered knot to be a positive "
             "stabilization of a push-off",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -41,13 +42,23 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _int_arg(text: str) -> int:
+    """An int flag: ``[+-]?[0-9]+`` in ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)  # past its digit limit int() raises ValueError: a usage error too
+
+
 def _fraction_arg(text: str) -> Fraction:
+    """A rational flag: ``n`` or ``p/q`` in ASCII digits, as str(Fraction) prints."""
     from fractions import Fraction
 
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or p/0
+        pass
+    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
 def _render(doc: Any, fmt: str) -> str:
@@ -222,28 +233,16 @@ def cmd_certify_tension(args) -> dict:
 
     _, data = _invariant_data(args)
     found = certify.tension_upper_bound(data, max_n=args.max_n, side=args.side)
-    if found is None:
-        return {"bound": None, "witness": None, "max_n": args.max_n}
-    bound, witness = found
-    return {"bound": bound, "witness": list(witness), "max_n": args.max_n}
+    bound, witness = found or (None, None)
+    return {"bound": bound, "witness": witness and list(witness), "max_n": args.max_n}
 
 
 def cmd_search_examples(args) -> dict:
     from . import certify
 
     certs = certify.tension_less_than_depth_search(args.p_max)
-    out = []
-    for cert in certs:
-        details = dict(cert.details)
-        out.append(
-            {
-                "knot": details["knot"],
-                "t": 1,
-                "d": ">=2",
-                "certificate": cert.to_dict(),
-            }
-        )
-    return {"certificates": out}
+    rows = [{"knot": c.details["knot"], "t": 1, "d": ">=2", "certificate": c.to_dict()} for c in certs]
+    return {"certificates": rows}
 
 
 def cmd_knot_record(args) -> dict:
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "surgery-invariants", help="rational invariants of the passive component"
     )
     p.add_argument("diagram_file", help="surgery diagram JSON ('-' for stdin)")
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--chi", type=_int_arg, required=True)
     p.add_argument("--reverse-distinguished", action="store_true")
     p.set_defaults(handler=cmd_surgery_invariants)
 
@@ -330,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
         "dual-invariants",
         help="invariants of a stabilized push-off of a (+1)-surgery dual",
     )
-    p.add_argument("--tb", type=int, required=True)
-    p.add_argument("--rot", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--tb", type=_int_arg, required=True)
+    p.add_argument("--rot", type=_int_arg, required=True)
+    p.add_argument("--chi", type=_int_arg, required=True)
     p.add_argument(
         "--stab",
-        type=int,
+        type=_int_arg,
         action="append",
         default=[],
         help="signed stabilization count, repeatable (e.g. --stab +1 --stab -2)",
@@ -343,39 +342,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_dual_invariants)
 
     p = sub.add_parser("certify-bennequin", help="Bennequin-type looseness checks")
-    p.add_argument("--tb", type=int)
-    p.add_argument("--rot", type=int)
+    p.add_argument("--tb", type=_int_arg)
+    p.add_argument("--rot", type=_int_arg)
     p.add_argument("--tb-q", type=_fraction_arg)
     p.add_argument("--rot-q", type=_fraction_arg)
     p.add_argument("--sl-q", type=_fraction_arg)
-    p.add_argument("--order", type=int, help="homological order r (default 1)")
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, help="homological order r (default 1)")
+    p.add_argument("--chi", type=_int_arg, required=True)
     p.set_defaults(handler=cmd_certify_bennequin)
 
     p = sub.add_parser("certify-unknot", help="classify a Legendrian unknot")
-    p.add_argument("--tb", type=int, required=True)
-    p.add_argument("--rot", type=int, required=True)
+    p.add_argument("--tb", type=_int_arg, required=True)
+    p.add_argument("--rot", type=_int_arg, required=True)
     p.set_defaults(handler=cmd_certify_unknot)
 
     p = sub.add_parser(
         "certify-dual", help="joint tension/depth certificates for a surgery dual"
     )
-    p.add_argument("--tb", type=int, required=True)
-    p.add_argument("--rot", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--tb", type=_int_arg, required=True)
+    p.add_argument("--rot", type=_int_arg, required=True)
+    p.add_argument("--chi", type=_int_arg, required=True)
     p.add_argument("--surgery-overtwisted", action="store_true")
     p.add_argument("--complement-tight", action="store_true")
     p.add_argument("--is-stabilization", action="store_true")
     p.set_defaults(handler=cmd_certify_dual)
 
     p = sub.add_parser("certify-tension", help="stabilization search for tension bounds")
-    p.add_argument("--tb", type=int)
-    p.add_argument("--rot", type=int)
+    p.add_argument("--tb", type=_int_arg)
+    p.add_argument("--rot", type=_int_arg)
     p.add_argument("--tb-q", type=_fraction_arg)
     p.add_argument("--rot-q", type=_fraction_arg)
-    p.add_argument("--order", type=int, help="homological order r (default 1)")
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--order", type=_int_arg, help="homological order r (default 1)")
+    p.add_argument("--chi", type=_int_arg, required=True)
+    p.add_argument("--max-n", type=_int_arg, default=64)
     p.add_argument(
         "--side", choices=("both", "positive_only", "negative_only"), default="both"
     )
@@ -384,15 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "search-examples", help="torus-knot duals separating tension from depth"
     )
-    p.add_argument("--p-max", type=int, required=True)
+    p.add_argument("--p-max", type=_int_arg, required=True)
     p.set_defaults(handler=cmd_search_examples)
 
     p = sub.add_parser("knot-record", help="formula-generated or user knot records")
     p.add_argument(
         "--family", choices=("unknot", "negative-torus", "positive-torus"), default=None
     )
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--p", type=_int_arg)
+    p.add_argument("--q", type=_int_arg)
     p.add_argument("--tag", help="named example tag, e.g. 'L2q(3)'")
     p.add_argument("--name", help="family string to look up in --records")
     p.set_defaults(handler=cmd_knot_record)
