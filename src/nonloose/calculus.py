@@ -7,10 +7,9 @@ transverse push-offs.  All rational values are exact ``Fraction``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InvalidParams
+from .errors import InvalidParams, Value
 
 
 def check_chi(chi: int, odd: bool = True) -> None:
@@ -22,39 +21,51 @@ def check_chi(chi: int, odd: bool = True) -> None:
         raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {chi}")
 
 
-@dataclass(frozen=True)
-class ClassicalPair:
+def _check_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
+
+
+def _rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction if it is one or an integer; else InvalidParams."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value if type(value) is Fraction else Fraction(value)
+    raise InvalidParams(f"{what} must be an integer or a Fraction, got {value!r}")
+
+
+class ClassicalPair(Value):
     """(tb, rot) of an oriented Legendrian knot, with optional genus data."""
 
-    tb: int
-    rot: int
-    chi: int | None = None
-    oriented: bool = True
+    __slots__ = _fields = ("tb", "rot", "chi", "oriented")
 
-    def __post_init__(self):
-        if self.chi is not None:
-            check_chi(self.chi)
+    def __init__(self, tb: int, rot: int, chi: int | None = None, oriented: bool = True):
+        _check_int(tb, "tb")
+        _check_int(rot, "rot")
+        if chi is not None:
+            _check_int(chi, "chi")
+            check_chi(chi)
+        if not isinstance(oriented, bool):
+            raise InvalidParams(f"oriented must be True or False, got {oriented!r}")
+        self._set(tb, rot, chi, oriented)
 
 
-@dataclass(frozen=True)
-class RationalData:
+class RationalData(Value):
     """Rational invariants (tb_Q, rot_Q) of a rationally null-homologous knot.
 
     ``order_r`` is the order of the knot class in first homology and ``chi``
     the Euler characteristic of a rational Seifert surface.
     """
 
-    tb_q: Fraction
-    rot_q: Fraction
-    order_r: int
-    chi: int
+    __slots__ = _fields = ("tb_q", "rot_q", "order_r", "chi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tb_q", Fraction(self.tb_q))
-        object.__setattr__(self, "rot_q", Fraction(self.rot_q))
-        check_chi(self.chi, odd=False)
-        if self.order_r < 1:
-            raise InvalidParams(f"homological order must be >= 1, got {self.order_r}")
+    def __init__(self, tb_q: Fraction | int, rot_q: Fraction | int, order_r: int, chi: int):
+        tb_q, rot_q = _rational(tb_q, "tb_q"), _rational(rot_q, "rot_q")
+        _check_int(order_r, "order_r")
+        _check_int(chi, "chi")
+        check_chi(chi, odd=False)
+        if order_r < 1:
+            raise InvalidParams(f"homological order must be >= 1, got {order_r}")
+        self._set(tb_q, rot_q, order_r, chi)
 
 
 def _require_oriented(p: ClassicalPair) -> None:
@@ -67,13 +78,13 @@ def stabilize_class(p: ClassicalPair, a: int, b: int) -> ClassicalPair:
     _require_oriented(p)
     if a < 0 or b < 0:
         raise InvalidParams("stabilization counts must be nonnegative")
-    return replace(p, tb=p.tb - a - b, rot=p.rot + a - b)
+    return p.replace(tb=p.tb - a - b, rot=p.rot + a - b)
 
 
 def reverse_class(p: ClassicalPair) -> ClassicalPair:
     """Orientation reversal fixes tb and negates rot."""
     _require_oriented(p)
-    return replace(p, rot=-p.rot)
+    return p.replace(rot=-p.rot)
 
 
 def pushoff_sl(p: ClassicalPair, sign: str) -> int:
@@ -89,11 +100,11 @@ def pushoff_sl(p: ClassicalPair, sign: str) -> int:
 def stabilize_rational(d: RationalData, a: int, b: int) -> RationalData:
     if a < 0 or b < 0:
         raise InvalidParams("stabilization counts must be nonnegative")
-    return replace(d, tb_q=d.tb_q - a - b, rot_q=d.rot_q + a - b)
+    return d.replace(tb_q=d.tb_q - a - b, rot_q=d.rot_q + a - b)
 
 
 def reverse_rational(d: RationalData) -> RationalData:
-    return replace(d, rot_q=-d.rot_q)
+    return d.replace(rot_q=-d.rot_q)
 
 
 def pushoff_sl_rational(d: RationalData) -> Fraction:

@@ -20,7 +20,6 @@ each certificate's own windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import inf
@@ -35,6 +34,7 @@ from .errors import (
     InvalidParams,
     MissingChi,
     NotLoosened,
+    Value,
 )
 
 if TYPE_CHECKING:
@@ -60,29 +60,33 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Reason:
-    rule: str
-    note: str
-    inputs: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+# the default of a mapping field; each value stores a copy of its own
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Certificate:
-    verdict: Verdict
-    details: Mapping[str, Any] = field(default_factory=dict)
-    reasons: tuple[Reason, ...] = ()
-    assumptions: Mapping[str, bool] = field(default_factory=dict)
+class Reason(Value):
+    __slots__ = _fields = ("rule", "note", "inputs")
 
-    def __post_init__(self):
-        if not self.reasons:
+    def __init__(self, rule: str, note: str, inputs: Mapping[str, Any] = _EMPTY):
+        self._set(rule, note, MappingProxyType(dict(inputs)))
+
+
+class Certificate(Value):
+    __slots__ = _fields = ("verdict", "details", "reasons", "assumptions")
+
+    def __init__(
+        self, verdict: Verdict, details: Mapping[str, Any] = _EMPTY, reasons: Iterable[Reason] = (),
+        assumptions: Mapping[str, bool] = _EMPTY,
+    ):
+        reasons = tuple(reasons)
+        if not reasons:
             raise InvalidParams("a certificate must carry at least one reason")
-        object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
-        object.__setattr__(self, "reasons", tuple(self.reasons))
-        object.__setattr__(self, "assumptions", MappingProxyType(dict(self.assumptions)))
+        for r in reasons:
+            if not isinstance(r, Reason):
+                raise InvalidParams(f"a certificate's reasons must be Reason values, got {r!r}")
+        if not isinstance(verdict, Verdict):
+            raise InvalidParams(f"verdict must be a Verdict, got {verdict!r}")
+        self._set(verdict, MappingProxyType(dict(details)), reasons, MappingProxyType(dict(assumptions)))
 
     def to_dict(self) -> dict:
         return {
@@ -141,23 +145,21 @@ def _criterion(
     return _certificate(verdict, {**inputs, **window}, rule, note, inputs, assumptions)
 
 
-@dataclass(frozen=True)
-class Depth2Witness:
-    """Caller-verified geometric witness for the depth-two characterization."""
+class Depth2Witness(Value):
+    """Caller-verified geometric witness for the depth-two characterization, on
+    a ``surface_kind`` of "punctured-torus" or "punctured-klein-bottle"."""
 
-    surface_kind: str  # "punctured-torus" or "punctured-klein-bottle"
-    tw_boundary: int
-    tw_curve: int
-    essential: bool
-    non_separating: bool
-    orientation_preserving: bool
+    __slots__ = _fields = (
+        "surface_kind", "tw_boundary", "tw_curve", "essential", "non_separating", "orientation_preserving"
+    )
 
-    def __post_init__(self):
-        if self.surface_kind not in ("punctured-torus", "punctured-klein-bottle"):
-            raise InvalidParams(
-                f"surface_kind must name a once-punctured torus or Klein bottle, "
-                f"got {self.surface_kind!r}"
-            )
+    def __init__(
+        self, surface_kind: str, tw_boundary: int, tw_curve: int, essential: bool, non_separating: bool,
+        orientation_preserving: bool,
+    ):
+        if surface_kind not in ("punctured-torus", "punctured-klein-bottle"):
+            raise InvalidParams(f"surface_kind must name a once-punctured torus or Klein bottle, got {surface_kind!r}")
+        self._set(surface_kind, tw_boundary, tw_curve, essential, non_separating, orientation_preserving)
 
 
 # ---------------------------------------------------------------------------

@@ -29,21 +29,20 @@ Sign conventions, fixed once here and inherited by everything downstream:
 With writhe w and cusp counts (u, d):  tb = w - (u + d)/2,  rot = (d - u)/2.
 
 Arcs are the strand segments between cusps, numbered by the left cusp that
-opens them: the k-th left cusp opens arc 2k below and arc 2k + 1 above.  Only
-public construction (``FrontWord(...)``, ``dataclasses.replace``, and so
-:func:`parse_front`) traces a word; an edit derives the edited word's
-orientation from its parent's.  A stabilization opens its zigzag as the
-second left cusp, so its arcs become 2 and 3, every later arc moves up by
-two, and the continuation of arc 0 past the zigzag is now arc 2 or 3.  A
-destabilization deletes the two arcs of the removed left cusp, every later
-arc moves down by two, and the strand that ran into the zigzag takes over
-its continuation.  The writhe never changes.
+opens them: the k-th left cusp opens arc 2k below and arc 2k + 1 above.
+Only public construction (``FrontWord(...)``, ``FrontWord.replace``, copies
+and pickles, and so :func:`parse_front`) traces a word; an edit derives the
+edited word's orientation from its parent's.  A stabilization opens its
+zigzag as the second left cusp, so its arcs become 2 and 3, every later arc
+moves up by two, and the continuation of arc 0 past the zigzag is now arc 2
+or 3.  A destabilization deletes the two arcs of the removed left cusp,
+every later arc moves down by two, and the strand that ran into the zigzag
+takes over its continuation.  The writhe never changes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -55,6 +54,7 @@ from .errors import (
     NonzeroFinalStrands,
     PositionOutOfRange,
     UnknownToken,
+    Value,
 )
 
 
@@ -73,20 +73,20 @@ class Direction(Enum):
         return Direction.LEFTWARD if self is Direction.RIGHTWARD else Direction.RIGHTWARD
 
 
-@dataclass(frozen=True)
-class FrontEvent:
-    kind: EventKind
-    position: int
-    # the event's line in :func:`serialize_front`, fixed when it is built
-    text: str = field(init=False, repr=False, compare=False)
+class FrontEvent(Value):
+    # ``text`` is the event's line in :func:`serialize_front`, fixed when it is built
+    __slots__ = ("kind", "position", "text")
+    _fields = ("kind", "position")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, EventKind):
-            raise InvalidParams(f"event kind must be an EventKind, got {self.kind!r}")
-        position = self.position
+    def __init__(self, kind: EventKind, position: int):
+        if not isinstance(kind, EventKind):
+            raise InvalidParams(f"event kind must be an EventKind, got {kind!r}")
         if not isinstance(position, int) or isinstance(position, bool) or position < 1:
             raise InvalidParams(f"event position must be an integer >= 1, got {position!r}")
-        object.__setattr__(self, "text", f"{self.kind.value} {position}\n")
+        store = object.__setattr__
+        store(self, "kind", kind)
+        store(self, "position", position)
+        store(self, "text", f"{kind.value} {position}\n")
 
 
 class _Orientation(NamedTuple):
@@ -174,16 +174,15 @@ def _trace(events: tuple[FrontEvent, ...]) -> _Orientation:
     return _Orientation(tuple(dirs), 2 * same - len(crossings), up, visited - up)
 
 
-@dataclass(frozen=True)
-class FrontWord:
+class FrontWord(Value):
     """A validated front word.  Construction rejects invalid words."""
 
-    events: tuple[FrontEvent, ...]
-    # orientation for a rightward base, found while validating
-    _orientation: _Orientation = field(init=False, repr=False, compare=False)
+    # ``_orientation`` is the orientation for a rightward base, found while validating
+    __slots__ = ("events", "_orientation")
+    _fields = ("events",)
 
-    def __post_init__(self):
-        events = tuple(self.events)
+    def __init__(self, events: tuple[FrontEvent, ...]):
+        events = tuple(events)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "_orientation", _trace(events))
 
@@ -191,20 +190,20 @@ class FrontWord:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class OrientedFront:
+class OrientedFront(Value):
     """A front word with a traversal direction on every arc.
 
     ``arc_directions[a]`` is the horizontal direction in which the component
     runs along arc ``a``.  Reversing the base direction flips every flag.
     """
 
-    word: FrontWord
-    base_direction: Direction
-    arc_directions: tuple[Direction, ...]
-    writhe: int
-    up_cusps: int
-    down_cusps: int
+    __slots__ = _fields = ("word", "base_direction", "arc_directions", "writhe", "up_cusps", "down_cusps")
+
+    def __init__(
+        self, word: FrontWord, base_direction: Direction, arc_directions: tuple[Direction, ...], writhe: int,
+        up_cusps: int, down_cusps: int,
+    ):
+        self._set(word, base_direction, arc_directions, writhe, up_cusps, down_cusps)
 
 
 _NUMBER_RE = re.compile(r"[0-9]+")

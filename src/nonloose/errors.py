@@ -1,10 +1,54 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and :class:`Value`, the base of
+every immutable value class, kept here because every command loads this module.
 
 Every domain-level failure raises a subclass of :class:`DomainError`, so the
 CLI can map any of them onto exit code 1 with a machine-readable payload.
 """
 
 from __future__ import annotations
+
+
+class Value:
+    """Equality, hash and repr over ``_fields``, the constructor's parameters in
+    order.  A subclass's ``__init__`` checks them and stores them with ``_set``;
+    a derived slot outside ``_fields`` is set with ``object.__setattr__``.
+    Copies and pickles rebuild a value through its constructor and its checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with the fields in ``changes`` replaced, built and checked anew."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
 
 class DomainError(Exception):

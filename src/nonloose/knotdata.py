@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from math import gcd
 from pathlib import Path
+from typing import Iterable
 
-from .errors import InvalidParams, UnknownTag
+from .errors import InvalidParams, UnknownTag, Value
 from .fields import read_bool, read_int, read_str
 
 AMBIENT_TIGHT_S3 = "tight-S3"
@@ -24,33 +24,28 @@ def ambient_overtwisted_s3(hopf: int) -> str:
     return f"overtwisted-S3(hopf={hopf})"
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    family: str
-    max_tb: int | None
-    rot_at_max_tb: frozenset[int]
-    chi: int
-    g_s: int | None = None
-    plus_one_surgery_overtwisted: bool | None = None
-    ambient: str = AMBIENT_TIGHT_S3
-    order_positive: bool = False
+class KnotRecord(Value):
+    __slots__ = _fields = (
+        "family", "max_tb", "rot_at_max_tb", "chi", "g_s", "plus_one_surgery_overtwisted", "ambient", "order_positive"
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "rot_at_max_tb", frozenset(self.rot_at_max_tb))
+    def __init__(
+        self, family: str, max_tb: int | None, rot_at_max_tb: Iterable[int], chi: int, g_s: int | None = None,
+        plus_one_surgery_overtwisted: bool | None = None, ambient: str = AMBIENT_TIGHT_S3, order_positive: bool = False,
+    ):
+        rot_at_max_tb = frozenset(rot_at_max_tb)
         # calculus.check_chi, repeated so that a record loads without calculus
-        if self.chi > 1:
-            raise InvalidParams(f"chi must be <= 1, got {self.chi}")
-        if self.chi % 2 == 0:
-            raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {self.chi}")
-        if self.g_s is not None and self.g_s < 0:
+        if chi > 1:
+            raise InvalidParams(f"chi must be <= 1, got {chi}")
+        if chi % 2 == 0:
+            raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {chi}")
+        if g_s is not None and g_s < 0:
             raise InvalidParams("smooth 4-ball genus must be nonnegative")
-        if self.ambient == AMBIENT_TIGHT_S3 and self.max_tb is not None:
-            for r in self.rot_at_max_tb:
-                if self.max_tb + abs(r) > -self.chi:
-                    raise InvalidParams(
-                        f"record violates the Bennequin bound: "
-                        f"{self.max_tb} + |{r}| > {-self.chi}"
-                    )
+        if ambient == AMBIENT_TIGHT_S3 and max_tb is not None:
+            for r in rot_at_max_tb:
+                if max_tb + abs(r) > -chi:
+                    raise InvalidParams(f"record violates the Bennequin bound: {max_tb} + |{r}| > {-chi}")
+        self._set(family, max_tb, rot_at_max_tb, chi, g_s, plus_one_surgery_overtwisted, ambient, order_positive)
 
 
 def unknot_record() -> KnotRecord:
@@ -155,12 +150,12 @@ def named_example(tag: str) -> KnotRecord:
     )
 
 
-_RECORD_KEYS = frozenset(field.name for field in fields(KnotRecord))
+_RECORD_KEYS = frozenset(KnotRecord._fields)
 
 
 def record_to_dict(rec: KnotRecord) -> dict:
     """Every field by name, in declaration order; the rotation set as a sorted list."""
-    doc = {field.name: getattr(rec, field.name) for field in fields(KnotRecord)}
+    doc = {name: getattr(rec, name) for name in KnotRecord._fields}
     doc["rot_at_max_tb"] = sorted(rec.rot_at_max_tb)
     return doc
 

@@ -20,13 +20,12 @@ those slopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 from .calculus import RationalData
-from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix
+from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value
 from .fields import read_int, read_str
 from .linalg import Matrix, solve_exact
 
@@ -36,49 +35,40 @@ COEFF_PASSIVE = "passive"
 _COEFFS = (COEFF_PLUS, COEFF_MINUS, COEFF_PASSIVE)
 
 
-@dataclass(frozen=True)
-class SurgeryComponent:
-    id: str
-    tb: int
-    rot: int
-    coeff: str
+class SurgeryComponent(Value):
+    __slots__ = _fields = ("id", "tb", "rot", "coeff")
 
-    def __post_init__(self):
-        if self.coeff not in _COEFFS:
-            raise DiagramError(
-                f"component {self.id!r}: coeff must be one of {_COEFFS}, got {self.coeff!r}"
-            )
+    def __init__(self, id: str, tb: int, rot: int, coeff: str):
+        if coeff not in _COEFFS:
+            raise DiagramError(f"component {id!r}: coeff must be one of {_COEFFS}, got {coeff!r}")
+        self._set(id, tb, rot, coeff)
 
 
-@dataclass(frozen=True)
-class SurgeryDiagram:
+class SurgeryDiagram(Value):
     """Ordered components, symmetric linking matrix, one passive component."""
 
-    components: tuple[SurgeryComponent, ...]
-    lk: Matrix
-    distinguished: str
+    __slots__ = _fields = ("components", "lk", "distinguished")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "lk", tuple(tuple(row) for row in self.lk))
-        ids = [c.id for c in self.components]
+    def __init__(self, components: Sequence[SurgeryComponent], lk: Matrix, distinguished: str):
+        components = tuple(components)
+        lk = tuple(tuple(row) for row in lk)
+        ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise DiagramError("component ids must be unique")
-        if self.distinguished not in ids:
-            raise DiagramError(f"distinguished id {self.distinguished!r} not present")
-        passive = [c.id for c in self.components if c.coeff == COEFF_PASSIVE]
-        if passive != [self.distinguished]:
-            raise DiagramError(
-                "exactly the distinguished component must carry the passive coefficient"
-            )
-        n = len(self.components)
-        if len(self.lk) != n or any(len(row) != n for row in self.lk):
+        if distinguished not in ids:
+            raise DiagramError(f"distinguished id {distinguished!r} not present")
+        passive = [c.id for c in components if c.coeff == COEFF_PASSIVE]
+        if passive != [distinguished]:
+            raise DiagramError("exactly the distinguished component must carry the passive coefficient")
+        n = len(components)
+        if len(lk) != n or any(len(row) != n for row in lk):
             raise DiagramError("linking matrix shape must match the component count")
-        for i, row in enumerate(self.lk):
+        for i, row in enumerate(lk):
             if row[i]:
                 raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
-            if any(row[j] != self.lk[j][i] for j in range(i)):
+            if any(row[j] != lk[j][i] for j in range(i)):
                 raise DiagramError("linking matrix must be symmetric")
+        self._set(components, lk, distinguished)
 
     @classmethod
     def build(

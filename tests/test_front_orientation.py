@@ -1,8 +1,6 @@
 """FrontWord validates and orients a word in one pass; these tests hold that
 pass to an independent recount and pin down the word's value semantics."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,14 +156,14 @@ class TestValueSemantics:
     def test_replace_reorients(self):
         trefoil = parse_front(TREFOIL)
         stabilized = stabilize_front(resolve_orientation(trefoil), "+").word
-        word = dataclasses.replace(trefoil, events=stabilized.events)
+        word = trefoil.replace(events=stabilized.events)
         assert word == stabilized
         for base in Direction:
             assert oriented_data(resolve_orientation(word, base)) == recount(stabilized.events, base)
 
     def test_replace_validates(self):
         with pytest.raises(MultipleComponents):
-            dataclasses.replace(parse_front(TREFOIL), events=parse_front("l 1 ; r 1").events * 2)
+            parse_front(TREFOIL).replace(events=parse_front("l 1 ; r 1").events * 2)
 
 
 class TestFrontEditErrors:

@@ -5,7 +5,7 @@ from math import inf, nan
 
 import pytest
 
-from nonloose.calculus import ClassicalPair, pushoff_sl
+from nonloose.calculus import ClassicalPair, RationalData, pushoff_sl
 from nonloose.certify import (
     Certificate,
     Reason,
@@ -21,6 +21,72 @@ from nonloose.errors import InvalidParams
 def test_pushoff_sl_bad_sign(sign):
     with pytest.raises(InvalidParams, match="sign must be"):
         pushoff_sl(ClassicalPair(-2, 1), sign)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ClassicalPair(1.5, 0, -1),
+        lambda: ClassicalPair(1, 0.5, -1),
+        lambda: ClassicalPair(True, 0, -1),
+        lambda: ClassicalPair(1, False, -1),
+        lambda: ClassicalPair("1", 0, -1),
+        lambda: ClassicalPair(1, 0, -1.0),
+        lambda: ClassicalPair(1, 0, True),
+        lambda: ClassicalPair(1, 0, -1, oriented=1),
+        lambda: ClassicalPair(1, 0, -1, oriented=None),
+        lambda: RationalData(0.1, 0, 1, -1),
+        lambda: RationalData("3/2", 0, 1, -1),
+        lambda: RationalData(True, 0, 1, -1),
+        lambda: RationalData(0, 0.5, 1, -1),
+        lambda: RationalData(0, False, 1, -1),
+        lambda: RationalData(0, 0, 1.5, -1),
+        lambda: RationalData(0, 0, True, -1),
+        lambda: RationalData(0, 0, Fraction(2), -1),
+        lambda: RationalData(0, 0, 1, -1.0),
+        lambda: RationalData(0, 0, 1, True),
+    ],
+    ids=[
+        "float tb", "float rot", "bool tb", "bool rot", "str tb", "float chi", "bool chi", "int oriented",
+        "None oriented", "float tb_q", "str tb_q", "bool tb_q", "float rot_q", "bool rot_q", "float order_r",
+        "bool order_r", "Fraction order_r", "float rational chi", "bool rational chi",
+    ],
+)
+def test_calculus_values_coerce_nothing(build):
+    """Each field is an int that is no bool (tb_Q and rot_Q may be Fractions,
+    ``oriented`` is a bool); anything else is rejected, not converted."""
+    with pytest.raises(InvalidParams, match="must be"):
+        build()
+
+
+def test_calculus_values_keep_integers_exact():
+    assert ClassicalPair(1, -2, None, False).chi is None
+    data = RationalData(3, Fraction(1, 2), 2, -2)
+    assert (data.tb_q, data.rot_q) == (Fraction(3), Fraction(1, 2))
+    assert type(data.tb_q) is Fraction
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Certificate(Verdict.INCONCLUSIVE, {}, (r for r in ())), "at least one reason"),
+        (lambda: Certificate(Verdict.INCONCLUSIVE, {}, ()), "at least one reason"),
+        (lambda: Certificate(Verdict.INCONCLUSIVE, {}, ("r",)), "must be Reason values"),
+        (lambda: Certificate(Verdict.INCONCLUSIVE, {}, (Reason("r", "n"), None)), "must be Reason values"),
+        (lambda: Certificate("LooseCertified", {}, (Reason("r", "n"),)), "must be a Verdict"),
+        (lambda: Certificate(None, {}, (Reason("r", "n"),)), "must be a Verdict"),
+    ],
+    ids=["empty generator", "empty tuple", "str reason", "None reason", "str verdict", "None verdict"],
+)
+def test_certificate_needs_reasons_and_a_verdict(build, message):
+    with pytest.raises(InvalidParams, match=message):
+        build()
+
+
+def test_certificate_takes_its_reasons_from_any_iterable():
+    cert = Certificate(Verdict.INCONCLUSIVE, {}, (r for r in [Reason("r", "n")]))
+    assert cert.reasons == (Reason("r", "n"),)
+    assert cert.to_dict()["reasons"] == [{"rule": "r", "note": "n", "inputs": {}}]
 
 
 def _cert(details):

@@ -81,6 +81,28 @@ def test_command_loads_only_what_it_runs(tmp_path, command):
     assert loaded == sorted(f"nonloose.{name}" for name in expected)
 
 
+# Runs argv through cli.main, then prints its exit code and which of
+# ``dataclasses`` and ``inspect`` got loaded, as one JSON line.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from nonloose import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_dataclasses_or_inspect(tmp_path, command):
+    """Value classes are plain ``__slots__`` classes, so no command pays for
+    ``dataclasses`` and the ``inspect`` it imports."""
+    argv, _ = COMMANDS[command]
+    files = {"FRONT_FILE": tmp_path / "unknot.front", "DIAGRAM_FILE": tmp_path / "diagram.json"}
+    files["FRONT_FILE"].write_text(UNKNOT)
+    files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
+    assert fresh(STARTUP_PROBE, *[str(files.get(arg, arg)) for arg in argv]) == [0, []]
+
+
 # Runs argv through cli.main, then prints its exit code and whether
 # ``fractions`` got loaded, as one JSON line.
 FRACTIONS_PROBE = """
