@@ -22,6 +22,7 @@ def check_chi(chi: int, odd: bool = True) -> None:
 
 
 def _check_int(value, what: str) -> None:
+    # fields.read_int's rule, repeated so that the certify commands load no fields
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParams(f"{what} must be an integer, got {value!r}")
 
