@@ -70,6 +70,10 @@ class Reason(Value):
     def __init__(self, rule: str, note: str, inputs: Mapping[str, Any] = _EMPTY):
         self._set(rule, note, MappingProxyType(dict(inputs)))
 
+    def __reduce__(self):
+        # a mappingproxy cannot be copied or pickled; the constructor wraps the dict again
+        return Reason, (self.rule, self.note, dict(self.inputs))
+
 
 class Certificate(Value):
     __slots__ = _fields = ("verdict", "details", "reasons", "assumptions")
@@ -87,6 +91,9 @@ class Certificate(Value):
         if not isinstance(verdict, Verdict):
             raise InvalidParams(f"verdict must be a Verdict, got {verdict!r}")
         self._set(verdict, MappingProxyType(dict(details)), reasons, MappingProxyType(dict(assumptions)))
+
+    def __reduce__(self):
+        return Certificate, (self.verdict, dict(self.details), self.reasons, dict(self.assumptions))
 
     def to_dict(self) -> dict:
         return {

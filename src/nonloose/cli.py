@@ -5,15 +5,21 @@ Every subcommand prints a single JSON document on stdout (or a flat
 the library calls.  Exit codes: 0 success, 1 domain error (with an error
 document on stdout), 2 usage error.  Each handler imports the library modules
 it calls, so a command loads only those.
+
+One table, ``COMMANDS`` with ``GLOBAL_ARGS``, describes every argument.
+``_read_argv`` reads a well-formed command line from it without argparse;
+anything else (``-h``, an abbreviated or unknown flag, a bad or missing
+value) goes to ``build_parser``, the argparse parser of the same table, which
+writes the help and every usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError
@@ -23,7 +29,7 @@ if TYPE_CHECKING:
 
     from . import calculus, diagram
 
-DEFAULT_RECORDS_PATH = Path.home() / ".config" / "nonloose" / "records.json"
+DEFAULT_RECORDS_PATH = os.path.join(os.path.expanduser("~"), ".config", "nonloose", "records.json")
 
 
 class InputError(DomainError):
@@ -42,10 +48,14 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+class _BadValue(ValueError):
+    """A flag value not in its documented form; argparse reports the message."""
+
+
 def _int_arg(text: str) -> int:
     """An int flag: ``[+-]?[0-9]+`` in ASCII digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise _BadValue(f"invalid int value: {text!r}")
     return int(text)  # past its digit limit int() raises ValueError: a usage error too
 
 
@@ -58,7 +68,7 @@ def _fraction_arg(text: str) -> Fraction:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or p/0
         pass
-    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    raise _BadValue(f"not an exact rational: {text!r}")
 
 
 def _render(doc: Any, fmt: str) -> str:
@@ -261,11 +271,11 @@ def cmd_knot_record(args) -> dict:
     if args.name is not None:
         path = args.records
         if path is None:
-            if not DEFAULT_RECORDS_PATH.is_file():
+            if not os.path.isfile(DEFAULT_RECORDS_PATH):
                 raise DomainError(
                     f"--name needs a --records file or one at {DEFAULT_RECORDS_PATH}"
                 )
-            path = str(DEFAULT_RECORDS_PATH)
+            path = DEFAULT_RECORDS_PATH
         for rec in knotdata.load_records(path):
             if rec.family == args.name:
                 return knotdata.record_to_dict(rec)
@@ -279,129 +289,236 @@ def cmd_knot_record(args) -> dict:
     return knotdata.record_to_dict(maker(args.p, args.q))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each argument is (name, keywords): a flag when the name starts with "-",
+# else a positional; the keywords are those of argparse's add_argument.
+_INT = {"type": _int_arg}
+_REQUIRED_INT = {"type": _int_arg, "required": True}
+_RATIONAL = {"type": _fraction_arg}
+_SWITCH = {"action": "store_true", "default": False}
+_ORDER = ("--order", {"type": _int_arg, "help": "homological order r (default 1)"})
+_FRONT_ARGS = (
+    ("front_file", {"help": "front word file ('-' for stdin)"}),
+    ("--base-direction", {"choices": ("rightward", "leftward"), "default": "rightward"}),
+)
+
+GLOBAL_ARGS = (
+    ("--format", {"choices": ("json", "text"), "default": "json", "help": "output rendering"}),
+    (
+        "--records",
+        {"metavar": "FILE", "help": f"user knot-record JSON file (default: {DEFAULT_RECORDS_PATH} if present)"},
+    ),
+)
+
+# subcommand -> (handler, help, arguments), in the order --help lists them
+COMMANDS = {
+    "front-invariants": (cmd_front_invariants, "tb/rot/writhe of a front word", _FRONT_ARGS),
+    "front-stabilize": (
+        cmd_front_stabilize,
+        "insert a stabilization zigzag",
+        (*_FRONT_ARGS, ("--sign", {"choices": ("+", "-"), "required": True})),
+    ),
+    "front-destab": (cmd_front_destab, "remove one syntactic zigzag if present", _FRONT_ARGS),
+    "surgery-invariants": (
+        cmd_surgery_invariants,
+        "rational invariants of the passive component",
+        (
+            ("diagram_file", {"help": "surgery diagram JSON ('-' for stdin)"}),
+            ("--chi", _REQUIRED_INT),
+            ("--reverse-distinguished", _SWITCH),
+        ),
+    ),
+    "dual-invariants": (
+        cmd_dual_invariants,
+        "invariants of a stabilized push-off of a (+1)-surgery dual",
+        (
+            ("--tb", _REQUIRED_INT),
+            ("--rot", _REQUIRED_INT),
+            ("--chi", _REQUIRED_INT),
+            (
+                "--stab",
+                {
+                    "type": _int_arg,
+                    "action": "append",
+                    "default": [],
+                    "help": "signed stabilization count, repeatable (e.g. --stab +1 --stab -2)",
+                },
+            ),
+        ),
+    ),
+    "certify-bennequin": (
+        cmd_certify_bennequin,
+        "Bennequin-type looseness checks",
+        (
+            ("--tb", _INT),
+            ("--rot", _INT),
+            ("--tb-q", _RATIONAL),
+            ("--rot-q", _RATIONAL),
+            ("--sl-q", _RATIONAL),
+            _ORDER,
+            ("--chi", _REQUIRED_INT),
+        ),
+    ),
+    "certify-unknot": (
+        cmd_certify_unknot, "classify a Legendrian unknot", (("--tb", _REQUIRED_INT), ("--rot", _REQUIRED_INT))
+    ),
+    "certify-dual": (
+        cmd_certify_dual,
+        "joint tension/depth certificates for a surgery dual",
+        (
+            ("--tb", _REQUIRED_INT),
+            ("--rot", _REQUIRED_INT),
+            ("--chi", _REQUIRED_INT),
+            ("--surgery-overtwisted", _SWITCH),
+            ("--complement-tight", _SWITCH),
+            ("--is-stabilization", _SWITCH),
+        ),
+    ),
+    "certify-tension": (
+        cmd_certify_tension,
+        "stabilization search for tension bounds",
+        (
+            ("--tb", _INT),
+            ("--rot", _INT),
+            ("--tb-q", _RATIONAL),
+            ("--rot-q", _RATIONAL),
+            _ORDER,
+            ("--chi", _REQUIRED_INT),
+            ("--max-n", {"type": _int_arg, "default": 64}),
+            ("--side", {"choices": ("both", "positive_only", "negative_only"), "default": "both"}),
+        ),
+    ),
+    "search-examples": (
+        cmd_search_examples, "torus-knot duals separating tension from depth", (("--p-max", _REQUIRED_INT),)
+    ),
+    "knot-record": (
+        cmd_knot_record,
+        "formula-generated or user knot records",
+        (
+            ("--family", {"choices": ("unknot", "negative-torus", "positive-torus")}),
+            ("--p", _INT),
+            ("--q", _INT),
+            ("--tag", {"help": "named example tag, e.g. 'L2q(3)'"}),
+            ("--name", {"help": "family string to look up in --records"}),
+        ),
+    ),
+}
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``GLOBAL_ARGS`` and ``COMMANDS``."""
+    import argparse
+
+    def reported(convert):
+        """``convert``, with its ``_BadValue`` message passed on to argparse."""
+
+        def read(text):
+            try:
+                return convert(text)
+            except _BadValue as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        read.__name__ = convert.__name__  # argparse names it in "invalid <name> value"
+        return read
+
+    def add(parser, arguments):
+        for name, keywords in arguments:
+            if "type" in keywords:
+                keywords = dict(keywords, type=reported(keywords["type"]))
+            parser.add_argument(name, **keywords)
+
     parser = argparse.ArgumentParser(
         prog="nonloose",
         description="Exact Legendrian/transverse knot invariants and "
         "non-looseness certificates",
     )
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output rendering"
-    )
-    parser.add_argument(
-        "--records",
-        metavar="FILE",
-        default=None,
-        help=f"user knot-record JSON file (default: {DEFAULT_RECORDS_PATH} if present)",
-    )
+    add(parser, GLOBAL_ARGS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def front_args(p):
-        p.add_argument("front_file", help="front word file ('-' for stdin)")
-        p.add_argument(
-            "--base-direction",
-            choices=("rightward", "leftward"),
-            default="rightward",
-        )
-
-    p = sub.add_parser("front-invariants", help="tb/rot/writhe of a front word")
-    front_args(p)
-    p.set_defaults(handler=cmd_front_invariants)
-
-    p = sub.add_parser("front-stabilize", help="insert a stabilization zigzag")
-    front_args(p)
-    p.add_argument("--sign", choices=("+", "-"), required=True)
-    p.set_defaults(handler=cmd_front_stabilize)
-
-    p = sub.add_parser("front-destab", help="remove one syntactic zigzag if present")
-    front_args(p)
-    p.set_defaults(handler=cmd_front_destab)
-
-    p = sub.add_parser(
-        "surgery-invariants", help="rational invariants of the passive component"
-    )
-    p.add_argument("diagram_file", help="surgery diagram JSON ('-' for stdin)")
-    p.add_argument("--chi", type=_int_arg, required=True)
-    p.add_argument("--reverse-distinguished", action="store_true")
-    p.set_defaults(handler=cmd_surgery_invariants)
-
-    p = sub.add_parser(
-        "dual-invariants",
-        help="invariants of a stabilized push-off of a (+1)-surgery dual",
-    )
-    p.add_argument("--tb", type=_int_arg, required=True)
-    p.add_argument("--rot", type=_int_arg, required=True)
-    p.add_argument("--chi", type=_int_arg, required=True)
-    p.add_argument(
-        "--stab",
-        type=_int_arg,
-        action="append",
-        default=[],
-        help="signed stabilization count, repeatable (e.g. --stab +1 --stab -2)",
-    )
-    p.set_defaults(handler=cmd_dual_invariants)
-
-    p = sub.add_parser("certify-bennequin", help="Bennequin-type looseness checks")
-    p.add_argument("--tb", type=_int_arg)
-    p.add_argument("--rot", type=_int_arg)
-    p.add_argument("--tb-q", type=_fraction_arg)
-    p.add_argument("--rot-q", type=_fraction_arg)
-    p.add_argument("--sl-q", type=_fraction_arg)
-    p.add_argument("--order", type=_int_arg, help="homological order r (default 1)")
-    p.add_argument("--chi", type=_int_arg, required=True)
-    p.set_defaults(handler=cmd_certify_bennequin)
-
-    p = sub.add_parser("certify-unknot", help="classify a Legendrian unknot")
-    p.add_argument("--tb", type=_int_arg, required=True)
-    p.add_argument("--rot", type=_int_arg, required=True)
-    p.set_defaults(handler=cmd_certify_unknot)
-
-    p = sub.add_parser(
-        "certify-dual", help="joint tension/depth certificates for a surgery dual"
-    )
-    p.add_argument("--tb", type=_int_arg, required=True)
-    p.add_argument("--rot", type=_int_arg, required=True)
-    p.add_argument("--chi", type=_int_arg, required=True)
-    p.add_argument("--surgery-overtwisted", action="store_true")
-    p.add_argument("--complement-tight", action="store_true")
-    p.add_argument("--is-stabilization", action="store_true")
-    p.set_defaults(handler=cmd_certify_dual)
-
-    p = sub.add_parser("certify-tension", help="stabilization search for tension bounds")
-    p.add_argument("--tb", type=_int_arg)
-    p.add_argument("--rot", type=_int_arg)
-    p.add_argument("--tb-q", type=_fraction_arg)
-    p.add_argument("--rot-q", type=_fraction_arg)
-    p.add_argument("--order", type=_int_arg, help="homological order r (default 1)")
-    p.add_argument("--chi", type=_int_arg, required=True)
-    p.add_argument("--max-n", type=_int_arg, default=64)
-    p.add_argument(
-        "--side", choices=("both", "positive_only", "negative_only"), default="both"
-    )
-    p.set_defaults(handler=cmd_certify_tension)
-
-    p = sub.add_parser(
-        "search-examples", help="torus-knot duals separating tension from depth"
-    )
-    p.add_argument("--p-max", type=_int_arg, required=True)
-    p.set_defaults(handler=cmd_search_examples)
-
-    p = sub.add_parser("knot-record", help="formula-generated or user knot records")
-    p.add_argument(
-        "--family", choices=("unknot", "negative-torus", "positive-torus"), default=None
-    )
-    p.add_argument("--p", type=_int_arg)
-    p.add_argument("--q", type=_int_arg)
-    p.add_argument("--tag", help="named example tag, e.g. 'L2q(3)'")
-    p.add_argument("--name", help="family string to look up in --records")
-    p.set_defaults(handler=cmd_knot_record)
-
+    for name, (handler, help, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        add(p, arguments)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _is_value(token: str) -> bool:
+    """Whether argparse reads ``token`` as a value: it does not start with
+    "-", or it is "-" or a negative number (argparse's pattern for one)."""
+    return token[:1] != "-" or token == "-" or re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None
+
+
+def _read_arguments(arguments, argv: list[str], i: int, values: dict) -> int | None:
+    """Read ``arguments`` from ``argv[i:]`` into ``values``, defaults
+    included, up to a value that no positional takes, or to the end; the
+    index it stops at.  None when a token is not one of the arguments' flags
+    written out in full, a flag lacks its value or has a bad one, or a
+    required argument is missing."""
+    flags, positionals, required = {}, [], set()
+    for name, keywords in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name[0] != "-":
+            positionals.append((dest, keywords))
+            continue
+        flags[name] = dest, keywords
+        values[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(dest)
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if _is_value(token):
+            if not positionals:
+                return i - 1
+            (dest, keywords), text = positionals.pop(0), token
+        else:
+            name, eq, text = token.partition("=")
+            if name not in flags:
+                return None
+            dest, keywords = flags[name]
+            if keywords.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                if i == len(argv) or not _is_value(argv[i]):
+                    return None
+                text = argv[i]
+                i += 1
+            elif text == "--":  # argparse drops a "--" value and stores []
+                return None
+        convert = keywords.get("type")
+        try:
+            value = convert(text) if convert else text
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = [*values[dest], value] if keywords.get("action") == "append" else value
+        required.discard(dest)
+    return None if positionals or required else i
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, for a command
+    line that argparse reads without help, abbreviation or error: global
+    flags before the subcommand, every flag whole (``--flag value`` or
+    ``--flag=value``), every value valid, no ``--``.  None for any other
+    command line, which argparse then reads."""
+    values: dict = {}
+    i = _read_arguments(GLOBAL_ARGS, argv, 0, values)
+    if i is None or i == len(argv) or argv[i] not in COMMANDS:
+        return None
+    handler, _, arguments = COMMANDS[argv[i]]
+    values.update(command=argv[i], handler=handler)
+    if _read_arguments(arguments, argv, i + 1, values) != len(argv):
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:  # help, or a line for argparse to read or reject
+        args = build_parser().parse_args(argv)
     try:
         doc = args.handler(args)
     except DomainError as exc:

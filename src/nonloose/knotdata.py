@@ -9,9 +9,9 @@ violate it, which is the whole point of the subject.
 from __future__ import annotations
 
 import json
+import os
 import re
 from math import gcd
-from pathlib import Path
 from typing import Iterable
 
 from .errors import InvalidParams, UnknownTag, Value
@@ -33,7 +33,16 @@ class KnotRecord(Value):
         self, family: str, max_tb: int | None, rot_at_max_tb: Iterable[int], chi: int, g_s: int | None = None,
         plus_one_surgery_overtwisted: bool | None = None, ambient: str = AMBIENT_TIGHT_S3, order_positive: bool = False,
     ):
+        if max_tb is not None:
+            read_int(max_tb, "max_tb", InvalidParams)
+        if not isinstance(rot_at_max_tb, frozenset):
+            rot_at_max_tb = tuple(rot_at_max_tb)  # each entry is read before a set merges True into 1
+        for r in rot_at_max_tb:
+            read_int(r, "rot_at_max_tb entry", InvalidParams)
         rot_at_max_tb = frozenset(rot_at_max_tb)
+        read_int(chi, "chi", InvalidParams)
+        if g_s is not None:
+            read_int(g_s, "g_s", InvalidParams)
         # calculus.check_chi, repeated so that a record loads without calculus
         if chi > 1:
             raise InvalidParams(f"chi must be <= 1, got {chi}")
@@ -174,23 +183,22 @@ def record_from_dict(doc: dict) -> KnotRecord:
     if not isinstance(rots, list):
         raise InvalidParams(f"rot_at_max_tb must be a list of integers, got {rots!r}")
 
-    def optional(key: str, read):
-        value = doc.get(key)
-        return None if value is None else read(value, key, InvalidParams)
-
+    overtwisted = doc.get("plus_one_surgery_overtwisted")
+    if overtwisted is not None:
+        overtwisted = read_bool(overtwisted, "plus_one_surgery_overtwisted", InvalidParams)
     return KnotRecord(
         family=read_str(family, "family", InvalidParams),
-        max_tb=optional("max_tb", read_int),
-        rot_at_max_tb=frozenset(read_int(r, "rot_at_max_tb entry", InvalidParams) for r in rots),
-        chi=read_int(chi, "chi", InvalidParams),
-        g_s=optional("g_s", read_int),
-        plus_one_surgery_overtwisted=optional("plus_one_surgery_overtwisted", read_bool),
+        max_tb=doc.get("max_tb"),
+        rot_at_max_tb=rots,
+        chi=chi,
+        g_s=doc.get("g_s"),
+        plus_one_surgery_overtwisted=overtwisted,
         ambient=read_str(doc.get("ambient", AMBIENT_TIGHT_S3), "ambient", InvalidParams),
         order_positive=read_bool(doc.get("order_positive", False), "order_positive", InvalidParams),
     )
 
 
-def load_records(path: str | Path) -> tuple[KnotRecord, ...]:
+def load_records(path: str | os.PathLike[str]) -> tuple[KnotRecord, ...]:
     """Read a user-supplied JSON list of KnotRecord fields."""
     try:
         with open(path, encoding="utf-8") as fh:

@@ -41,6 +41,7 @@ class SurgeryComponent(Value):
     def __init__(self, id: str, tb: int, rot: int, coeff: str):
         if coeff not in _COEFFS:
             raise DiagramError(f"component {id!r}: coeff must be one of {_COEFFS}, got {coeff!r}")
+        tb, rot = read_int(tb, "component tb", DiagramError), read_int(rot, "component rot", DiagramError)
         self._set(id, tb, rot, coeff)
 
 
@@ -64,10 +65,11 @@ class SurgeryDiagram(Value):
         if len(lk) != n or any(len(row) != n for row in lk):
             raise DiagramError("linking matrix shape must match the component count")
         for i, row in enumerate(lk):
-            if row[i]:
+            if read_int(row[i], "lk value", DiagramError):
                 raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
-            if any(row[j] != lk[j][i] for j in range(i)):
-                raise DiagramError("linking matrix must be symmetric")
+            for j in range(i):
+                if read_int(row[j], "lk value", DiagramError) != read_int(lk[j][i], "lk value", DiagramError):
+                    raise DiagramError("linking matrix must be symmetric")
         self._set(components, lk, distinguished)
 
     @classmethod
@@ -184,10 +186,7 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
             raise DiagramError(f"bad component entry {entry!r}") from exc
         comps.append(
             SurgeryComponent(
-                read_str(cid, "component id", DiagramError),
-                read_int(tb, "component tb", DiagramError),
-                read_int(rot, "component rot", DiagramError),
-                read_str(coeff, "component coeff", DiagramError),
+                read_str(cid, "component id", DiagramError), tb, rot, read_str(coeff, "component coeff", DiagramError)
             )
         )
     raw_pairs = doc.get("lk", [])
@@ -197,13 +196,8 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
     for entry in raw_pairs:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
-        pairs.append(
-            (
-                read_str(entry[0], "lk id", DiagramError),
-                read_str(entry[1], "lk id", DiagramError),
-                read_int(entry[2], "lk value", DiagramError),
-            )
-        )
+        ida, idb = read_str(entry[0], "lk id", DiagramError), read_str(entry[1], "lk id", DiagramError)
+        pairs.append((ida, idb, entry[2]))
     return SurgeryDiagram.build(
         tuple(comps), pairs, read_str(distinguished, "distinguished", DiagramError)
     )

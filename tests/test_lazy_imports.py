@@ -56,11 +56,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nonloose.
 """
 
 
-def fresh(code, *argv):
+def fresh(code, *argv, options=()):
     paths = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, *options, "-c", code, *argv], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
     ).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -101,6 +102,51 @@ def test_command_loads_no_dataclasses_or_inspect(tmp_path, command):
     files["FRONT_FILE"].write_text(UNKNOT)
     files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
     assert fresh(STARTUP_PROBE, *[str(files.get(arg, arg)) for arg in argv]) == [0, []]
+
+
+# Runs argv through cli.main, then prints its exit code (argparse's, if it
+# exits), the start of what it wrote, and which of ``argparse`` and
+# ``pathlib`` got loaded, as one JSON line.
+ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+from nonloose import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue()[:60], [m for m in ("argparse", "pathlib") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_argparse_or_pathlib(tmp_path, command):
+    """A well-formed command line is read from the flag table, without
+    argparse, and no command needs ``pathlib``.  The probe runs under
+    ``python -S``: a site ``.pth`` file (certifi's, where it is installed)
+    can load ``pathlib`` before any program code, and then no plain run
+    shows it and no timing can tell it apart."""
+    argv, _ = COMMANDS[command]
+    files = {"FRONT_FILE": tmp_path / "unknot.front", "DIAGRAM_FILE": tmp_path / "diagram.json"}
+    files["FRONT_FILE"].write_text(UNKNOT)
+    files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
+    code, _, loaded = fresh(ARGPARSE_PROBE, *[str(files.get(arg, arg)) for arg in argv], options=["-S"])
+    assert (code, loaded) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv, code, usage",
+    [(["-h"], 0, "usage: nonloose [-h]")]
+    + [([name, "-h"], 0, f"usage: nonloose {name} [-h]") for name in sorted(COMMANDS)]
+    + [(["certify-tension", "--tb", "x"], 2, "usage: nonloose certify-tension [-h]")],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_help_and_usage_errors_load_argparse(argv, code, usage):
+    """argparse writes the help and every usage error, and only they load it."""
+    got, start, loaded = fresh(ARGPARSE_PROBE, *argv, options=["-S"])
+    assert (got, loaded) == (code, ["argparse"])
+    assert start.startswith(usage)
 
 
 # Runs argv through cli.main, then prints its exit code and whether

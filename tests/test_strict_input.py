@@ -1,6 +1,6 @@
-"""Strict fields at the JSON boundary: every value either is read as the
-type its field documents or ends in a DomainError, never a coercion or a
-traceback."""
+"""Strict fields at the JSON boundary and in the value classes: every value
+either is read as the type its field documents or ends in a DomainError,
+never a coercion or a traceback."""
 
 import copy
 import io
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from nonloose.cli import main
 from nonloose.errors import DiagramError, DomainError, InvalidParams
-from nonloose.knotdata import record_from_dict
-from nonloose.surgery import diagram_from_json
+from nonloose.knotdata import KnotRecord, record_from_dict
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
 README_DIAGRAM = {
     "components": [
@@ -286,3 +286,63 @@ def test_cli_non_string_record_field(capsys, monkeypatch, tmp_path, record):
     code, doc = run_cli(capsys, monkeypatch, ["--records", str(path), "knot-record", "--name", str(record["family"])])
     assert code == 1
     assert doc["error"]["type"] == "InvalidParams"
+
+
+# ---------------------------------------------------------------------------
+# Values built directly, not read from JSON, check their integer fields too.
+
+
+def test_directly_built_values_reject_non_integers():
+    with pytest.raises(InvalidParams):
+        KnotRecord("k", 1.5, [0.5], -3.0)
+    with pytest.raises(DiagramError):
+        SurgeryDiagram(
+            (SurgeryComponent("a", -2.5, 0.5, "passive"), SurgeryComponent("b", 1.5, True, "+1")),
+            ((0, 1.5), (1.5, 0)),
+            "a",
+        )
+
+
+GOOD_RECORD = {"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": -5, "g_s": 2}
+
+
+@pytest.mark.parametrize("value", [1.5, -3.0, True, False, "2", [2]])
+@pytest.mark.parametrize("field", ["max_tb", "rot_at_max_tb entry", "chi", "g_s"])
+def test_knot_record_integer_fields(field, value):
+    args = dict(GOOD_RECORD, rot_at_max_tb=[value]) if field == "rot_at_max_tb entry" else {**GOOD_RECORD, field: value}
+    with pytest.raises(InvalidParams, match=f"{field} must be an integer"):
+        KnotRecord(**args)
+
+
+def test_knot_record_keeps_a_bool_beside_its_integer():
+    # frozenset({1, True}) would drop True: each entry is read before the set is built
+    with pytest.raises(InvalidParams):
+        KnotRecord("k", -3, [0, False], -5)
+
+
+def components(tb=-16, rot=-1):
+    return SurgeryComponent("Lstar", tb, rot, "passive"), SurgeryComponent("L", -15, -2, "+1")
+
+
+@pytest.mark.parametrize("value", [-2.5, -16.0, True, "1", None])
+@pytest.mark.parametrize("field", ["tb", "rot"])
+def test_surgery_component_integer_fields(field, value):
+    with pytest.raises(DiagramError, match=f"component {field} must be an integer"):
+        components(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "lk",
+    [
+        ((0, 1.5), (1.5, 0)),
+        ((0, -15.0), (-15.0, 0)),
+        ((0, True), (1, 0)),
+        ((0, 1), (True, 0)),
+        ((0.0, -15), (-15, 0)),
+        ((0, -15), (-15, False)),
+    ],
+    ids=["float", "integral float", "bool above", "bool below", "float diagonal", "bool diagonal"],
+)
+def test_surgery_diagram_lk_entries(lk):
+    with pytest.raises(DiagramError, match="lk value must be an integer"):
+        SurgeryDiagram(components(), lk, "Lstar")
