@@ -518,7 +518,15 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     args = _read_argv(sys.argv[1:] if argv is None else argv)
     if args is None:  # help, or a line for argparse to read or reject
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # argparse stores (or appends) [] for "--flag=--", unchecked by the
+        # flag's type and choices
+        for name, keywords in (*GLOBAL_ARGS, *COMMANDS[args.command][2]):
+            value = getattr(args, name.lstrip("-").replace("-", "_"))
+            values = value if keywords.get("action") == "append" else [value]
+            if any(isinstance(v, list) for v in values):
+                parser.error(f"argument {name}: expected one argument")
     try:
         doc = args.handler(args)
     except DomainError as exc:

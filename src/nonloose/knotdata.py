@@ -33,6 +33,11 @@ class KnotRecord(Value):
         self, family: str, max_tb: int | None, rot_at_max_tb: Iterable[int], chi: int, g_s: int | None = None,
         plus_one_surgery_overtwisted: bool | None = None, ambient: str = AMBIENT_TIGHT_S3, order_positive: bool = False,
     ):
+        if plus_one_surgery_overtwisted is not None:
+            read_bool(plus_one_surgery_overtwisted, "plus_one_surgery_overtwisted", InvalidParams)
+        read_str(family, "family", InvalidParams)
+        read_str(ambient, "ambient", InvalidParams)
+        read_bool(order_positive, "order_positive", InvalidParams)
         if max_tb is not None:
             read_int(max_tb, "max_tb", InvalidParams)
         if not isinstance(rot_at_max_tb, frozenset):
@@ -182,19 +187,15 @@ def record_from_dict(doc: dict) -> KnotRecord:
     rots = doc.get("rot_at_max_tb", [])
     if not isinstance(rots, list):
         raise InvalidParams(f"rot_at_max_tb must be a list of integers, got {rots!r}")
-
-    overtwisted = doc.get("plus_one_surgery_overtwisted")
-    if overtwisted is not None:
-        overtwisted = read_bool(overtwisted, "plus_one_surgery_overtwisted", InvalidParams)
     return KnotRecord(
-        family=read_str(family, "family", InvalidParams),
+        family=family,
         max_tb=doc.get("max_tb"),
         rot_at_max_tb=rots,
         chi=chi,
         g_s=doc.get("g_s"),
-        plus_one_surgery_overtwisted=overtwisted,
-        ambient=read_str(doc.get("ambient", AMBIENT_TIGHT_S3), "ambient", InvalidParams),
-        order_positive=read_bool(doc.get("order_positive", False), "order_positive", InvalidParams),
+        plus_one_surgery_overtwisted=doc.get("plus_one_surgery_overtwisted"),
+        ambient=doc.get("ambient", AMBIENT_TIGHT_S3),
+        order_positive=doc.get("order_positive", False),
     )
 
 

@@ -39,6 +39,8 @@ class SurgeryComponent(Value):
     __slots__ = _fields = ("id", "tb", "rot", "coeff")
 
     def __init__(self, id: str, tb: int, rot: int, coeff: str):
+        read_str(id, "component id", DiagramError)
+        read_str(coeff, "component coeff", DiagramError)
         if coeff not in _COEFFS:
             raise DiagramError(f"component {id!r}: coeff must be one of {_COEFFS}, got {coeff!r}")
         tb, rot = read_int(tb, "component tb", DiagramError), read_int(rot, "component rot", DiagramError)
@@ -51,8 +53,12 @@ class SurgeryDiagram(Value):
     __slots__ = _fields = ("components", "lk", "distinguished")
 
     def __init__(self, components: Sequence[SurgeryComponent], lk: Matrix, distinguished: str):
+        read_str(distinguished, "distinguished", DiagramError)
         components = tuple(components)
-        lk = tuple(tuple(row) for row in lk)
+        try:
+            lk = tuple(tuple(row) for row in lk)
+        except TypeError:  # lk, or a row of it, is not a sequence
+            raise DiagramError("linking matrix shape must match the component count") from None
         ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise DiagramError("component ids must be unique")
@@ -184,11 +190,7 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
             cid, tb, rot, coeff = entry["id"], entry["tb"], entry["rot"], entry["coeff"]
         except (TypeError, KeyError) as exc:
             raise DiagramError(f"bad component entry {entry!r}") from exc
-        comps.append(
-            SurgeryComponent(
-                read_str(cid, "component id", DiagramError), tb, rot, read_str(coeff, "component coeff", DiagramError)
-            )
-        )
+        comps.append(SurgeryComponent(cid, tb, rot, coeff))
     raw_pairs = doc.get("lk", [])
     if not isinstance(raw_pairs, list):
         raise DiagramError("'lk' must be a list")
@@ -198,9 +200,7 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
             raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
         ida, idb = read_str(entry[0], "lk id", DiagramError), read_str(entry[1], "lk id", DiagramError)
         pairs.append((ida, idb, entry[2]))
-    return SurgeryDiagram.build(
-        tuple(comps), pairs, read_str(distinguished, "distinguished", DiagramError)
-    )
+    return SurgeryDiagram.build(tuple(comps), pairs, distinguished)
 
 
 def diagram_to_json(diag: SurgeryDiagram) -> dict:

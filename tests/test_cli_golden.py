@@ -1,20 +1,36 @@
-"""Golden stdout of the command line.
+"""Golden stdout of the command line: the CLI contract.
 
-Each case pins the exact stdout text and exit code of ``cli.main`` for one
-argument list: every example of the README's CLI section (run in a directory
-holding the files it names), each subcommand once with ``--format text``, and
-one error document each for a ``DomainError`` and an ``InputError``.  A change
-meant to keep the output byte-identical must leave every case passing as it
-stands.
+Each case pins the exact stdout text and exit code of one command line: every
+example of the README's CLI section (run in a directory holding the files it
+names), each subcommand once with ``--format text``, one error document each
+for a ``DomainError`` and an ``InputError``, and the edges of the input
+boundary (stdin input, the default records file, flag values that are errors).
+A change meant to keep the output byte-identical must leave every case
+passing as it stands.
+
+Every case runs twice: through ``cli.main`` in this process, and as ``python
+-m nonloose.cli`` in a fresh process, where a handler that lost one of its
+imports shows.  Both runs get the case's stdin, run in a work directory that
+holds ``FILES`` and see that directory as ``HOME``, so the default records
+file is the one written here, never the user's own.
 """
 
 import hashlib
+import io
 import json
+import os
+import shlex
+import sys
 from textwrap import dedent
+from typing import NamedTuple
 
 import pytest
+from fresh_process import run_python
 
-from nonloose.cli import main
+from nonloose import cli
+
+# the default records file, relative to HOME
+RECORDS = os.path.join(".config", "nonloose", "records.json")
 
 FILES = {
     "unknot.front": "l 1\nr 1\n",
@@ -33,10 +49,18 @@ FILES = {
         [{"family": "custom", "max_tb": -3, "rot_at_max_tb": [0], "chi": -1}]
     ),
     "empty.json": "",
+    RECORDS: json.dumps([{"family": "house", "max_tb": -2, "rot_at_max_tb": [1], "chi": -3}]),
 }
 
-# name -> (argument list split on spaces, exit code, stdout with its
-# indentation removed by ``dedent``)
+
+class Case(NamedTuple):
+    argv: str  # split as a shell would, by shlex.split
+    code: int
+    stdout: str  # with its indentation removed by dedent
+    stdin: str = ""
+
+
+# name -> the fields of its Case
 CASES = {
     "readme front-invariants": (
         "front-invariants unknot.front",
@@ -462,7 +486,190 @@ CASES = {
             }
         """
     ),
+    "stdin surgery-invariants": (
+        "surgery-invariants - --chi -7",
+        0,
+        """\
+            {
+              "tb_q": "1/14",
+              "rot_q": "8/7",
+              "r": 14,
+              "chi": -7
+            }
+        """,
+        FILES["diagram.json"],
+    ),
+    "stdin front-invariants": (
+        "front-invariants -",
+        0,
+        """\
+            {
+              "tb": -1,
+              "rot": 0,
+              "writhe": 0,
+              "up_cusps": 1,
+              "down_cusps": 1
+            }
+        """,
+        FILES["unknot.front"],
+    ),
+    # A '#' comment ends at a line boundary, '\r' included.
+    "carriage return ends a comment": (
+        "front-stabilize - --sign +",
+        0,
+        """\
+            {
+              "word": "l 1\\nl 1\\nr 2\\nr 1\\n",
+              "tb": -2,
+              "rot": 1,
+              "writhe": 0,
+              "up_cusps": 1,
+              "down_cusps": 3
+            }
+        """,
+        "l 1 # c\rr 1\n",
+    ),
+    # The word just printed parses back to the same tb and rot.
+    "stabilized word parses back": (
+        "front-invariants -",
+        0,
+        """\
+            {
+              "tb": -2,
+              "rot": 1,
+              "writhe": 0,
+              "up_cusps": 1,
+              "down_cusps": 3
+            }
+        """,
+        "l 1\nl 1\nr 2\nr 1\n",
+    ),
+    # Within a total the search tests only the splits its side allows: one
+    # negative stabilization violates first, two positive ones on the
+    # positive side.
+    "rational certify-tension both": (
+        "certify-tension --tb-q=5/3 --rot-q=-1/3 --order 3 --chi -1 --side both",
+        0,
+        """\
+            {
+              "bound": 1,
+              "witness": [
+                0,
+                1
+              ],
+              "max_n": 64
+            }
+        """,
+    ),
+    "rational certify-tension negative_only": (
+        "certify-tension --tb-q=5/3 --rot-q=-1/3 --order 3 --chi -1 --side negative_only",
+        0,
+        """\
+            {
+              "bound": 1,
+              "witness": [
+                0,
+                1
+              ],
+              "max_n": 64
+            }
+        """,
+    ),
+    "rational certify-tension positive_only": (
+        "certify-tension --tb-q=5/3 --rot-q=-1/3 --order 3 --chi -1 --side positive_only",
+        0,
+        """\
+            {
+              "bound": 2,
+              "witness": [
+                2,
+                0
+              ],
+              "max_n": 64
+            }
+        """,
+    ),
+    # The budget bounds the total: (0, 3) is found at --max-n 3, not at 2
+    # ("text certify-tension").
+    "certify-tension at its budget": (
+        "certify-tension --tb 3 --rot 0 --chi -1 --max-n 3 --side negative_only",
+        0,
+        """\
+            {
+              "bound": 3,
+              "witness": [
+                0,
+                3
+              ],
+              "max_n": 3
+            }
+        """,
+    ),
+    "negative --p-max": (
+        "search-examples --p-max -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "p_max must be nonnegative"
+              }
+            }
+        """,
+    ),
+    # A tag number past int()'s digit limit is an error document, not a traceback.
+    "5000-digit L2q tag": (
+        f"knot-record --tag L2q({'9' * 5000})",
+        1,
+        """\
+            {
+              "error": {
+                "type": "UnknownTag",
+                "message": "L2q number of 5000 digits is too large"
+              }
+            }
+        """,
+    ),
+    # Without --records the default file under HOME is read; a given
+    # --records is the file read, even when empty.
+    "default records file": (
+        "knot-record --name house",
+        0,
+        """\
+            {
+              "family": "house",
+              "max_tb": -2,
+              "rot_at_max_tb": [
+                1
+              ],
+              "chi": -3,
+              "g_s": null,
+              "plus_one_surgery_overtwisted": null,
+              "ambient": "tight-S3",
+              "order_positive": false
+            }
+        """,
+    ),
+    "empty --records": (
+        '--records "" knot-record --name house',
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "cannot read records file : [Errno 2] No such file or directory: ''"
+              }
+            }
+        """,
+    ),
+    # argparse stores [] for "--flag=--"; each is a usage error.
+    "double dash as --records": ("--records=-- knot-record --name k", 2, ""),
+    "double dash as --tag": ("knot-record --tag=--", 2, ""),
+    "double dash as an int": ("certify-unknot --tb=-- --rot 0", 2, ""),
+    "double dash as a choice": ("front-stabilize unknot.front --sign=--", 2, ""),
+    "double dash as a repeated flag": ("dual-invariants --tb -15 --rot -2 --chi -7 --stab=--", 2, ""),
 }
+CASES = {name: Case(*fields) for name, fields in CASES.items()}
 
 # The README's search-examples command prints 294 lines; they are pinned by
 # digest, and the one-certificate run of "text search-examples" pins the
@@ -473,22 +680,65 @@ SEARCH_EXAMPLES_P_MAX_5_SHA256 = (
 
 
 @pytest.fixture
-def workdir(tmp_path, monkeypatch):
+def workdir(tmp_path):
     for name, text in FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return tmp_path
 
 
-@pytest.mark.parametrize("argv, code, stdout", CASES.values(), ids=CASES)
-def test_stdout(workdir, capsys, argv, code, stdout):
-    assert main(argv.split()) == code
-    assert capsys.readouterr().out == dedent(stdout)
+@pytest.fixture
+def in_process(workdir, monkeypatch, capsys):
+    """A runner of command lines through ``cli.main``: (exit code, stdout)."""
+    monkeypatch.chdir(workdir)
+    monkeypatch.setenv("HOME", str(workdir))
+    # DEFAULT_RECORDS_PATH is computed from HOME at import time, so patch it directly
+    monkeypatch.setattr(cli, "DEFAULT_RECORDS_PATH", os.path.join(workdir, RECORDS))
+
+    def run(argv, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = cli.main(shlex.split(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    return run
 
 
-def test_readme_search_examples(capsys):
-    assert main(["search-examples", "--p-max", "5"]) == 0
-    out = capsys.readouterr().out
+@pytest.fixture
+def fresh_process(workdir):
+    """A runner of command lines as ``python -m nonloose.cli``: (exit code, stdout)."""
+
+    def run(argv, stdin=""):
+        done = run_python(["-m", "nonloose.cli", *shlex.split(argv)], stdin=stdin, cwd=workdir, home=workdir)
+        return done.returncode, done.stdout
+
+    return run
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+def test_stdout(in_process, case):
+    assert in_process(case.argv, case.stdin) == (case.code, dedent(case.stdout))
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+def test_stdout_fresh_process(fresh_process, case):
+    assert fresh_process(case.argv, case.stdin) == (case.code, dedent(case.stdout))
+
+
+def check_readme_search_examples(code, out):
+    assert code == 0
     knots = [c["knot"] for c in json.loads(out)["certificates"]]
     assert knots == ["torus(-3,2)", "torus(-4,3)", "torus(-5,2)", "torus(-5,3)", "torus(-5,4)"]
     assert len(out.splitlines()) == 294
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_EXAMPLES_P_MAX_5_SHA256
+
+
+def test_readme_search_examples(in_process):
+    check_readme_search_examples(*in_process("search-examples --p-max 5"))
+
+
+def test_readme_search_examples_fresh_process(fresh_process):
+    check_readme_search_examples(*fresh_process("search-examples --p-max 5"))

@@ -8,6 +8,7 @@ whenever the oracle exits, so argparse alone writes help and usage errors.
 
 import contextlib
 import io
+import shlex
 
 import cli_oracles
 import pytest
@@ -53,9 +54,13 @@ def test_help_is_the_oracles(monkeypatch, columns):
         assert parser.format_help() == subparsers(old)[name].format_help(), name
 
 
-@pytest.mark.parametrize("argv", [case[0] for case in CASES.values()], ids=CASES)
+# the golden command lines that are no usage error
+READ = {name: case.argv for name, case in CASES.items() if case.code != 2}
+
+
+@pytest.mark.parametrize("argv", READ.values(), ids=READ)
 def test_golden_command_lines_need_no_argparse(argv):
-    read, _ = check(argv.split())
+    read, _ = check(shlex.split(argv))
     assert read is not None
 
 

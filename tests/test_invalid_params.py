@@ -1,5 +1,6 @@
 """Library calls given values outside their domain raise InvalidParams."""
 
+import re
 from fractions import Fraction
 from math import inf, nan
 
@@ -14,7 +15,9 @@ from nonloose.certify import (
     certificate_bounds,
     check_consistency,
 )
-from nonloose.errors import InvalidParams
+from nonloose.errors import DiagramError, InvalidParams
+from nonloose.knotdata import KnotRecord, record_from_dict
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram
 
 
 @pytest.mark.parametrize("sign", ["x", "", "+-", "plus", None, 1])
@@ -57,6 +60,54 @@ def test_calculus_values_coerce_nothing(build):
     ``oriented`` is a bool); anything else is rejected, not converted."""
     with pytest.raises(InvalidParams, match="must be"):
         build()
+
+
+PASSIVE = SurgeryComponent("a", 1, 0, "passive")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: KnotRecord(3, -1, [0], 1), InvalidParams, "family must be a string, got 3"),
+        (lambda: KnotRecord("k", -1, [0], 1, ambient=7), InvalidParams, "ambient must be a string, got 7"),
+        (
+            lambda: KnotRecord("k", -1, [0], 1, plus_one_surgery_overtwisted="false"),
+            InvalidParams,
+            "plus_one_surgery_overtwisted must be true or false, got 'false'",
+        ),
+        (
+            lambda: KnotRecord("k", -1, [0], 1, order_positive="false"),
+            InvalidParams,
+            "order_positive must be true or false, got 'false'",
+        ),
+        (lambda: SurgeryComponent(5, 1, 0, "passive"), DiagramError, "component id must be a string, got 5"),
+        (lambda: SurgeryComponent("a", 1, 0, 1), DiagramError, "component coeff must be a string, got 1"),
+        (
+            lambda: SurgeryDiagram((PASSIVE,), ((0,),), ["a"]),
+            DiagramError,
+            "distinguished must be a string, got ['a']",
+        ),
+        (
+            lambda: SurgeryDiagram((PASSIVE,), (1,), "a"),
+            DiagramError,
+            "linking matrix shape must match the component count",
+        ),
+    ],
+    ids=["family", "ambient", "plus_one_surgery_overtwisted", "order_positive", "component id", "coeff",
+         "distinguished", "lk row not a sequence"],
+)
+def test_value_fields_checked_at_construction(build, error, message):
+    """A value built directly checks each field as its JSON reader does."""
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_record_names_its_first_bad_field():
+    doc = {"family": 3, "chi": 1, "ambient": 7, "order_positive": "x", "plus_one_surgery_overtwisted": "y"}
+    with pytest.raises(InvalidParams, match="plus_one_surgery_overtwisted must be"):
+        record_from_dict(doc)
+    with pytest.raises(InvalidParams, match="family must be"):
+        record_from_dict(dict(doc, plus_one_surgery_overtwisted=None))
 
 
 def test_calculus_values_keep_integers_exact():

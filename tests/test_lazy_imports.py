@@ -3,17 +3,12 @@ modules it runs.  Module sets are read in a fresh interpreter per command,
 since a test process has long since imported everything."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from fresh_process import run_python
 
 import nonloose
-
-SRC = Path(nonloose.__file__).resolve().parents[1]
 
 UNKNOT = "l 1\nr 1\n"
 README_DIAGRAM = {
@@ -57,13 +52,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nonloose.
 
 
 def fresh(code, *argv, options=()):
-    paths = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    out = subprocess.run(
-        [sys.executable, *options, "-c", code, *argv], env=env, capture_output=True, text=True, check=True,
-        timeout=60,
-    ).stdout
-    return json.loads(out.splitlines()[-1])
+    done = run_python([*options, "-c", code, *argv])
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_bare_import_loads_no_submodule():

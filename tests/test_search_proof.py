@@ -5,10 +5,13 @@ before building a certificate, is kept here as its oracle, and each of those
 checks is asserted for every pair.  Also: a tension bound with no witness
 does not transfer to a transverse knot."""
 
+import json
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from nonloose import cli
 from nonloose.calculus import ClassicalPair
 from nonloose.certify import (
     Certificate,
@@ -109,6 +112,19 @@ def test_every_pair_meets_every_hypothesis(p, q):
     n = -(p * q + 1)
     assert (dual.tb_q * n, dual.rot_q * n, dual.order_r) == (1, n - p - q, n)
     assert bennequin_rational(dual) is CheckResult.VIOLATED
+
+
+def test_command_certificates_violate_bennequin(capsys):
+    """``search-examples --p-max 40`` prints one certificate per coprime pair,
+    and each dual violates the rational Bennequin bound, checked here with
+    plain fractions and no library call."""
+    assert cli.main(["search-examples", "--p-max", str(P_MAX)]) == 0
+    certificates = json.loads(capsys.readouterr().out)["certificates"]
+    assert [c["knot"] for c in certificates] == [f"torus({p},{q})" for p, q in coprime_pairs(P_MAX)]
+    for c in certificates:
+        d = c["certificate"]["details"]
+        tb_q, rot_q = Fraction(d["dual_tb_q"]), Fraction(d["dual_rot_q"])
+        assert -abs(tb_q) + abs(rot_q) > Fraction(-d["chi"], d["dual_order_r"]), d
 
 
 class TestWitnessLessTransfer:
