@@ -21,7 +21,6 @@ _SUBMODULES = (
     "cli",
     "diagram",
     "errors",
-    "fields",
     "knotdata",
     "linalg",
     "surgery",
@@ -29,17 +28,7 @@ _SUBMODULES = (
 
 # The names the package exports, by the submodule that defines each.
 _EXPORTED_BY = {
-    "calculus": (
-        "ClassicalPair",
-        "RationalData",
-        "pushoff_sl",
-        "pushoff_sl_rational",
-        "rational_from_classical",
-        "reverse_class",
-        "reverse_rational",
-        "stabilize_class",
-        "stabilize_rational",
-    ),
+    "calculus": ("ClassicalPair", "RationalData"),
     "certify": (
         "Certificate",
         "CheckResult",
@@ -53,7 +42,6 @@ _EXPORTED_BY = {
         "check_consistency",
         "depth2_check",
         "depth_one_dual",
-        "not_a_stabilization_by_max_tb",
         "order_bounds",
         "order_zero_by_tb_bound",
         "possurg_depth_one",
@@ -88,7 +76,6 @@ _EXPORTED_BY = {
         "load_records",
         "named_example",
         "negative_torus_record",
-        "nonloose_unknot_table",
         "positive_torus_record",
         "unknot_record",
     ),
@@ -97,7 +84,6 @@ _EXPORTED_BY = {
         "SurgeryComponent",
         "SurgeryDiagram",
         "diagram_from_json",
-        "diagram_to_json",
         "dual_invariants",
         "linking_matrix",
         "rational_invariants",

@@ -24,21 +24,19 @@ from enum import Enum
 from fractions import Fraction
 from math import inf
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-from .calculus import ClassicalPair, RationalData, check_chi
+from .calculus import ClassicalPair, RationalData, _rational
 from .errors import (
-    AmbientMismatch,
     ContradictoryEvidence,
     IncompatibleRelation,
     InvalidParams,
     MissingChi,
     NotLoosened,
     Value,
+    check_chi,
+    read_int,
 )
-
-if TYPE_CHECKING:
-    from .knotdata import KnotRecord
 
 
 class CheckResult(str, Enum):
@@ -193,14 +191,12 @@ def bennequin_rational(d: RationalData) -> CheckResult:
 
 def transverse_bennequin(sl_q: Fraction | int, chi: int, order_r: int) -> CheckResult:
     """sl_Q <= -chi/r for non-loose transverse knots."""
-    if order_r < 1:
+    sl_q = _rational(sl_q, "sl_q")
+    read_int(chi, "chi", InvalidParams)
+    if read_int(order_r, "order_r", InvalidParams) < 1:
         raise InvalidParams("homological order must be >= 1")
     check_chi(chi, odd=False)
-    return (
-        CheckResult.VIOLATED
-        if Fraction(sl_q) > Fraction(-chi, order_r)
-        else CheckResult.HOLDS
-    )
+    return CheckResult.VIOLATED if sl_q > Fraction(-chi, order_r) else CheckResult.HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def tension_upper_bound(
         raise InvalidParams(f"side must be one of {_SIDES}, got {side!r}")
     if isinstance(data, ClassicalPair) and data.chi is None:
         raise MissingChi("the stabilization search needs chi")
-    if max_n < 0:
+    if read_int(max_n, "max_n", InvalidParams) < 0:
         raise InvalidParams("max_n must be nonnegative")
     if isinstance(data, RationalData):
         tb, rot, rhs = data.tb_q, data.rot_q, Fraction(-data.chi, data.order_r)
@@ -360,26 +356,6 @@ def depth_one_dual(is_stabilization: bool, complement_tight: bool) -> Certificat
     )
 
 
-def not_a_stabilization_by_max_tb(tb: int, record: KnotRecord) -> bool:
-    """True when tb equals the classified maximum, so no destabilization exists.
-
-    False only means unknown.  Sound because stabilizations strictly drop tb.
-    """
-    from .knotdata import AMBIENT_TIGHT_S3
-
-    if record.ambient != AMBIENT_TIGHT_S3:
-        raise AmbientMismatch(
-            f"record ambient {record.ambient!r} is not the tight S3 classification"
-        )
-    if record.max_tb is None:
-        raise InvalidParams(f"record {record.family!r} carries no maximal tb")
-    if tb > record.max_tb:
-        raise InvalidParams(
-            f"tb = {tb} exceeds the maximal value {record.max_tb} for {record.family}"
-        )
-    return tb == record.max_tb
-
-
 def tension_one_dual(
     tb: int, rot: int, chi: int, surgery_overtwisted: bool
 ) -> Certificate:
@@ -390,6 +366,9 @@ def tension_one_dual(
     exactly 1 once the surgery is overtwisted.  ``chi`` is that of the knot's
     Seifert surface: odd and at most 1, else ``InvalidParams``.
     """
+    read_int(tb, "tb", InvalidParams)
+    read_int(rot, "rot", InvalidParams)
+    read_int(chi, "chi", InvalidParams)
     check_chi(chi)
     return _criterion(
         {
@@ -425,7 +404,7 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
         its rational Bennequin violation -|tb_Q| + |rot_Q| > -chi/r reads
         n - 1 - p - q > p - q - pq, which reduces to p < -1 as well.
     """
-    if p_max < 0:
+    if read_int(p_max, "p_max", InvalidParams) < 0:
         raise InvalidParams("p_max must be nonnegative")
     from .knotdata import negative_torus_record
     from .surgery import dual_invariants
@@ -500,7 +479,8 @@ def possurg_depth_one(tb: int, g_s: int) -> Certificate:
 
     Requires tb = 2 g_s - 1 > 1, which makes (+1)-surgery on K tight.
     """
-    if g_s < 0:
+    read_int(tb, "tb", InvalidParams)
+    if read_int(g_s, "g_s", InvalidParams) < 0:
         raise InvalidParams("smooth 4-ball genus must be nonnegative")
     return _criterion(
         {"tb == 2*g_s - 1": tb == 2 * g_s - 1, "tb > 1": tb > 1},
@@ -521,6 +501,8 @@ def possurg_depth_one(tb: int, g_s: int) -> Certificate:
 def order_bounds(a: int, b: int, loosened: bool) -> Certificate:
     """From a loosening by a positive and b negative stabilizations:
     o(L) <= a, o(-L) <= b, and their sum bounds the unoriented order."""
+    read_int(a, "a", InvalidParams)
+    read_int(b, "b", InvalidParams)
     if a < 0 or b < 0:
         raise InvalidParams("stabilization counts must be nonnegative")
     if not loosened:

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all modules, and :class:`Value`, the base of
-every immutable value class, kept here because every command loads this module.
+"""Exception hierarchy shared by all modules, :class:`Value`, the base of every
+immutable value class, and the value rules: the strict field readers and the
+chi rule.  They live here because every command loads this module.
 
 Every domain-level failure raises a subclass of :class:`DomainError`, so the
 CLI can map any of them onto exit code 1 with a machine-readable payload.
+
+``json`` loads ``true`` as a ``bool``, which Python counts as an ``int``, and
+``-16.7`` as a float that ``int()`` would truncate.  The readers accept only
+the type a field documents and raise the caller's domain error for any other
+value, so nothing is coerced silently.
 """
 
 from __future__ import annotations
@@ -113,10 +119,6 @@ class UnknownTag(DomainError):
     pass
 
 
-class AmbientMismatch(DomainError):
-    pass
-
-
 class NotLoosened(DomainError):
     pass
 
@@ -127,3 +129,33 @@ class ContradictoryEvidence(DomainError):
 
 class IncompatibleRelation(DomainError):
     pass
+
+
+def read_int(value: object, what: str, error: type[DomainError]) -> int:
+    """``value`` if it is an integer and not a boolean; else raise ``error``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def read_str(value: object, what: str, error: type[DomainError]) -> str:
+    """``value`` if it is a string; else raise ``error``."""
+    if isinstance(value, str):
+        return value
+    raise error(f"{what} must be a string, got {value!r}")
+
+
+def read_bool(value: object, what: str, error: type[DomainError]) -> bool:
+    """``value`` if it is ``true`` or ``false``; else raise ``error``."""
+    if isinstance(value, bool):
+        return value
+    raise error(f"{what} must be true or false, got {value!r}")
+
+
+def check_chi(chi: int, odd: bool = True) -> None:
+    """chi <= 1, and chi = 1 - 2g is odd for a knot's Seifert surface; a rational
+    one may have several boundary components, so ``odd=False`` skips parity."""
+    if chi > 1:
+        raise InvalidParams(f"chi must be <= 1, got {chi}")
+    if odd and chi % 2 == 0:
+        raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {chi}")

@@ -14,8 +14,7 @@ import re
 from math import gcd
 from typing import Iterable
 
-from .errors import InvalidParams, UnknownTag, Value
-from .fields import read_bool, read_int, read_str
+from .errors import InvalidParams, UnknownTag, Value, check_chi, read_bool, read_int, read_str
 
 AMBIENT_TIGHT_S3 = "tight-S3"
 
@@ -41,18 +40,17 @@ class KnotRecord(Value):
         if max_tb is not None:
             read_int(max_tb, "max_tb", InvalidParams)
         if not isinstance(rot_at_max_tb, frozenset):
-            rot_at_max_tb = tuple(rot_at_max_tb)  # each entry is read before a set merges True into 1
+            try:
+                rot_at_max_tb = tuple(rot_at_max_tb)  # each entry is read before a set merges True into 1
+            except TypeError:
+                raise InvalidParams(f"rot_at_max_tb must be a list of integers, got {rot_at_max_tb!r}") from None
         for r in rot_at_max_tb:
             read_int(r, "rot_at_max_tb entry", InvalidParams)
         rot_at_max_tb = frozenset(rot_at_max_tb)
         read_int(chi, "chi", InvalidParams)
         if g_s is not None:
             read_int(g_s, "g_s", InvalidParams)
-        # calculus.check_chi, repeated so that a record loads without calculus
-        if chi > 1:
-            raise InvalidParams(f"chi must be <= 1, got {chi}")
-        if chi % 2 == 0:
-            raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {chi}")
+        check_chi(chi)
         if g_s is not None and g_s < 0:
             raise InvalidParams("smooth 4-ball genus must be nonnegative")
         if ambient == AMBIENT_TIGHT_S3 and max_tb is not None:
@@ -103,18 +101,6 @@ def positive_torus_record(p: int, q: int) -> KnotRecord:
         chi=p + q - p * q,
         g_s=(p - 1) * (q - 1) // 2,
     )
-
-
-def nonloose_unknot_table(n_max: int) -> list[tuple[int, int]]:
-    """The (tb, rot) pairs realizable by non-loose unknots, for tb up to n_max."""
-    if n_max < 1:
-        raise InvalidParams(f"n_max must be >= 1, got {n_max}")
-    pairs: list[tuple[int, int]] = []
-    for n in range(1, n_max + 1):
-        pairs.append((n, n - 1))
-        if n > 1:
-            pairs.append((n, -(n - 1)))
-    return pairs
 
 
 _TAG_RE = re.compile(r"(L2q|LOSSfamily)\(([0-9]+)\)")

@@ -25,8 +25,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .calculus import RationalData
-from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value
-from .fields import read_int, read_str
+from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, read_int, read_str
 from .linalg import Matrix, solve_exact
 
 COEFF_PLUS = "+1"
@@ -59,6 +58,9 @@ class SurgeryDiagram(Value):
             lk = tuple(tuple(row) for row in lk)
         except TypeError:  # lk, or a row of it, is not a sequence
             raise DiagramError("linking matrix shape must match the component count") from None
+        for c in components:
+            if not isinstance(c, SurgeryComponent):
+                raise DiagramError(f"a diagram's components must be SurgeryComponent values, got {c!r}")
         ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise DiagramError("component ids must be unique")
@@ -90,10 +92,15 @@ class SurgeryDiagram(Value):
         n = len(components)
         lk = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
-        for ida, idb, value in lk_pairs:
-            if ida not in index or idb not in index:
-                raise DiagramError(f"linking pair names unknown component: {ida!r}, {idb!r}")
-            i, j = index[ida], index[idb]
+        for entry in lk_pairs:
+            try:
+                ida, idb, value = entry
+            except (TypeError, ValueError):  # not a sequence, or not of three
+                raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]") from None
+            try:
+                i, j = index[ida], index[idb]
+            except (KeyError, TypeError):  # TypeError: an id that cannot be a key
+                raise DiagramError(f"linking pair names unknown component: {ida!r}, {idb!r}") from None
             if i == j:
                 raise DiagramError(f"self-linking entry for {ida!r} is not allowed")
             key = (min(i, j), max(i, j))
@@ -167,6 +174,8 @@ def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData
     r is the order of tb in Z/(tb + 1), which is all of |tb + 1| because
     gcd(tb, tb + 1) = 1.
     """
+    for value, what in ((tb, "tb"), (rot, "rot"), (a, "a"), (b, "b")):
+        read_int(value, what, InvalidParams)
     if tb == -1:
         raise MeridionalSlope("tb = -1 makes (+1)-surgery meridional (det M = 0)")
     if a < 0 or b < 0:
@@ -202,18 +211,3 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
         pairs.append((ida, idb, entry[2]))
     return SurgeryDiagram.build(tuple(comps), pairs, distinguished)
 
-
-def diagram_to_json(diag: SurgeryDiagram) -> dict:
-    pairs = []
-    for i in range(len(diag.components)):
-        for j in range(i + 1, len(diag.components)):
-            if diag.lk[i][j]:
-                pairs.append([diag.components[i].id, diag.components[j].id, diag.lk[i][j]])
-    return {
-        "components": [
-            {"id": c.id, "tb": c.tb, "rot": c.rot, "coeff": c.coeff}
-            for c in diag.components
-        ],
-        "lk": pairs,
-        "distinguished": diag.distinguished,
-    }

@@ -18,7 +18,6 @@ from nonloose.certify import (
     bennequin_rational,
     check_consistency,
     depth_one_dual,
-    not_a_stabilization_by_max_tb,
     order_bounds,
     order_zero_by_tb_bound,
     possurg_depth_one,
@@ -94,7 +93,7 @@ def test_criterion_2_flagship_example():
         assert bennequin_rational(dual) is CheckResult.VIOLATED
         tension = tension_one_dual(tb_val, rot_val, chi, rec.plus_one_surgery_overtwisted)
         assert tension.verdict is Verdict.TENSION_EXACTLY_ONE
-        assert not_a_stabilization_by_max_tb(tb_val, rec) is True
+        assert tb_val == rec.max_tb
         depth = depth_one_dual(is_stabilization=False, complement_tight=True)
         assert depth.verdict is Verdict.DEPTH_AT_LEAST_TWO
     print(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonloose.calculus import ClassicalPair, RationalData, stabilize_class
+from nonloose.calculus import ClassicalPair, RationalData
 from nonloose.certify import (
     Certificate,
     CheckResult,
@@ -20,7 +20,6 @@ from nonloose.certify import (
     check_consistency,
     depth2_check,
     depth_one_dual,
-    not_a_stabilization_by_max_tb,
     order_bounds,
     order_zero_by_tb_bound,
     possurg_depth_one,
@@ -34,14 +33,12 @@ from nonloose.certify import (
     unknot_verdict,
 )
 from nonloose.errors import (
-    AmbientMismatch,
     ContradictoryEvidence,
     IncompatibleRelation,
     InvalidParams,
     MissingChi,
     NotLoosened,
 )
-from nonloose.knotdata import named_example, negative_torus_record
 
 
 class TestBennequinChecks:
@@ -102,7 +99,8 @@ class TestUnknotVerdict:
 
 
 def _violates_classical(p: ClassicalPair, a: int, b: int) -> bool:
-    return bennequin_null(stabilize_class(p, a, b)) is CheckResult.VIOLATED
+    """Bennequin fails after a positive and b negative stabilizations: tb -= a + b, rot += a - b."""
+    return bennequin_null(ClassicalPair(p.tb - a - b, p.rot + a - b, p.chi)) is CheckResult.VIOLATED
 
 
 class TestTensionUpperBound:
@@ -189,17 +187,6 @@ class TestDualCertificates:
             "is_stabilization": True,
             "complement_tight": True,
         }
-
-    def test_not_a_stabilization(self):
-        rec = negative_torus_record(-5, 3)
-        assert not_a_stabilization_by_max_tb(-15, rec) is True
-        assert not_a_stabilization_by_max_tb(-16, rec) is False
-        with pytest.raises(InvalidParams):
-            not_a_stabilization_by_max_tb(-14, rec)
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatch):
-            not_a_stabilization_by_max_tb(3, named_example("L2q(3)"))
 
     def test_tension_one_dual(self):
         assert (

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from nonloose import cli
-from nonloose.calculus import ClassicalPair, RationalData, rational_from_classical
+from nonloose.calculus import RationalData
 from nonloose.certify import CheckResult, tension_one_dual, transverse_bennequin
 from nonloose.errors import InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
@@ -105,7 +105,6 @@ def test_library_checks():
         transverse_bennequin(1, 3, 1)
     assert RationalData(Fraction(1, 3), 0, 3, -2).chi == -2
     assert transverse_bennequin(Fraction(1, 3), 0, 3) is CheckResult.VIOLATED
-    assert rational_from_classical(ClassicalPair(-3, 0, chi=-1)) == RationalData(-3, 0, 1, -1)
 
 
 @pytest.mark.parametrize("chi", [-4, 0, -10])

@@ -292,6 +292,24 @@ CASES = {
             }
         """
     ),
+    "knot-record positive torus": (
+        "knot-record --family positive-torus --p 2 --q 3",
+        0,
+        """\
+            {
+              "family": "torus(2,3)",
+              "max_tb": 1,
+              "rot_at_max_tb": [
+                0
+              ],
+              "chi": -1,
+              "g_s": 1,
+              "plus_one_surgery_overtwisted": null,
+              "ambient": "tight-S3",
+              "order_positive": false
+            }
+        """
+    ),
     "readme knot-record tag": (
         "knot-record --tag L2q(3)",
         0,

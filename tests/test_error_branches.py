@@ -1,21 +1,19 @@
 """One test for each branch no other test reaches: the empty tension search
 in both renderings, records lookups that find nothing, rejected parameters of
-the certify, calculus and knotdata layers, directly built malformed surgery
+the certify and knotdata layers, directly built malformed surgery
 diagrams, a zero self-linking pair and the infinite-order sentinel's repr."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
 from linalg_oracles import INFINITE
 from nonloose import cli
-from nonloose.calculus import ClassicalPair, RationalData, rational_from_classical, stabilize_rational
+from nonloose.calculus import ClassicalPair
 from nonloose.certify import (
     Certificate,
     Reason,
     Verdict,
-    not_a_stabilization_by_max_tb,
     order_bounds,
     possurg_depth_one,
     tension_less_than_depth_search,
@@ -80,12 +78,6 @@ def test_example_search_takes_a_zero_budget(capsys):
     assert (code, json.loads(out)) == (0, {"certificates": []})
 
 
-def test_max_tb_rule_needs_a_maximal_tb():
-    record = KnotRecord("mystery", None, frozenset(), -1)
-    with pytest.raises(InvalidParams, match="carries no maximal tb"):
-        not_a_stabilization_by_max_tb(-1, record)
-
-
 def test_negative_four_ball_genus_and_stabilization_counts():
     with pytest.raises(InvalidParams, match="smooth 4-ball genus must be nonnegative"):
         possurg_depth_one(3, -1)
@@ -96,14 +88,6 @@ def test_negative_four_ball_genus_and_stabilization_counts():
 def test_certificate_serializes_frozenset_details_sorted():
     cert = Certificate(Verdict.ORDER_ZERO, {"rots": frozenset({3, -1, 1})}, (Reason("rule", "note"),))
     assert cert.to_dict()["details"] == {"rots": [-1, 1, 3]}
-
-
-def test_rational_calculus_rejects_bad_parameters():
-    data = RationalData(Fraction(1, 14), Fraction(8, 7), 14, -7)
-    with pytest.raises(InvalidParams, match="stabilization counts must be nonnegative"):
-        stabilize_rational(data, -1, 0)
-    with pytest.raises(InvalidParams, match="chi required"):
-        rational_from_classical(ClassicalPair(-1, 0))
 
 
 def test_knot_record_rejects_bad_chi_and_genus():

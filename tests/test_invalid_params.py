@@ -6,7 +6,7 @@ from math import inf, nan
 
 import pytest
 
-from nonloose.calculus import ClassicalPair, RationalData, pushoff_sl
+from nonloose.calculus import ClassicalPair, RationalData
 from nonloose.certify import (
     Certificate,
     Reason,
@@ -14,16 +14,17 @@ from nonloose.certify import (
     bundle_is_consistent,
     certificate_bounds,
     check_consistency,
+    order_bounds,
+    possurg_depth_one,
+    tension_certificate,
+    tension_less_than_depth_search,
+    tension_one_dual,
+    tension_upper_bound,
+    transverse_bennequin,
 )
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
-from nonloose.surgery import SurgeryComponent, SurgeryDiagram
-
-
-@pytest.mark.parametrize("sign", ["x", "", "+-", "plus", None, 1])
-def test_pushoff_sl_bad_sign(sign):
-    with pytest.raises(InvalidParams, match="sign must be"):
-        pushoff_sl(ClassicalPair(-2, 1), sign)
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, dual_invariants
 
 
 @pytest.mark.parametrize(
@@ -36,8 +37,6 @@ def test_pushoff_sl_bad_sign(sign):
         lambda: ClassicalPair("1", 0, -1),
         lambda: ClassicalPair(1, 0, -1.0),
         lambda: ClassicalPair(1, 0, True),
-        lambda: ClassicalPair(1, 0, -1, oriented=1),
-        lambda: ClassicalPair(1, 0, -1, oriented=None),
         lambda: RationalData(0.1, 0, 1, -1),
         lambda: RationalData("3/2", 0, 1, -1),
         lambda: RationalData(True, 0, 1, -1),
@@ -50,14 +49,14 @@ def test_pushoff_sl_bad_sign(sign):
         lambda: RationalData(0, 0, 1, True),
     ],
     ids=[
-        "float tb", "float rot", "bool tb", "bool rot", "str tb", "float chi", "bool chi", "int oriented",
-        "None oriented", "float tb_q", "str tb_q", "bool tb_q", "float rot_q", "bool rot_q", "float order_r",
-        "bool order_r", "Fraction order_r", "float rational chi", "bool rational chi",
+        "float tb", "float rot", "bool tb", "bool rot", "str tb", "float chi", "bool chi", "float tb_q", "str tb_q",
+        "bool tb_q", "float rot_q", "bool rot_q", "float order_r", "bool order_r", "Fraction order_r",
+        "float rational chi", "bool rational chi",
     ],
 )
 def test_calculus_values_coerce_nothing(build):
-    """Each field is an int that is no bool (tb_Q and rot_Q may be Fractions,
-    ``oriented`` is a bool); anything else is rejected, not converted."""
+    """Each field is an int that is no bool (tb_Q and rot_Q may be Fractions);
+    anything else is rejected, not converted."""
     with pytest.raises(InvalidParams, match="must be"):
         build()
 
@@ -92,14 +91,84 @@ PASSIVE = SurgeryComponent("a", 1, 0, "passive")
             DiagramError,
             "linking matrix shape must match the component count",
         ),
+        (
+            lambda: SurgeryDiagram(("a",), ((0,),), "a"),
+            DiagramError,
+            "a diagram's components must be SurgeryComponent values, got 'a'",
+        ),
+        (lambda: KnotRecord("k", -1, 5, 1), InvalidParams, "rot_at_max_tb must be a list of integers, got 5"),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, SurgeryComponent("b", 1, 0, "+1")), [["a", "b"]], "a"),
+            DiagramError,
+            "bad lk entry ['a', 'b']; expected [idA, idB, int]",
+        ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, SurgeryComponent("b", 1, 0, "+1")), [(["a"], "b", 1)], "a"),
+            DiagramError,
+            "linking pair names unknown component: ['a'], 'b'",
+        ),
     ],
     ids=["family", "ambient", "plus_one_surgery_overtwisted", "order_positive", "component id", "coeff",
-         "distinguished", "lk row not a sequence"],
+         "distinguished", "lk row not a sequence", "component not a SurgeryComponent", "rot_at_max_tb not iterable",
+         "lk entry of two", "unhashable lk id"],
 )
 def test_value_fields_checked_at_construction(build, error, message):
     """A value built directly checks each field as its JSON reader does."""
     with pytest.raises(error, match=re.escape(message)):
         build()
+
+
+def test_direct_values_fail_as_their_json_readers_do():
+    """A record or lk entry built directly is rejected with the message its JSON reader gives."""
+    with pytest.raises(InvalidParams, match=re.escape("rot_at_max_tb must be a list of integers, got 5")):
+        record_from_dict({"family": "k", "max_tb": -1, "rot_at_max_tb": 5, "chi": 1})
+    doc = {
+        "components": [
+            {"id": "a", "tb": 1, "rot": 0, "coeff": "passive"},
+            {"id": "b", "tb": 1, "rot": 0, "coeff": "+1"},
+        ],
+        "lk": [["a", "b"]],
+        "distinguished": "a",
+    }
+    with pytest.raises(DiagramError, match=re.escape("bad lk entry ['a', 'b']; expected [idA, idB, int]")):
+        diagram_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: transverse_bennequin(0.1, -1, 1), "sl_q must be an integer or a Fraction, got 0.1"),
+        (lambda: transverse_bennequin("1", -1, 1), "sl_q must be an integer or a Fraction, got '1'"),
+        (lambda: transverse_bennequin(1, -1.0, 1), "chi must be an integer, got -1.0"),
+        (lambda: transverse_bennequin(1, -1, True), "order_r must be an integer, got True"),
+        (lambda: tension_one_dual(-15.0, -2, -7, True), "tb must be an integer, got -15.0"),
+        (lambda: tension_one_dual(-15, True, -7, True), "rot must be an integer, got True"),
+        (lambda: tension_one_dual(-15, -2, -7.0, True), "chi must be an integer, got -7.0"),
+        (lambda: order_bounds(1.5, 0, True), "a must be an integer, got 1.5"),
+        (lambda: order_bounds(1, False, True), "b must be an integer, got False"),
+        (lambda: possurg_depth_one(1.0, 1), "tb must be an integer, got 1.0"),
+        (lambda: possurg_depth_one(1, 1.0), "g_s must be an integer, got 1.0"),
+        (lambda: tension_upper_bound(ClassicalPair(3, 0, -1), max_n=True), "max_n must be an integer, got True"),
+        (lambda: tension_upper_bound(ClassicalPair(3, 0, -1), max_n=1.5), "max_n must be an integer, got 1.5"),
+        (lambda: tension_certificate(ClassicalPair(3, 0, -1), max_n="8"), "max_n must be an integer, got '8'"),
+        (lambda: tension_less_than_depth_search(2.5), "p_max must be an integer, got 2.5"),
+        (lambda: dual_invariants(-1.0, 0, 0, 0, 1), "tb must be an integer, got -1.0"),
+        (lambda: dual_invariants(-15, True, 1, 0, -7), "rot must be an integer, got True"),
+        (lambda: dual_invariants(-15, -2, 1.0, 0, -7), "a must be an integer, got 1.0"),
+        (lambda: dual_invariants(-15, -2, 1, 0.0, -7), "b must be an integer, got 0.0"),
+    ],
+    ids=[
+        "transverse float sl_q", "transverse str sl_q", "transverse float chi", "transverse bool order_r",
+        "dual float tb", "dual bool rot", "dual float chi", "order float a", "order bool b", "possurg float tb",
+        "possurg float g_s", "bool max_n", "float max_n", "str max_n via certificate", "float p_max",
+        "dual invariants float tb", "dual invariants bool rot", "dual invariants float a", "dual invariants float b",
+    ],
+)
+def test_certify_arguments_coerce_nothing(call, message):
+    """Each integer argument is an int that is no bool, and sl_Q an int or a
+    Fraction; anything else is rejected before any range check, not converted."""
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        call()
 
 
 def test_record_names_its_first_bad_field():
@@ -111,7 +180,7 @@ def test_record_names_its_first_bad_field():
 
 
 def test_calculus_values_keep_integers_exact():
-    assert ClassicalPair(1, -2, None, False).chi is None
+    assert ClassicalPair(1, -2, None).chi is None
     data = RationalData(3, Fraction(1, 2), 2, -2)
     assert (data.tb_q, data.rot_q) == (Fraction(3), Fraction(1, 2))
     assert type(data.tb_q) is Fraction

@@ -10,7 +10,6 @@ from nonloose.knotdata import (
     load_records,
     named_example,
     negative_torus_record,
-    nonloose_unknot_table,
     positive_torus_record,
     record_from_dict,
     record_to_dict,
@@ -102,19 +101,6 @@ class TestBennequinGuard:
     def test_guard_rejects_violation(self):
         with pytest.raises(InvalidParams):
             KnotRecord("fake", max_tb=0, rot_at_max_tb=frozenset({0}), chi=1)
-
-
-class TestUnknotTable:
-    def test_examples(self):
-        assert nonloose_unknot_table(1) == [(1, 0)]
-        assert nonloose_unknot_table(2) == [(1, 0), (2, 1), (2, -1)]
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParams):
-            nonloose_unknot_table(0)
-
-    def test_counts(self):
-        assert len(nonloose_unknot_table(10)) == 1 + 2 * 9
 
 
 class TestNamedExamples:

@@ -20,7 +20,6 @@ from nonloose.certify import (
     Verdict,
     bennequin_rational,
     depth_one_dual,
-    not_a_stabilization_by_max_tb,
     tension_certificate,
     tension_less_than_depth_search,
     tension_one_dual,
@@ -47,7 +46,7 @@ def guarded_search(p_max):
             tension = tension_one_dual(tb, rot, chi, rec.plus_one_surgery_overtwisted)
             if tension.verdict is not Verdict.TENSION_EXACTLY_ONE:
                 continue
-            if not not_a_stabilization_by_max_tb(tb, rec):
+            if tb != rec.max_tb:  # a stabilization drops tb below the classified maximum
                 continue
             depth = depth_one_dual(is_stabilization=False, complement_tight=True)
             dual = dual_invariants(tb, rot, 1, 0, chi)
@@ -107,7 +106,7 @@ def test_every_pair_meets_every_hypothesis(p, q):
     assert rec.plus_one_surgery_overtwisted is True
     tension = tension_one_dual(tb, p + q, chi, rec.plus_one_surgery_overtwisted)
     assert tension.verdict is Verdict.TENSION_EXACTLY_ONE
-    assert not_a_stabilization_by_max_tb(tb, rec)
+    assert tb == rec.max_tb
     dual = dual_invariants(tb, p + q, 1, 0, chi)
     n = -(p * q + 1)
     assert (dual.tb_q * n, dual.rot_q * n, dual.order_r) == (1, n - p - q, n)

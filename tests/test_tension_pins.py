@@ -28,7 +28,7 @@ def _violates(data: ClassicalPair | RationalData, a: int, b: int) -> bool:
     if isinstance(data, RationalData):
         moved = RationalData(data.tb_q - a - b, data.rot_q + a - b, data.order_r, data.chi)
         return bennequin_rational(moved) is CheckResult.VIOLATED
-    moved = ClassicalPair(data.tb - a - b, data.rot + a - b, data.chi, data.oriented)
+    moved = ClassicalPair(data.tb - a - b, data.rot + a - b, data.chi)
     return bennequin_null(moved) is CheckResult.VIOLATED
 
 

@@ -33,7 +33,7 @@ README_DIAGRAM = {
 
 # one value of each class, and the fields its constructor takes
 VALUES = [
-    (ClassicalPair(3, 0, -1), ("tb", "rot", "chi", "oriented")),
+    (ClassicalPair(3, 0, -1), ("tb", "rot", "chi")),
     (RationalData(Fraction(1, 14), Fraction(8, 7), 14, -7), ("tb_q", "rot_q", "order_r", "chi")),
     (Reason("rule", "note", {"tb": 3}), ("rule", "note", "inputs")),
     (
@@ -171,7 +171,7 @@ def diagrams(draw):
 reasons = recipe("Reason", names, names, mapping)
 words = event_lists().map(lambda events: Recipe("FrontWord", (events,)))
 RECIPES = {
-    "ClassicalPair": recipe("ClassicalPair", small, small, st.none() | chi, st.booleans()),
+    "ClassicalPair": recipe("ClassicalPair", small, small, st.none() | chi),
     "RationalData": recipe("RationalData", rational, rational, st.integers(-2, 9), chi),
     "Reason": reasons,
     "Certificate": recipe(

@@ -32,7 +32,6 @@ class ClassicalPair:
     tb: int
     rot: int
     chi: int | None = None
-    oriented: bool = True
 
     def __post_init__(self):
         if self.chi is not None:
