@@ -10,28 +10,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParams, Value, check_chi, read_int
+from .errors import InvalidParams, Value, check_chi, optional, rational, read_int
 
-
-def _rational(value, what: str) -> Fraction:
-    """``value`` as a Fraction if it is one or an integer; else InvalidParams."""
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return value if type(value) is Fraction else Fraction(value)
-    raise InvalidParams(f"{what} must be an integer or a Fraction, got {value!r}")
+read_fraction = rational(Fraction)
 
 
 class ClassicalPair(Value):
     """(tb, rot) of an oriented Legendrian knot, with optional genus data."""
 
     __slots__ = _fields = ("tb", "rot", "chi")
+    _rules = {"tb": read_int, "rot": read_int, "chi": optional(read_int)}
 
     def __init__(self, tb: int, rot: int, chi: int | None = None):
-        read_int(tb, "tb", InvalidParams)
-        read_int(rot, "rot", InvalidParams)
-        if chi is not None:
-            read_int(chi, "chi", InvalidParams)
-            check_chi(chi)
         self._set(tb, rot, chi)
+        if chi is not None:
+            check_chi(chi)
 
 
 class RationalData(Value):
@@ -42,12 +35,10 @@ class RationalData(Value):
     """
 
     __slots__ = _fields = ("tb_q", "rot_q", "order_r", "chi")
+    _rules = {"tb_q": read_fraction, "rot_q": read_fraction, "order_r": read_int, "chi": read_int}
 
     def __init__(self, tb_q: Fraction | int, rot_q: Fraction | int, order_r: int, chi: int):
-        tb_q, rot_q = _rational(tb_q, "tb_q"), _rational(rot_q, "rot_q")
-        read_int(order_r, "order_r", InvalidParams)
-        read_int(chi, "chi", InvalidParams)
+        self._set(tb_q, rot_q, order_r, chi)
         check_chi(chi, odd=False)
         if order_r < 1:
             raise InvalidParams(f"homological order must be >= 1, got {order_r}")
-        self._set(tb_q, rot_q, order_r, chi)

@@ -4,8 +4,8 @@ The sole looseness oracle implemented here is a violated Bennequin-type
 inequality; every depth/tension/order statement derived from it is a bound
 with an explicit witness.  Hypotheses the library cannot decide (tightness of
 a complement, overtwistedness of a surgery, nonvanishing of a Floer class)
-enter as boolean evidence flags supplied by the caller, and every certificate
-echoes exactly the flags it consumed.
+enter as evidence flags supplied by the caller, each read as true or false,
+and every certificate echoes exactly the flags it consumed.
 
 A theorem checked against its hypotheses is one criterion: named clauses and
 a bound window.  If every clause holds it gives its verdict with that window,
@@ -26,7 +26,7 @@ from math import inf
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from .calculus import ClassicalPair, RationalData, _rational
+from .calculus import ClassicalPair, RationalData, read_fraction
 from .errors import (
     ContradictoryEvidence,
     IncompatibleRelation,
@@ -34,8 +34,12 @@ from .errors import (
     MissingChi,
     NotLoosened,
     Value,
-    check_chi,
+    member,
+    members,
+    read_bool,
     read_int,
+    read_mapping,
+    read_str,
 )
 
 
@@ -64,34 +68,26 @@ _EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 class Reason(Value):
     __slots__ = _fields = ("rule", "note", "inputs")
+    _rules = {"rule": read_str, "note": read_str, "inputs": read_mapping}
 
     def __init__(self, rule: str, note: str, inputs: Mapping[str, Any] = _EMPTY):
-        self._set(rule, note, MappingProxyType(dict(inputs)))
-
-    def __reduce__(self):
-        # a mappingproxy cannot be copied or pickled; the constructor wraps the dict again
-        return Reason, (self.rule, self.note, dict(self.inputs))
+        self._set(rule, note, inputs)
 
 
 class Certificate(Value):
     __slots__ = _fields = ("verdict", "details", "reasons", "assumptions")
+    _rules = {
+        "reasons": members(Reason), "verdict": member(Verdict), "details": read_mapping, "assumptions": read_mapping
+    }
+    _labels = {"reasons": "a certificate's reasons"}
 
     def __init__(
         self, verdict: Verdict, details: Mapping[str, Any] = _EMPTY, reasons: Iterable[Reason] = (),
         assumptions: Mapping[str, bool] = _EMPTY,
     ):
-        reasons = tuple(reasons)
-        if not reasons:
+        self._set(verdict, details, reasons, assumptions)
+        if not self.reasons:
             raise InvalidParams("a certificate must carry at least one reason")
-        for r in reasons:
-            if not isinstance(r, Reason):
-                raise InvalidParams(f"a certificate's reasons must be Reason values, got {r!r}")
-        if not isinstance(verdict, Verdict):
-            raise InvalidParams(f"verdict must be a Verdict, got {verdict!r}")
-        self._set(verdict, MappingProxyType(dict(details)), reasons, MappingProxyType(dict(assumptions)))
-
-    def __reduce__(self):
-        return Certificate, (self.verdict, dict(self.details), self.reasons, dict(self.assumptions))
 
     def to_dict(self) -> dict:
         return {
@@ -119,12 +115,7 @@ def _jsonable(value):
 
 def _certificate(verdict, details, rule, note, inputs=None, assumptions=None) -> Certificate:
     """A certificate resting on a single reason."""
-    return Certificate(
-        verdict,
-        details=details,
-        reasons=(Reason(rule, note, inputs or {}),),
-        assumptions=assumptions or {},
-    )
+    return Certificate(verdict, details, (Reason(rule, note, inputs or _EMPTY),), assumptions or _EMPTY)
 
 
 def _loose(rule, note, inputs=None, *, context=None, assumptions=None, **extra) -> Certificate:
@@ -133,6 +124,13 @@ def _loose(rule, note, inputs=None, *, context=None, assumptions=None, **extra) 
     zero = {"depth_min": 0, "depth_max": 0, "tension_min": 0, "tension_max": 0}
     details = {**(context or {}), **zero, **extra}
     return _certificate(Verdict.LOOSE_CERTIFIED, details, rule, note, inputs, assumptions)
+
+
+def _flags(**flags: bool) -> dict[str, bool]:
+    """The caller's evidence flags by name, each read as true or false."""
+    for name, flag in flags.items():
+        read_bool(flag, name, InvalidParams)
+    return flags
 
 
 _LOOSE_COMPLEMENT = ("loose-complement", "an overtwisted complement is the definition of loose")
@@ -150,21 +148,24 @@ def _criterion(
     return _certificate(verdict, {**inputs, **window}, rule, note, inputs, assumptions)
 
 
+def _read_surface_kind(value, what, error):
+    if value in ("punctured-torus", "punctured-klein-bottle"):
+        return value
+    raise error(f"{what} must name a once-punctured torus or Klein bottle, got {value!r}")
+
+
 class Depth2Witness(Value):
     """Caller-verified geometric witness for the depth-two characterization, on
-    a ``surface_kind`` of "punctured-torus" or "punctured-klein-bottle"."""
+    a ``surface_kind`` of "punctured-torus" or "punctured-klein-bottle", with
+    integer twisting numbers and three flags."""
 
     __slots__ = _fields = (
         "surface_kind", "tw_boundary", "tw_curve", "essential", "non_separating", "orientation_preserving"
     )
-
-    def __init__(
-        self, surface_kind: str, tw_boundary: int, tw_curve: int, essential: bool, non_separating: bool,
-        orientation_preserving: bool,
-    ):
-        if surface_kind not in ("punctured-torus", "punctured-klein-bottle"):
-            raise InvalidParams(f"surface_kind must name a once-punctured torus or Klein bottle, got {surface_kind!r}")
-        self._set(surface_kind, tw_boundary, tw_curve, essential, non_separating, orientation_preserving)
+    _rules = {
+        "surface_kind": _read_surface_kind, "tw_boundary": read_int, "tw_curve": read_int, "essential": read_bool,
+        "non_separating": read_bool, "orientation_preserving": read_bool,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +192,8 @@ def bennequin_rational(d: RationalData) -> CheckResult:
 
 def transverse_bennequin(sl_q: Fraction | int, chi: int, order_r: int) -> CheckResult:
     """sl_Q <= -chi/r for non-loose transverse knots."""
-    sl_q = _rational(sl_q, "sl_q")
-    read_int(chi, "chi", InvalidParams)
-    if read_int(order_r, "order_r", InvalidParams) < 1:
-        raise InvalidParams("homological order must be >= 1")
-    check_chi(chi, odd=False)
+    sl_q = read_fraction(sl_q, "sl_q", InvalidParams)
+    RationalData(sl_q, 0, order_r, chi)  # chi and r obey the rules of a rational knot's
     return CheckResult.VIOLATED if sl_q > Fraction(-chi, order_r) else CheckResult.HOLDS
 
 
@@ -332,33 +330,19 @@ def depth_one_dual(is_stabilization: bool, complement_tight: bool) -> Certificat
     With tight complement the depth is 1 exactly when the surgered knot is a
     stabilization; an overtwisted complement means the dual is loose.
     """
-    assumptions = {
-        "is_stabilization": is_stabilization,
-        "complement_tight": complement_tight,
-    }
+    assumptions = _flags(is_stabilization=is_stabilization, complement_tight=complement_tight)
     if not complement_tight:
         return _loose(*_LOOSE_COMPLEMENT, assumptions=assumptions)
     if is_stabilization:
-        return _certificate(
-            Verdict.DEPTH_ONE,
-            {"depth_min": 1, "depth_max": 1},
-            "dual-depth-characterization",
-            "(+1)-surgery on a stabilization caps off an overtwisted disk "
-            "meeting the dual once",
-            assumptions=assumptions,
-        )
-    return _certificate(
-        Verdict.DEPTH_AT_LEAST_TWO,
-        {"depth_min": 2},
-        "dual-depth-characterization",
-        "depth one of the dual forces the surgered knot to destabilize",
-        assumptions=assumptions,
-    )
+        verdict, window = Verdict.DEPTH_ONE, {"depth_min": 1, "depth_max": 1}
+        note = "(+1)-surgery on a stabilization caps off an overtwisted disk meeting the dual once"
+    else:
+        verdict, window = Verdict.DEPTH_AT_LEAST_TWO, {"depth_min": 2}
+        note = "depth one of the dual forces the surgered knot to destabilize"
+    return _certificate(verdict, window, "dual-depth-characterization", note, assumptions=assumptions)
 
 
-def tension_one_dual(
-    tb: int, rot: int, chi: int, surgery_overtwisted: bool
-) -> Certificate:
+def tension_one_dual(tb: int, rot: int, chi: int, surgery_overtwisted: bool) -> Certificate:
     """Tension of the dual to (+1)-surgery on a knot in the tight S^3.
 
     tb < -1, rot < 0 and tb + rot + 2 < chi force a positive stabilization of
@@ -366,10 +350,8 @@ def tension_one_dual(
     exactly 1 once the surgery is overtwisted.  ``chi`` is that of the knot's
     Seifert surface: odd and at most 1, else ``InvalidParams``.
     """
-    read_int(tb, "tb", InvalidParams)
-    read_int(rot, "rot", InvalidParams)
-    read_int(chi, "chi", InvalidParams)
-    check_chi(chi)
+    ClassicalPair(tb, rot, read_int(chi, "chi", InvalidParams))  # the rules of a knot's tb, rot and chi
+    assumptions = _flags(surgery_overtwisted=surgery_overtwisted)
     return _criterion(
         {
             "tb < -1": tb < -1,
@@ -384,7 +366,7 @@ def tension_one_dual(
         "Bennequin bound, and the dual itself is non-loose",
         "hypotheses of the dual tension-one criterion are not all met",
         {"tb": tb, "rot": rot, "chi": chi},
-        {"surgery_overtwisted": surgery_overtwisted},
+        assumptions,
     )
 
 
@@ -445,14 +427,13 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
     return out
 
 
-def depth2_check(
-    w: Depth2Witness, is_stabilization: bool, complement_tight: bool
-) -> Certificate:
+def depth2_check(w: Depth2Witness, is_stabilization: bool, complement_tight: bool) -> Certificate:
     """Depth-two characterization, conditioned on a caller-verified surface.
 
     All clauses together give depth exactly 2; any failure is reported as
     Inconclusive naming the clause (witness absence never refutes depth 2).
     """
+    assumptions = _flags(is_stabilization=is_stabilization, complement_tight=complement_tight)
     return _criterion(
         {
             "complement_tight": complement_tight,
@@ -470,7 +451,7 @@ def depth2_check(
         "and no destabilization lowers the depth to 1",
         "a clause of the depth-two characterization fails",
         {"surface_kind": w.surface_kind},
-        {"is_stabilization": is_stabilization, "complement_tight": complement_tight},
+        assumptions,
     )
 
 
@@ -505,39 +486,27 @@ def order_bounds(a: int, b: int, loosened: bool) -> Certificate:
     read_int(b, "b", InvalidParams)
     if a < 0 or b < 0:
         raise InvalidParams("stabilization counts must be nonnegative")
+    assumptions = _flags(loosened=loosened)
     if not loosened:
         raise NotLoosened("order bounds need a certified loosening")
     note = "positive stabilizations multiply the invariant by U, negative ones fix it"
     if a + b == 0:
         note = "the knot itself is loose, so the invariant and both orders vanish"
-    return _certificate(
-        Verdict.ORDER_BOUNDS,
-        {"order_max": a, "order_reversed_max": b, "order_bar_max": a + b},
-        "stabilization-order-bound",
-        note,
-        {"a": a, "b": b},
-        {"loosened": loosened},
-    )
+    window = {"order_max": a, "order_reversed_max": b, "order_bar_max": a + b}
+    return _certificate(Verdict.ORDER_BOUNDS, window, "stabilization-order-bound", note, {"a": a, "b": b}, assumptions)
 
 
-def order_zero_by_tb_bound(
-    has_tb_lower_bound: bool, order_positive: bool = False
-) -> Certificate:
+def order_zero_by_tb_bound(has_tb_lower_bound: bool, order_positive: bool = False) -> Certificate:
     """A tb lower bound on non-loose representatives kills the torsion order."""
+    assumptions = _flags(has_tb_lower_bound=has_tb_lower_bound)
+    read_bool(order_positive, "order_positive", InvalidParams)
     if has_tb_lower_bound and order_positive:
         raise ContradictoryEvidence(
-            "a positive order forces negative stabilizations to stay non-loose, "
-            "so tb cannot be bounded below"
+            "a positive order forces negative stabilizations to stay non-loose, so tb cannot be bounded below"
         )
-    assumptions = {"has_tb_lower_bound": has_tb_lower_bound}
     if not has_tb_lower_bound:
-        return _certificate(
-            Verdict.INCONCLUSIVE,
-            {},
-            "tb-bound-order-zero",
-            "no tb lower bound supplied; nothing follows",
-            assumptions=assumptions,
-        )
+        note = "no tb lower bound supplied; nothing follows"
+        return _certificate(Verdict.INCONCLUSIVE, {}, "tb-bound-order-zero", note, assumptions=assumptions)
     return _certificate(
         Verdict.ORDER_ZERO,
         {"order_bar_min": 0, "order_bar_max": 0, "t_plus_finite": True, "t_minus_finite": True},
@@ -553,69 +522,43 @@ def order_zero_by_tb_bound(
 
 
 def tension_refinement(
-    is_positive_stab_of_pushoff: bool,
-    contact_invariant_nonzero: bool,
-    complement_tight: bool,
+    is_positive_stab_of_pushoff: bool, contact_invariant_nonzero: bool, complement_tight: bool
 ) -> Certificate:
     """Signed tensions of the dual to (+1)-surgery on a positive stabilization.
 
     The negative tension is exactly 1; when the contact class of (+1)-surgery
     on the destabilized knot is nonzero the positive tension exceeds 1.
     """
-    assumptions = {
-        "is_positive_stab_of_pushoff": is_positive_stab_of_pushoff,
-        "contact_invariant_nonzero": contact_invariant_nonzero,
-        "complement_tight": complement_tight,
-    }
+    assumptions = _flags(
+        is_positive_stab_of_pushoff=is_positive_stab_of_pushoff,
+        contact_invariant_nonzero=contact_invariant_nonzero,
+        complement_tight=complement_tight,
+    )
     if not complement_tight:
         return _loose(*_LOOSE_COMPLEMENT, assumptions=assumptions)
     if not is_positive_stab_of_pushoff:
-        return _certificate(
-            Verdict.INCONCLUSIVE,
-            {"failed_conditions": ("is_positive_stab_of_pushoff",)},
-            "signed-tension-refinement",
-            "the construction needs the surgered knot to be a positive "
-            "stabilization of a push-off",
-            assumptions=assumptions,
-        )
-    details: dict[str, Any] = {
-        "t_minus_min": 1,
-        "t_minus_max": 1,
-        "tension_min": 1,
-        "tension_max": 1,
-    }
-    reasons = [
-        Reason(
-            "signed-tension-refinement",
-            "one negative stabilization of the dual removes the single "
-            "intersection with the capped-off overtwisted disk",
-        )
+        failed = {"failed_conditions": ("is_positive_stab_of_pushoff",)}
+        note = "the construction needs the surgered knot to be a positive stabilization of a push-off"
+        return _certificate(Verdict.INCONCLUSIVE, failed, "signed-tension-refinement", note, assumptions=assumptions)
+    details: dict[str, Any] = {"t_minus_min": 1, "t_minus_max": 1, "tension_min": 1, "tension_max": 1}
+    notes = [
+        "one negative stabilization of the dual removes the single intersection with the capped-off overtwisted disk"
     ]
     if contact_invariant_nonzero:
         details["t_plus_min"] = 2
-        reasons.append(
-            Reason(
-                "signed-tension-refinement",
-                "(-1)-surgery on a positive stabilization of the dual keeps a "
-                "nonzero contact class, so one positive stabilization stays non-loose",
-            )
+        notes.append(
+            "(-1)-surgery on a positive stabilization of the dual keeps a "
+            "nonzero contact class, so one positive stabilization stays non-loose"
         )
-    return Certificate(
-        Verdict.SIGNED_TENSION_BOUND,
-        details=details,
-        reasons=tuple(reasons),
-        assumptions=assumptions,
-    )
+    reasons = [Reason("signed-tension-refinement", note) for note in notes]
+    return Certificate(Verdict.SIGNED_TENSION_BOUND, details, reasons, assumptions)
 
 
 _RELATIONS = ("pushoff", "approximation")
 
 
 def transverse_transfer(
-    legendrian_cert: Certificate,
-    relation: str,
-    *,
-    is_negative_hopf_stabilization: bool = False,
+    legendrian_cert: Certificate, relation: str, *, is_negative_hopf_stabilization: bool = False
 ) -> Certificate:
     """Transfer a Legendrian certificate to the related transverse knot.
 
@@ -632,18 +575,11 @@ def transverse_transfer(
     """
     if relation not in _RELATIONS:
         raise IncompatibleRelation(f"relation must be one of {_RELATIONS}, got {relation!r}")
-    assumptions = {
-        "is_negative_hopf_stabilization": is_negative_hopf_stabilization,
-    }
+    assumptions = _flags(is_negative_hopf_stabilization=is_negative_hopf_stabilization)
     if is_negative_hopf_stabilization:
-        return _certificate(
-            Verdict.DEPTH_ONE,
-            {"depth_min": 1, "depth_max": 1, "tension_min": 1, "tension_max": 1},
-            "hopf-binding-depth",
-            "plumbing a positive Hopf band exposes an overtwisted disk met "
-            "once by the binding",
-            assumptions=assumptions,
-        )
+        window = {"depth_min": 1, "depth_max": 1, "tension_min": 1, "tension_max": 1}
+        note = "plumbing a positive Hopf band exposes an overtwisted disk met once by the binding"
+        return _certificate(Verdict.DEPTH_ONE, window, "hopf-binding-depth", note, assumptions=assumptions)
     details = dict(legendrian_cert.details)
     if details.get("knot_type") == "unknot":
         return _loose(
@@ -729,8 +665,7 @@ def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
     d = cert.details
     c = d.get("if_nonloose")
     if c is not None:
-        if not isinstance(c, Mapping):
-            raise InvalidParams(f"if_nonloose must be a mapping, got {c!r}")
+        c = read_mapping(c, "if_nonloose", InvalidParams)
         missing = [k for k in ("depth", "tension", "order_bar") if k not in c]
         if missing:
             raise InvalidParams(f"if_nonloose lacks {', '.join(missing)}")

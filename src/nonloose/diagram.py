@@ -55,6 +55,9 @@ from .errors import (
     PositionOutOfRange,
     UnknownToken,
     Value,
+    member,
+    members,
+    read_int,
 )
 
 
@@ -74,7 +77,8 @@ class Direction(Enum):
 
 
 class FrontEvent(Value):
-    # ``text`` is the event's line in :func:`serialize_front`, fixed when it is built
+    # ``text`` is the event's line in :func:`serialize_front`, fixed when it is built.  Parsing builds
+    # thousands, so the two fields are checked and stored here, not through a rule table.
     __slots__ = ("kind", "position", "text")
     _fields = ("kind", "position")
 
@@ -180,11 +184,11 @@ class FrontWord(Value):
     # ``_orientation`` is the orientation for a rightward base, found while validating
     __slots__ = ("events", "_orientation")
     _fields = ("events",)
+    _rules = {"events": members(FrontEvent)}
 
     def __init__(self, events: tuple[FrontEvent, ...]):
-        events = tuple(events)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "_orientation", _trace(events))
+        self._set(events)
+        object.__setattr__(self, "_orientation", _trace(self.events))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -198,12 +202,10 @@ class OrientedFront(Value):
     """
 
     __slots__ = _fields = ("word", "base_direction", "arc_directions", "writhe", "up_cusps", "down_cusps")
-
-    def __init__(
-        self, word: FrontWord, base_direction: Direction, arc_directions: tuple[Direction, ...], writhe: int,
-        up_cusps: int, down_cusps: int,
-    ):
-        self._set(word, base_direction, arc_directions, writhe, up_cusps, down_cusps)
+    _rules = {
+        "word": member(FrontWord), "base_direction": member(Direction), "arc_directions": members(Direction),
+        "writhe": read_int, "up_cusps": read_int, "down_cusps": read_int,
+    }
 
 
 _NUMBER_RE = re.compile(r"[0-9]+")
@@ -259,22 +261,22 @@ def serialize_front(word: FrontWord) -> str:
     return "".join([e.text for e in word.events])
 
 
-def resolve_orientation(
-    word: FrontWord, base_direction: Direction = Direction.RIGHTWARD
-) -> OrientedFront:
+def resolve_orientation(word: FrontWord, base_direction: Direction = Direction.RIGHTWARD) -> OrientedFront:
     """Orient the component and derive writhe and cusp counts.
 
     The traversal starts on the lower strand of the first left cusp, moving
     in ``base_direction``.  The word was oriented for a rightward base when
     it was validated; a leftward base flips every arc and swaps up and down
-    cusps, and leaves the writhe as it is.
+    cusps, and leaves the writhe as it is.  Only ``base_direction`` is read
+    again: the rest is derived from the word.
     """
     o = word._orientation
+    OrientedFront._rules["base_direction"](base_direction, "base_direction", InvalidParams)
     rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
     if base_direction is leftward:
         dirs = tuple([leftward if d is rightward else rightward for d in o.arc_directions])
-        return OrientedFront(word, base_direction, dirs, o.writhe, o.down_cusps, o.up_cusps)
-    return OrientedFront(word, base_direction, o.arc_directions, o.writhe, o.up_cusps, o.down_cusps)
+        return OrientedFront._derived(word, base_direction, dirs, o.writhe, o.down_cusps, o.up_cusps)
+    return OrientedFront._derived(word, base_direction, o.arc_directions, o.writhe, o.up_cusps, o.down_cusps)
 
 
 def tb(front: OrientedFront) -> int:
@@ -296,8 +298,7 @@ def _edited(word: FrontWord, events: tuple[FrontEvent, ...], orientation: _Orien
     """A word of ``word``'s class with a known orientation, built without a
     trace.  The class comes from ``word``, not from the module global
     ``FrontWord``, which a tracer may rebind."""
-    edited = object.__new__(type(word))
-    object.__setattr__(edited, "events", events)
+    edited = type(word)._derived(events)
     object.__setattr__(edited, "_orientation", orientation)
     return edited
 

@@ -14,7 +14,7 @@ import re
 from math import gcd
 from typing import Iterable
 
-from .errors import InvalidParams, UnknownTag, Value, check_chi, read_bool, read_int, read_str
+from .errors import InvalidParams, UnknownTag, Value, check_chi, optional, read_bool, read_int, read_ints, read_str
 
 AMBIENT_TIGHT_S3 = "tight-S3"
 
@@ -27,37 +27,24 @@ class KnotRecord(Value):
     __slots__ = _fields = (
         "family", "max_tb", "rot_at_max_tb", "chi", "g_s", "plus_one_surgery_overtwisted", "ambient", "order_positive"
     )
+    _rules = {
+        "plus_one_surgery_overtwisted": optional(read_bool), "family": read_str, "ambient": read_str,
+        "order_positive": read_bool, "max_tb": optional(read_int), "rot_at_max_tb": read_ints, "chi": read_int,
+        "g_s": optional(read_int),
+    }
 
     def __init__(
         self, family: str, max_tb: int | None, rot_at_max_tb: Iterable[int], chi: int, g_s: int | None = None,
         plus_one_surgery_overtwisted: bool | None = None, ambient: str = AMBIENT_TIGHT_S3, order_positive: bool = False,
     ):
-        if plus_one_surgery_overtwisted is not None:
-            read_bool(plus_one_surgery_overtwisted, "plus_one_surgery_overtwisted", InvalidParams)
-        read_str(family, "family", InvalidParams)
-        read_str(ambient, "ambient", InvalidParams)
-        read_bool(order_positive, "order_positive", InvalidParams)
-        if max_tb is not None:
-            read_int(max_tb, "max_tb", InvalidParams)
-        if not isinstance(rot_at_max_tb, frozenset):
-            try:
-                rot_at_max_tb = tuple(rot_at_max_tb)  # each entry is read before a set merges True into 1
-            except TypeError:
-                raise InvalidParams(f"rot_at_max_tb must be a list of integers, got {rot_at_max_tb!r}") from None
-        for r in rot_at_max_tb:
-            read_int(r, "rot_at_max_tb entry", InvalidParams)
-        rot_at_max_tb = frozenset(rot_at_max_tb)
-        read_int(chi, "chi", InvalidParams)
-        if g_s is not None:
-            read_int(g_s, "g_s", InvalidParams)
+        self._set(family, max_tb, rot_at_max_tb, chi, g_s, plus_one_surgery_overtwisted, ambient, order_positive)
         check_chi(chi)
         if g_s is not None and g_s < 0:
             raise InvalidParams("smooth 4-ball genus must be nonnegative")
         if ambient == AMBIENT_TIGHT_S3 and max_tb is not None:
-            for r in rot_at_max_tb:
+            for r in self.rot_at_max_tb:
                 if max_tb + abs(r) > -chi:
                     raise InvalidParams(f"record violates the Bennequin bound: {max_tb} + |{r}| > {-chi}")
-        self._set(family, max_tb, rot_at_max_tb, chi, g_s, plus_one_surgery_overtwisted, ambient, order_positive)
 
 
 def unknot_record() -> KnotRecord:
@@ -161,28 +148,18 @@ def record_to_dict(rec: KnotRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> KnotRecord:
+    """The record of a JSON object whose keys are its fields.  ``family`` and
+    ``chi`` are required, a missing ``max_tb`` is null and a missing
+    ``rot_at_max_tb`` empty; each other field has the constructor's default."""
     if not isinstance(doc, dict):
         raise InvalidParams(f"record entry must be an object, got {type(doc).__name__}")
     unknown = set(doc) - _RECORD_KEYS
     if unknown:
         raise InvalidParams(f"unknown record keys: {sorted(unknown)}")
-    try:
-        family, chi = doc["family"], doc["chi"]
-    except KeyError as exc:
-        raise InvalidParams(f"record entry missing key {exc}") from exc
-    rots = doc.get("rot_at_max_tb", [])
-    if not isinstance(rots, list):
-        raise InvalidParams(f"rot_at_max_tb must be a list of integers, got {rots!r}")
-    return KnotRecord(
-        family=family,
-        max_tb=doc.get("max_tb"),
-        rot_at_max_tb=rots,
-        chi=chi,
-        g_s=doc.get("g_s"),
-        plus_one_surgery_overtwisted=doc.get("plus_one_surgery_overtwisted"),
-        ambient=doc.get("ambient", AMBIENT_TIGHT_S3),
-        order_positive=doc.get("order_positive", False),
-    )
+    for key in ("family", "chi"):
+        if key not in doc:
+            raise InvalidParams(f"record entry missing key {key!r}")
+    return KnotRecord(**{"max_tb": None, "rot_at_max_tb": [], **doc})
 
 
 def load_records(path: str | os.PathLike[str]) -> tuple[KnotRecord, ...]:

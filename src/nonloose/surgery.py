@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .calculus import RationalData
-from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, read_int, read_str
+from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, members, read_int, read_str
 from .linalg import Matrix, solve_exact
 
 COEFF_PLUS = "+1"
@@ -36,31 +36,38 @@ _COEFFS = (COEFF_PLUS, COEFF_MINUS, COEFF_PASSIVE)
 
 class SurgeryComponent(Value):
     __slots__ = _fields = ("id", "tb", "rot", "coeff")
+    _rules = {"id": read_str, "coeff": read_str, "tb": read_int, "rot": read_int}
+    _error = DiagramError
+    _labels = {name: f"component {name}" for name in _fields}
 
     def __init__(self, id: str, tb: int, rot: int, coeff: str):
-        read_str(id, "component id", DiagramError)
-        read_str(coeff, "component coeff", DiagramError)
+        self._set(id, tb, rot, coeff)
         if coeff not in _COEFFS:
             raise DiagramError(f"component {id!r}: coeff must be one of {_COEFFS}, got {coeff!r}")
-        tb, rot = read_int(tb, "component tb", DiagramError), read_int(rot, "component rot", DiagramError)
-        self._set(id, tb, rot, coeff)
+
+
+_SHAPE = "linking matrix shape must match the component count"
+
+
+def _read_matrix(value, what, error) -> Matrix:
+    """The rule of a matrix of integers, stored as a tuple of rows."""
+    try:
+        return tuple([tuple([read_int(entry, what, error) for entry in row]) for row in value])
+    except TypeError:  # the matrix, or a row of it, is not iterable
+        raise error(_SHAPE) from None
 
 
 class SurgeryDiagram(Value):
     """Ordered components, symmetric linking matrix, one passive component."""
 
     __slots__ = _fields = ("components", "lk", "distinguished")
+    _rules = {"distinguished": read_str, "components": members(SurgeryComponent), "lk": _read_matrix}
+    _error = DiagramError
+    _labels = {"components": "a diagram's components", "lk": "lk value"}
 
     def __init__(self, components: Sequence[SurgeryComponent], lk: Matrix, distinguished: str):
-        read_str(distinguished, "distinguished", DiagramError)
-        components = tuple(components)
-        try:
-            lk = tuple(tuple(row) for row in lk)
-        except TypeError:  # lk, or a row of it, is not a sequence
-            raise DiagramError("linking matrix shape must match the component count") from None
-        for c in components:
-            if not isinstance(c, SurgeryComponent):
-                raise DiagramError(f"a diagram's components must be SurgeryComponent values, got {c!r}")
+        self._set(components, lk, distinguished)
+        components, lk = self.components, self.lk
         ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise DiagramError("component ids must be unique")
@@ -71,32 +78,29 @@ class SurgeryDiagram(Value):
             raise DiagramError("exactly the distinguished component must carry the passive coefficient")
         n = len(components)
         if len(lk) != n or any(len(row) != n for row in lk):
-            raise DiagramError("linking matrix shape must match the component count")
+            raise DiagramError(_SHAPE)
         for i, row in enumerate(lk):
-            if read_int(row[i], "lk value", DiagramError):
+            if row[i]:
                 raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
-            for j in range(i):
-                if read_int(row[j], "lk value", DiagramError) != read_int(lk[j][i], "lk value", DiagramError):
-                    raise DiagramError("linking matrix must be symmetric")
-        self._set(components, lk, distinguished)
+            if any(row[j] != lk[j][i] for j in range(i)):
+                raise DiagramError("linking matrix must be symmetric")
 
     @classmethod
     def build(
-        cls,
-        components: Sequence[SurgeryComponent],
-        lk_pairs: Iterable[tuple[str, str, int]],
-        distinguished: str,
+        cls, components: Sequence[SurgeryComponent], lk_pairs: Sequence[tuple[str, str, int]], distinguished: str
     ) -> "SurgeryDiagram":
-        """Assemble the symmetric linking matrix from sparse pairs (missing = 0)."""
+        """Assemble the symmetric linking matrix from a list of [idA, idB, int] pairs (missing = 0)."""
+        components = cls._rules["components"](components, cls._labels["components"], DiagramError)
+        if not isinstance(lk_pairs, (list, tuple)):
+            raise DiagramError(f"'lk' must be a list, got {lk_pairs!r}")
         index = {c.id: i for i, c in enumerate(components)}
         n = len(components)
         lk = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for entry in lk_pairs:
-            try:
-                ida, idb, value = entry
-            except (TypeError, ValueError):  # not a sequence, or not of three
-                raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]") from None
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
+            ida, idb, value = entry
             try:
                 i, j = index[ida], index[idb]
             except (KeyError, TypeError):  # TypeError: an id that cannot be a key
@@ -108,7 +112,7 @@ class SurgeryDiagram(Value):
                 raise DiagramError(f"duplicate linking entry for ({ida!r}, {idb!r})")
             seen.add(key)
             lk[i][j] = lk[j][i] = value
-        return cls(tuple(components), tuple(tuple(row) for row in lk), distinguished)
+        return cls(components, lk, distinguished)
 
 
 def _split(diag: SurgeryDiagram) -> tuple[int, tuple[int, ...]]:
@@ -200,14 +204,4 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
         except (TypeError, KeyError) as exc:
             raise DiagramError(f"bad component entry {entry!r}") from exc
         comps.append(SurgeryComponent(cid, tb, rot, coeff))
-    raw_pairs = doc.get("lk", [])
-    if not isinstance(raw_pairs, list):
-        raise DiagramError("'lk' must be a list")
-    pairs = []
-    for entry in raw_pairs:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
-        ida, idb = read_str(entry[0], "lk id", DiagramError), read_str(entry[1], "lk id", DiagramError)
-        pairs.append((ida, idb, entry[2]))
-    return SurgeryDiagram.build(tuple(comps), pairs, distinguished)
-
+    return SurgeryDiagram.build(comps, doc.get("lk", []), distinguished)

@@ -23,6 +23,7 @@ from nonloose.errors import (
     EmptyWord,
     FrontEditError,
     FrontParseError,
+    InvalidParams,
     MultipleComponents,
     NonzeroFinalStrands,
     PositionOutOfRange,
@@ -177,3 +178,11 @@ class TestFrontEditErrors:
     def test_bad_pair_is_a_domain_error(self, pair):
         with pytest.raises(DomainError):
             destabilize_front(parse_front(TREFOIL), pair)
+
+
+@pytest.mark.parametrize("base", ["leftward", "rightward", None, 1])
+def test_base_direction_must_be_a_direction(base):
+    """A string is not read as the Direction of that name: orienting with it
+    would have stored it beside arcs oriented for a rightward base."""
+    with pytest.raises(InvalidParams, match="base_direction must be a Direction"):
+        resolve_orientation(parse_front(TREFOIL), base)

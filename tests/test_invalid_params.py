@@ -9,18 +9,24 @@ import pytest
 from nonloose.calculus import ClassicalPair, RationalData
 from nonloose.certify import (
     Certificate,
+    Depth2Witness,
     Reason,
     Verdict,
     bundle_is_consistent,
     certificate_bounds,
     check_consistency,
+    depth2_check,
+    depth_one_dual,
     order_bounds,
+    order_zero_by_tb_bound,
     possurg_depth_one,
     tension_certificate,
     tension_less_than_depth_search,
     tension_one_dual,
+    tension_refinement,
     tension_upper_bound,
     transverse_bennequin,
+    transverse_transfer,
 )
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
@@ -107,10 +113,32 @@ PASSIVE = SurgeryComponent("a", 1, 0, "passive")
             DiagramError,
             "linking pair names unknown component: ['a'], 'b'",
         ),
+        (
+            lambda: SurgeryDiagram.build(("a",), [], "a"),
+            DiagramError,
+            "a diagram's components must be SurgeryComponent values, got 'a'",
+        ),
+        (
+            lambda: SurgeryDiagram.build(None, [], "a"),
+            DiagramError,
+            "a diagram's components must be SurgeryComponent values, got None",
+        ),
+        (lambda: SurgeryDiagram.build((PASSIVE,), None, "a"), DiagramError, "'lk' must be a list, got None"),
+        (
+            lambda: SurgeryDiagram(5, ((0,),), "a"),
+            DiagramError,
+            "a diagram's components must be SurgeryComponent values, got 5",
+        ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, SurgeryComponent("b", 1, 0, "+1")), ["ab1"], "a"),
+            DiagramError,
+            "bad lk entry 'ab1'; expected [idA, idB, int]",
+        ),
     ],
     ids=["family", "ambient", "plus_one_surgery_overtwisted", "order_positive", "component id", "coeff",
          "distinguished", "lk row not a sequence", "component not a SurgeryComponent", "rot_at_max_tb not iterable",
-         "lk entry of two", "unhashable lk id"],
+         "lk entry of two", "unhashable lk id", "build from a str component", "build from None components",
+         "build from None lk pairs", "non-iterable components", "lk entry a string of three"],
 )
 def test_value_fields_checked_at_construction(build, error, message):
     """A value built directly checks each field as its JSON reader does."""
@@ -156,12 +184,28 @@ def test_direct_values_fail_as_their_json_readers_do():
         (lambda: dual_invariants(-15, True, 1, 0, -7), "rot must be an integer, got True"),
         (lambda: dual_invariants(-15, -2, 1.0, 0, -7), "a must be an integer, got 1.0"),
         (lambda: dual_invariants(-15, -2, 1, 0.0, -7), "b must be an integer, got 0.0"),
+        (lambda: depth_one_dual("false", "true"), "is_stabilization must be true or false, got 'false'"),
+        (lambda: order_zero_by_tb_bound("yes"), "has_tb_lower_bound must be true or false, got 'yes'"),
+        (lambda: order_zero_by_tb_bound(False, 1), "order_positive must be true or false, got 1"),
+        (lambda: tension_refinement("x", "y", "z"), "is_positive_stab_of_pushoff must be true or false, got 'x'"),
+        (lambda: tension_one_dual(-15, -2, -7, "no"), "surgery_overtwisted must be true or false, got 'no'"),
+        (
+            lambda: transverse_transfer(depth_one_dual(True, True), "pushoff", is_negative_hopf_stabilization="no"),
+            "is_negative_hopf_stabilization must be true or false, got 'no'",
+        ),
+        (lambda: order_bounds(1, 0, "yes"), "loosened must be true or false, got 'yes'"),
+        (
+            lambda: depth2_check(Depth2Witness("punctured-torus", 0, 1, True, True, True), "false", True),
+            "is_stabilization must be true or false, got 'false'",
+        ),
     ],
     ids=[
         "transverse float sl_q", "transverse str sl_q", "transverse float chi", "transverse bool order_r",
         "dual float tb", "dual bool rot", "dual float chi", "order float a", "order bool b", "possurg float tb",
         "possurg float g_s", "bool max_n", "float max_n", "str max_n via certificate", "float p_max",
         "dual invariants float tb", "dual invariants bool rot", "dual invariants float a", "dual invariants float b",
+        "depth one str flags", "order zero str flag", "order zero int order_positive", "refinement str flags",
+        "tension one str flag", "transverse str flag", "order bounds str flag", "depth two str flag",
     ],
 )
 def test_certify_arguments_coerce_nothing(call, message):
@@ -169,6 +213,22 @@ def test_certify_arguments_coerce_nothing(call, message):
     Fraction; anything else is rejected before any range check, not converted."""
     with pytest.raises(InvalidParams, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        lambda: Depth2Witness("punctured-torus", 0.0, 1.0, True, True, True),
+        lambda: Depth2Witness("punctured-torus", 0, 1, "false", True, True),
+        lambda: Depth2Witness("punctured-torus", 0, 1, True, "false", "false"),
+    ],
+    ids=["float twisting numbers", "str essential", "str flags"],
+)
+def test_depth_two_witness_coerces_nothing(witness):
+    """A witness whose twisting numbers are floats or whose flags are strings
+    never yields DepthExactlyTwo: it is not built at all."""
+    with pytest.raises(InvalidParams, match="must be"):
+        depth2_check(witness(), False, True)
 
 
 def test_record_names_its_first_bad_field():

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import pytest
 import value_oracles
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from wordgen import random_front_word
 
@@ -19,6 +19,7 @@ from nonloose.certify import Certificate, Depth2Witness, Reason, Verdict
 from nonloose.diagram import (
     Direction, EventKind, FrontEvent, FrontWord, OrientedFront, parse_front, resolve_orientation
 )
+from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import AMBIENT_TIGHT_S3, KnotRecord, ambient_overtwisted_s3, negative_torus_record
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
@@ -231,3 +232,71 @@ def test_values_behave_as_the_dataclasses_did(name, data):
         outcome(lambda: new.replace(**{k: make(NEW, v) for k, v in changes.items()})),
         outcome(lambda: dataclasses.replace(old, **{k: make(OLD, v) for k, v in changes.items()})),
     )
+
+
+# ---------------------------------------------------------------------------
+# Every field of every value class rejects an ill-typed value with the class's
+# DomainError, never a bare Python error and never a value.
+
+# one candidate value of each wrong type
+CANDIDATES = {"float": 1.5, "bool": True, "str": "false", "None": None, "list": [1.5], "dict": {"k": 1.5}}
+INT, STR, BOOL, MAPPING, COLLECTION = set(), {"str"}, {"bool"}, {"dict"}, set()
+# the oracle: each field's candidates that are well typed for it
+WELL_TYPED = {
+    "ClassicalPair": {"tb": INT, "rot": INT, "chi": {"None"}},
+    "RationalData": {"tb_q": INT, "rot_q": INT, "order_r": INT, "chi": INT},
+    "Reason": {"rule": STR, "note": STR, "inputs": MAPPING},
+    "Certificate": {"verdict": set(), "details": MAPPING, "reasons": COLLECTION, "assumptions": MAPPING},
+    "Depth2Witness": {
+        "surface_kind": set(), "tw_boundary": INT, "tw_curve": INT, "essential": BOOL, "non_separating": BOOL,
+        "orientation_preserving": BOOL,
+    },
+    "FrontEvent": {"kind": set(), "position": INT},
+    "FrontWord": {"events": COLLECTION},
+    "OrientedFront": {
+        "word": set(), "base_direction": set(), "arc_directions": COLLECTION, "writhe": INT, "up_cusps": INT,
+        "down_cusps": INT,
+    },
+    "KnotRecord": {
+        "family": STR, "max_tb": {"None"}, "rot_at_max_tb": COLLECTION, "chi": INT, "g_s": {"None"},
+        "plus_one_surgery_overtwisted": {"bool", "None"}, "ambient": STR, "order_positive": BOOL,
+    },
+    "SurgeryComponent": {"id": STR, "tb": INT, "rot": INT, "coeff": STR},
+    "SurgeryDiagram": {"components": COLLECTION, "lk": COLLECTION, "distinguished": STR},
+}
+ERRORS = {"SurgeryComponent": DiagramError, "SurgeryDiagram": DiagramError}
+
+
+def test_the_oracle_names_every_field():
+    assert {name: list(fields) for name, fields in WELL_TYPED.items()} == {
+        name: list(cls._fields) for name, cls in NEW.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(NEW))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_ill_typed_field_raises_the_class_error(name, data):
+    recipe = data.draw(RECIPES[name], label="recipe")
+    assume(outcome(lambda: make(NEW, recipe))[0] == "value")
+    field = data.draw(st.sampled_from(NEW[name]._fields), label="field")
+    kind = data.draw(st.sampled_from(sorted(set(CANDIDATES) - WELL_TYPED[name][field])), label="kind")
+    args = [make(NEW, arg) for arg in recipe.args]
+    args[NEW[name]._fields.index(field)] = copy.deepcopy(CANDIDATES[kind])
+    with pytest.raises(ERRORS.get(name, InvalidParams)):
+        NEW[name](*args)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Depth2Witness("punctured-torus", 0, 1, True, True),
+        lambda: Depth2Witness("punctured-torus", 0, 1, True, True, True, True),
+        lambda: Depth2Witness("punctured-torus", 0, 1, True, True, orientation_preserving=True, extra=1),
+        lambda: Depth2Witness("punctured-torus", 0, 1, True, True, essential=True),
+    ],
+    ids=["missing field", "extra field", "unknown name", "field given twice"],
+)
+def test_a_value_takes_exactly_its_fields(build):
+    with pytest.raises(TypeError, match="Depth2Witness takes the fields surface_kind, tw_boundary"):
+        build()

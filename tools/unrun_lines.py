@@ -23,8 +23,10 @@ pytest and hypothesis installed:
 
     python tools/unrun_lines.py
 
-Exit status: 0 when only allowlisted lines are unrun and only allowlisted
-functions unreached, 1 when another one is or the tests fail.
+Exit status: 0 when only allowlisted lines are unrun, only allowlisted
+functions unreached and every allowlist entry still names one; 1 when another
+line or function is, an entry is stale (its line ran, its function was
+entered, or its source text is gone), or the tests fail.
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ def main() -> int:
                 used_functions.add(key)
             else:
                 unlisted_functions.append(f"src/nonloose/{path.name}:{first}: {def_line}")
-    for name, text in sorted(allowed - used):
+    stale, stale_functions = sorted(allowed - used), sorted(allowed_functions - used_functions)
+    for name, text in stale:
         print(f"unrun_lines: allowlisted but run (or gone): {name} | {text}")
-    for name, text in sorted(allowed_functions - used_functions):
+    for name, text in stale_functions:
         print(f"unrun_lines: allowlisted but entered beneath cli.main (or gone): {name} | {text}")
     for entry in unlisted:
         print(f"unrun_lines: never run: {entry}")
@@ -198,7 +201,7 @@ def main() -> int:
         f"unrun_lines: {functions} functions, {unreached} never entered beneath cli.main, "
         f"{len(unlisted_functions)} of them not allowlisted"
     )
-    return 1 if unlisted or unlisted_functions else 0
+    return 1 if unlisted or unlisted_functions or stale or stale_functions else 0
 
 
 if __name__ == "__main__":
