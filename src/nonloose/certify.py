@@ -36,7 +36,10 @@ from .errors import (
     Value,
     member,
     members,
+    nonnegative,
     read_bool,
+    read_count,
+    read_genus,
     read_int,
     read_mapping,
     read_str,
@@ -168,6 +171,15 @@ class Depth2Witness(Value):
     }
 
 
+# the rules of the value arguments below, and of a search's budget
+_read_pair = member(ClassicalPair)
+_read_rational = member(RationalData)
+_read_data = member((ClassicalPair, RationalData))
+_read_witness = member(Depth2Witness)
+_read_certificate = member(Certificate)
+_read_budget = nonnegative()
+
+
 # ---------------------------------------------------------------------------
 # Bennequin-type checks: the looseness oracle.
 
@@ -179,6 +191,7 @@ def _exceeds(tb, rot, rhs) -> bool:
 
 def bennequin_null(p: ClassicalPair) -> CheckResult:
     """-|tb| + |rot| <= -chi, required of every non-loose null-homologous knot."""
+    _read_pair(p, "p", InvalidParams)
     if p.chi is None:
         raise MissingChi("the classical Bennequin check needs chi")
     return CheckResult.VIOLATED if _exceeds(p.tb, p.rot, -p.chi) else CheckResult.HOLDS
@@ -186,6 +199,7 @@ def bennequin_null(p: ClassicalPair) -> CheckResult:
 
 def bennequin_rational(d: RationalData) -> CheckResult:
     """-|tb_Q| + |rot_Q| <= -chi/r, the rational analogue; exact comparison."""
+    _read_rational(d, "d", InvalidParams)
     rhs = Fraction(-d.chi, d.order_r)
     return CheckResult.VIOLATED if _exceeds(d.tb_q, d.rot_q, rhs) else CheckResult.HOLDS
 
@@ -208,6 +222,7 @@ def unknot_verdict(p: ClassicalPair) -> Certificate:
     surviving pairs are exactly the classified non-loose candidates, which,
     when non-loose, have depth = tension = 1 and vanishing order.
     """
+    _read_pair(p, "p", InvalidParams)
     details = {"knot_type": "unknot", "tb": p.tb, "rot": p.rot}
     if abs(p.rot) == p.tb - 1:  # only possible for tb >= 1
         return Certificate(
@@ -260,29 +275,49 @@ def tension_upper_bound(
     max_n: int = 64,
     side: str = "both",
 ) -> tuple[int, tuple[int, int]] | None:
-    """Least total number of stabilizations whose result violates Bennequin.
+    """Least total number s <= max_n of stabilizations whose result violates
+    Bennequin, and its split into a positive and b negative stabilizations.
 
-    Checks the totals s = 0..max_n in order and, within a total, only the
-    splits into a positive and b negative stabilizations that ``side``
-    allows, with a ascending.  A violation certifies that the stabilized knot
-    is loose, so the returned total bounds the (signed) tension from above;
-    the witness (a, b) is the lexicographically least minimal one.  ``None``
-    means no violation within the budget, never that the tension is infinite.
+    A violation certifies that the stabilized knot is loose, so the returned
+    total bounds the (signed) tension from above; the witness (a, b) is the
+    lexicographically least minimal one among the splits ``side`` allows.
+    ``None`` means no violation within the budget, never that the tension is
+    infinite.
+
+    "both" checks the totals 0..max_n in order, each split with a ascending.
+    One side is a closed form, of the same cost at any ``max_n``, and its
+    ``None`` is exact up to the budget.  A total s has one split there, a = s
+    or b = s, whose excess -|tb - s| + |rot +- s| = |s - c| - |s - tb|, with
+    c = -rot on the positive side and c = rot on the negative one, is
+    monotone in s: flat up to min(c, tb), of slope +-2 between c and tb and
+    flat after.  So s = 0 violates, or no s does when c >= tb or the last
+    value tb - c stays within the bound, or the least s is the first integer
+    past the point where 2s - c - tb crosses the bound.  ``//`` floors ints
+    and ``Fraction``s alike.
     """
+    _read_data(data, "data", InvalidParams)
     if side not in _SIDES:
         raise InvalidParams(f"side must be one of {_SIDES}, got {side!r}")
     if isinstance(data, ClassicalPair) and data.chi is None:
         raise MissingChi("the stabilization search needs chi")
-    if read_int(max_n, "max_n", InvalidParams) < 0:
-        raise InvalidParams("max_n must be nonnegative")
+    _read_budget(max_n, "max_n", InvalidParams)
     if isinstance(data, RationalData):
         tb, rot, rhs = data.tb_q, data.rot_q, Fraction(-data.chi, data.order_r)
     else:
         tb, rot, rhs = data.tb, data.rot, -data.chi
+    if side != "both":
+        c = rot if side == "negative_only" else -rot
+        if _exceeds(tb, rot, rhs):
+            total = 0
+        elif c >= tb or tb - c <= rhs:
+            return None
+        else:
+            total = (rhs + c + tb) // 2 + 1
+        if total > max_n:
+            return None
+        return total, (0, total) if side == "negative_only" else (total, 0)
     for total in range(max_n + 1):
-        first = total if side == "positive_only" else 0
-        last = 0 if side == "negative_only" else total
-        for a in range(first, last + 1):
+        for a in range(total + 1):
             if _exceeds(tb - total, rot + 2 * a - total, rhs):
                 return total, (a, total - a)
     return None
@@ -386,8 +421,7 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
         its rational Bennequin violation -|tb_Q| + |rot_Q| > -chi/r reads
         n - 1 - p - q > p - q - pq, which reduces to p < -1 as well.
     """
-    if read_int(p_max, "p_max", InvalidParams) < 0:
-        raise InvalidParams("p_max must be nonnegative")
+    _read_budget(p_max, "p_max", InvalidParams)
     from .knotdata import negative_torus_record
     from .surgery import dual_invariants
 
@@ -434,6 +468,7 @@ def depth2_check(w: Depth2Witness, is_stabilization: bool, complement_tight: boo
     Inconclusive naming the clause (witness absence never refutes depth 2).
     """
     assumptions = _flags(is_stabilization=is_stabilization, complement_tight=complement_tight)
+    _read_witness(w, "w", InvalidParams)
     return _criterion(
         {
             "complement_tight": complement_tight,
@@ -461,8 +496,7 @@ def possurg_depth_one(tb: int, g_s: int) -> Certificate:
     Requires tb = 2 g_s - 1 > 1, which makes (+1)-surgery on K tight.
     """
     read_int(tb, "tb", InvalidParams)
-    if read_int(g_s, "g_s", InvalidParams) < 0:
-        raise InvalidParams("smooth 4-ball genus must be nonnegative")
+    read_genus(g_s, "g_s", InvalidParams)
     return _criterion(
         {"tb == 2*g_s - 1": tb == 2 * g_s - 1, "tb > 1": tb > 1},
         "positive-surgery-tight",
@@ -482,10 +516,8 @@ def possurg_depth_one(tb: int, g_s: int) -> Certificate:
 def order_bounds(a: int, b: int, loosened: bool) -> Certificate:
     """From a loosening by a positive and b negative stabilizations:
     o(L) <= a, o(-L) <= b, and their sum bounds the unoriented order."""
-    read_int(a, "a", InvalidParams)
-    read_int(b, "b", InvalidParams)
-    if a < 0 or b < 0:
-        raise InvalidParams("stabilization counts must be nonnegative")
+    read_count(a, "a", InvalidParams)
+    read_count(b, "b", InvalidParams)
     assumptions = _flags(loosened=loosened)
     if not loosened:
         raise NotLoosened("order bounds need a certified loosening")
@@ -576,6 +608,7 @@ def transverse_transfer(
     if relation not in _RELATIONS:
         raise IncompatibleRelation(f"relation must be one of {_RELATIONS}, got {relation!r}")
     assumptions = _flags(is_negative_hopf_stabilization=is_negative_hopf_stabilization)
+    _read_certificate(legendrian_cert, "legendrian_cert", InvalidParams)
     if is_negative_hopf_stabilization:
         window = {"depth_min": 1, "depth_max": 1, "tension_min": 1, "tension_max": 1}
         note = "plumbing a positive Hopf band exposes an overtwisted disk met once by the binding"
@@ -662,7 +695,7 @@ def certificate_bounds(cert: Certificate) -> dict[str, tuple[float, float]]:
     holding all three of ``depth``, ``tension`` and ``order_bar``, or when a
     bound is not an int (bools excluded), a Fraction or inf.
     """
-    d = cert.details
+    d = _read_certificate(cert, "cert", InvalidParams).details
     c = d.get("if_nonloose")
     if c is not None:
         c = read_mapping(c, "if_nonloose", InvalidParams)

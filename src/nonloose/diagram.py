@@ -208,6 +208,12 @@ class OrientedFront(Value):
     }
 
 
+# The rules of the value arguments below, built here from the classes: a
+# tracer may rebind the module global ``FrontWord``.
+_read_word = OrientedFront._rules["word"]
+_read_front = member(OrientedFront)
+
+
 _NUMBER_RE = re.compile(r"[0-9]+")
 # A comment runs from '#' to the next line boundary of ``str.splitlines``.
 _COMMENT_RE = re.compile(r"#[^\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]*")
@@ -258,7 +264,7 @@ def parse_front(text: str) -> FrontWord:
 
 def serialize_front(word: FrontWord) -> str:
     """One event per line; inverse of :func:`parse_front`."""
-    return "".join([e.text for e in word.events])
+    return "".join([e.text for e in _read_word(word, "word", InvalidParams).events])
 
 
 def resolve_orientation(word: FrontWord, base_direction: Direction = Direction.RIGHTWARD) -> OrientedFront:
@@ -270,7 +276,7 @@ def resolve_orientation(word: FrontWord, base_direction: Direction = Direction.R
     cusps, and leaves the writhe as it is.  Only ``base_direction`` is read
     again: the rest is derived from the word.
     """
-    o = word._orientation
+    o = _read_word(word, "word", InvalidParams)._orientation
     OrientedFront._rules["base_direction"](base_direction, "base_direction", InvalidParams)
     rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
     if base_direction is leftward:
@@ -321,7 +327,7 @@ def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     """
     if sign not in ("+", "-"):
         raise FrontEditError("sign must be '+' or '-'")
-    word = front.word
+    word = _read_front(front, "front", FrontEditError).word
     o = word._orientation
     dirs = o.arc_directions
     rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
@@ -348,7 +354,7 @@ def detect_syntactic_destabilization(word: FrontWord) -> tuple[int, int] | None:
     word.  Absence does not certify that the knot admits no destabilization
     at all.
     """
-    ev = word.events
+    ev = _read_word(word, "word", InvalidParams).events
     for k in range(len(ev) - 1):
         if _is_zigzag(ev[k], ev[k + 1]):
             return (k, k + 1)
@@ -362,9 +368,10 @@ def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
     cusps before it.  Both of its cusps are up when arc 2m runs leftward
     (for a rightward base) and down otherwise.
     """
-    i, j = pair
-    ev = word.events
-    if not (0 <= i < len(ev) and j == i + 1 and j < len(ev) and _is_zigzag(ev[i], ev[j])):
+    ev = _read_word(word, "word", FrontEditError).events
+    i, j = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (-1, -1)
+    positions = type(i) is int and type(j) is int and 0 <= i < len(ev) and j == i + 1 < len(ev)
+    if not (positions and _is_zigzag(ev[i], ev[j])):
         raise FrontEditError(f"events {pair} do not form a removable zigzag")
     left_cusp = EventKind.LEFT_CUSP
     lo = 2 * sum([e.kind is left_cusp for e in ev[:i]])

@@ -149,9 +149,28 @@ def rational(kind: type):
     return read
 
 
-def member(kind: type):
-    """The rule: a ``kind`` value, such as a member of the enum ``kind``."""
-    expected = f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
+def nonnegative(noun: str | None = None):
+    """The rule: an integer, not a boolean, that is at least 0.  A negative
+    one raises "``noun`` must be nonnegative", ``noun`` by default the label."""
+
+    def read(value, what, error):
+        if read_int(value, what, error) < 0:
+            raise error(f"{noun or what} must be nonnegative")
+        return value
+
+    return read
+
+
+# a count of stabilizations, and the smooth 4-ball genus of a knot
+read_count = nonnegative("stabilization counts")
+read_genus = nonnegative("smooth 4-ball genus")
+
+
+def member(kind: type | tuple[type, ...]):
+    """The rule: a ``kind`` value, such as a member of the enum ``kind``, or
+    a value of any class in the tuple ``kind``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    expected = " or ".join([f"{'an' if k.__name__[0] in 'AEIOU' else 'a'} {k.__name__}" for k in kinds])
 
     def read(value, what, error):
         if isinstance(value, kind):

@@ -14,7 +14,9 @@ import re
 from math import gcd
 from typing import Iterable
 
-from .errors import InvalidParams, UnknownTag, Value, check_chi, optional, read_bool, read_int, read_ints, read_str
+from .errors import (
+    InvalidParams, UnknownTag, Value, check_chi, optional, read_bool, read_genus, read_int, read_ints, read_str
+)
 
 AMBIENT_TIGHT_S3 = "tight-S3"
 
@@ -39,8 +41,8 @@ class KnotRecord(Value):
     ):
         self._set(family, max_tb, rot_at_max_tb, chi, g_s, plus_one_surgery_overtwisted, ambient, order_positive)
         check_chi(chi)
-        if g_s is not None and g_s < 0:
-            raise InvalidParams("smooth 4-ball genus must be nonnegative")
+        if g_s is not None:
+            read_genus(g_s, "g_s", InvalidParams)
         if ambient == AMBIENT_TIGHT_S3 and max_tb is not None:
             for r in self.rot_at_max_tb:
                 if max_tb + abs(r) > -chi:

@@ -25,7 +25,9 @@ from math import lcm
 from typing import Sequence
 
 from .calculus import RationalData
-from .errors import DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, members, read_int, read_str
+from .errors import (
+    DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, members, read_count, read_int, read_str
+)
 from .linalg import Matrix, solve_exact
 
 COEFF_PLUS = "+1"
@@ -178,12 +180,12 @@ def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData
     r is the order of tb in Z/(tb + 1), which is all of |tb + 1| because
     gcd(tb, tb + 1) = 1.
     """
-    for value, what in ((tb, "tb"), (rot, "rot"), (a, "a"), (b, "b")):
-        read_int(value, what, InvalidParams)
+    read_int(tb, "tb", InvalidParams)
+    read_int(rot, "rot", InvalidParams)
+    read_count(a, "a", InvalidParams)
+    read_count(b, "b", InvalidParams)
     if tb == -1:
         raise MeridionalSlope("tb = -1 makes (+1)-surgery meridional (det M = 0)")
-    if a < 0 or b < 0:
-        raise InvalidParams("stabilization counts must be nonnegative")
     n = tb + 1
     return RationalData(Fraction(tb, n) - a - b, Fraction(rot, n) + a - b, abs(n), chi)
 

@@ -623,6 +623,33 @@ CASES = {
             }
         """,
     ),
+    # One side is a closed form: a budget of 10^12 costs what a budget of 0
+    # does, and the bound is the least violating total, wherever it lies.
+    "certify-tension positive_only at a budget of 10^12": (
+        "certify-tension --tb 3 --rot 0 --chi -1 --side positive_only --max-n 1000000000000",
+        0,
+        """\
+            {
+              "bound": 3,
+              "witness": [
+                3,
+                0
+              ],
+              "max_n": 1000000000000
+            }
+        """,
+    ),
+    "certify-tension positive_only without a witness at a budget of 10^12": (
+        "certify-tension --tb 1 --rot 0 --chi -5 --side positive_only --max-n 1000000000000",
+        0,
+        """\
+            {
+              "bound": null,
+              "witness": null,
+              "max_n": 1000000000000
+            }
+        """,
+    ),
     "negative --p-max": (
         "search-examples --p-max -1",
         1,
