@@ -15,17 +15,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_SUBMODULES = (
-    "calculus",
-    "certify",
-    "cli",
-    "diagram",
-    "errors",
-    "knotdata",
-    "linalg",
-    "surgery",
-)
-
 # The names the package exports, by the submodule that defines each.
 _EXPORTED_BY = {
     "calculus": ("ClassicalPair", "RationalData"),
@@ -89,6 +78,8 @@ _EXPORTED_BY = {
         "rational_invariants",
     ),
 }
+# every submodule: those that export a name, and the command line
+_SUBMODULES = (*_EXPORTED_BY, "cli")
 _EXPORTS = {name: module for module, names in _EXPORTED_BY.items() for name in names}
 
 __all__ = list(_EXPORTS)

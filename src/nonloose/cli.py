@@ -134,7 +134,7 @@ def cmd_front_destab(args) -> dict:
     if pair is None:
         return {"found": False}
     smaller = diagram.destabilize_front(word, pair)
-    front = diagram.resolve_orientation(smaller)
+    front = diagram.resolve_orientation(smaller, diagram.Direction(args.base_direction))
     return {
         "found": True,
         "event_indices": list(pair),

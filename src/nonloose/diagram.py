@@ -287,16 +287,19 @@ def resolve_orientation(word: FrontWord, base_direction: Direction = Direction.R
 
 def tb(front: OrientedFront) -> int:
     """Thurston-Bennequin number: writhe minus half the cusp count."""
+    front = _read_front(front, "front", InvalidParams)
     return front.writhe - (front.up_cusps + front.down_cusps) // 2
 
 
 def rot(front: OrientedFront) -> int:
     """Rotation number: half the down-minus-up cusp count."""
+    front = _read_front(front, "front", InvalidParams)
     return (front.down_cusps - front.up_cusps) // 2
 
 
 def reverse_orientation(front: OrientedFront) -> OrientedFront:
     """Flip every direction flag; tb is unchanged and rot negates."""
+    front = _read_front(front, "front", InvalidParams)
     return resolve_orientation(front.word, front.base_direction.reversed)
 
 

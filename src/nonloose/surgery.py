@@ -26,7 +26,8 @@ from typing import Sequence
 
 from .calculus import RationalData
 from .errors import (
-    DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, members, read_count, read_int, read_str
+    DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, member, members, read_count, read_int,
+    read_str,
 )
 from .linalg import Matrix, solve_exact
 
@@ -117,6 +118,9 @@ class SurgeryDiagram(Value):
         return cls(components, lk, distinguished)
 
 
+_read_diagram = member(SurgeryDiagram)
+
+
 def _split(diag: SurgeryDiagram) -> tuple[int, tuple[int, ...]]:
     """The index of the passive component and those of the surgered ones, in diagram order."""
     passive = next(i for i, c in enumerate(diag.components) if c.coeff == COEFF_PASSIVE)
@@ -125,6 +129,7 @@ def _split(diag: SurgeryDiagram) -> tuple[int, tuple[int, ...]]:
 
 def linking_matrix(diag: SurgeryDiagram) -> Matrix:
     """Topological linking matrix over the surgered components only."""
+    diag = _read_diagram(diag, "diag", InvalidParams)
     _, surgered = _split(diag)
     comps, lk = diag.components, diag.lk
     return tuple(
@@ -151,6 +156,7 @@ def rational_invariants(
     ``reverse_distinguished`` evaluates the other orientation of the passive
     component (rot_Q negates, tb_Q and r are unchanged).
     """
+    diag = _read_diagram(diag, "diag", InvalidParams)
     lkvec = _distinguished_lk(diag)
     try:
         x = solve_exact(linking_matrix(diag), lkvec)

@@ -4,19 +4,20 @@ The cofactor determinant, the inverse, the Smith normal form with its
 unimodular transforms, the homological order it gives and the bordered
 matrix M0 of a surgery diagram cross-check ``nonloose.linalg`` and
 ``nonloose.surgery``, which compute tb_Q, rot_Q and r from one solve of
-M x = lk.  ``invert_exact`` and ``homological_order`` reuse the library's
-elimination and shape check; everything else here reduces on its own.
+M x = lk.  Each reduces on its own: from ``nonloose`` this module takes only
+type aliases, value classes and error classes, never code it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from nonloose.errors import LinalgError
-from nonloose.linalg import Entry, Matrix, Vector, _check_square, _eliminate
-from nonloose.surgery import SurgeryDiagram, _distinguished_lk, linking_matrix
+from nonloose.errors import LinalgError, SingularMatrix
+from nonloose.linalg import Entry, Matrix, Vector
+from nonloose.surgery import SurgeryDiagram
 
 
 class Infinite:
@@ -34,6 +35,13 @@ class Infinite:
 
 
 INFINITE = Infinite()
+
+
+def _check_square(m: Matrix) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise LinalgError("matrix is not square")
+    return n
 
 
 def freeze(rows: Sequence[Sequence[Entry]]) -> Matrix:
@@ -81,9 +89,21 @@ def det_cofactor(m: Matrix) -> Entry:
 
 
 def invert_exact(m: Matrix) -> Matrix:
-    """Exact inverse over the rationals: ``_eliminate`` on the identity's columns."""
-    _, columns = _eliminate(m, identity(len(m)))
-    return freeze(zip(*columns))
+    """Exact inverse over the rationals: Gauss-Jordan elimination of [m | I]."""
+    n = _check_square(m)
+    a = [[Fraction(x) for x in (*row, *unit)] for row, unit in zip(m, identity(n))]
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot_row is None:
+            raise SingularMatrix("matrix has determinant 0")
+        a[c], a[pivot_row] = a[pivot_row], a[c]
+        pivot = a[c][c]
+        a[c] = [x / pivot for x in a[c]]
+        for r in range(n):
+            factor = a[r][c]
+            if r != c and factor:
+                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
+    return freeze(row[n:] for row in a)
 
 
 @dataclass(frozen=True)
@@ -226,14 +246,14 @@ def homological_order(m: Matrix, lkvec: Sequence[int]) -> int | Infinite:
 
 
 def extended_matrix(diag: SurgeryDiagram) -> Matrix:
-    """M bordered by a zero corner and the distinguished linking numbers.
+    """M bordered by a zero corner and the distinguished linking numbers,
+    built from the diagram's components and linking matrix: the passive
+    component first, then the surgered ones in diagram order, with tb + 1 on
+    the diagonal under (+1)-surgery and tb - 1 under (-1)-surgery.
 
     By the Schur complement, det M0 = -det M * lk^T M^{-1} lk.
     """
-    m = linking_matrix(diag)
-    border = _distinguished_lk(diag)
-    top = (0,) + border
-    rows = [top]
-    for i, row in enumerate(m):
-        rows.append((border[i],) + row)
-    return tuple(rows)
+    comps = diag.components
+    order = sorted(range(len(comps)), key=lambda i: comps[i].coeff != "passive")
+    framing = [0 if c.coeff == "passive" else c.tb + int(c.coeff) for c in comps]
+    return tuple(tuple(diag.lk[i][j] + (framing[i] if i == j else 0) for j in order) for i in order)

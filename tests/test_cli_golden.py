@@ -562,6 +562,28 @@ CASES = {
         """,
         "l 1\nl 1\nr 2\nr 1\n",
     ),
+    # --base-direction orients the destabilized front, as front-invariants
+    # orients the printed word: leftward swaps up and down cusps and negates rot.
+    "leftward front-destab": (
+        "front-destab - --base-direction leftward",
+        0,
+        """\
+            {
+              "found": true,
+              "event_indices": [
+                1,
+                2
+              ],
+              "word": "l 1\\nl 1\\nr 2\\nr 1\\n",
+              "tb": -2,
+              "rot": -1,
+              "writhe": 0,
+              "up_cusps": 3,
+              "down_cusps": 1
+            }
+        """,
+        "l 1 ; l 1 ; r 2 ; l 1 ; r 2 ; r 1",
+    ),
     # Within a total the search tests only the splits its side allows: one
     # negative stabilization violates first, two positive ones on the
     # positive side.

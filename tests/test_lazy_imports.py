@@ -4,6 +4,7 @@ since a test process has long since imported everything."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from fresh_process import run_python
@@ -231,13 +232,18 @@ def test_readme_library_example():
     assert callable(stabilize_front) and callable(bennequin_rational) and callable(unknot_verdict)
 
 
-def test_submodule_attribute_after_bare_import():
+# every module of the package, read off its files rather than its own list
+SUBMODULES = sorted(path.stem for path in Path(nonloose.__file__).parent.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("submodule", SUBMODULES)
+def test_submodule_attribute_after_bare_import(submodule):
     name, loaded = fresh(
         "import json, sys, nonloose\n"
-        "m = nonloose.surgery\n"
-        "print(json.dumps([m.__name__, 'nonloose.surgery' in sys.modules]))"
+        f"m = nonloose.{submodule}\n"
+        f"print(json.dumps([m.__name__, 'nonloose.{submodule}' in sys.modules]))"
     )
-    assert (name, loaded) == ("nonloose.surgery", True)
+    assert (name, loaded) == (f"nonloose.{submodule}", True)
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "Surgery", "__wrapped__", "obs"])

@@ -1,9 +1,14 @@
+import ast
 from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
+from typing import get_origin
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_oracles
 from linalg_oracles import (
     INFINITE,
     det_cofactor,
@@ -14,7 +19,7 @@ from linalg_oracles import (
     mat_vec,
     smith_normal_form,
 )
-from nonloose.errors import DomainError, SingularMatrix
+from nonloose.errors import DomainError, SingularMatrix, Value
 from nonloose.linalg import det_exact
 
 
@@ -167,3 +172,24 @@ class TestHomologicalOrder:
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def is_data(obj) -> bool:
+    """A type alias (``Matrix``, ``Entry``), a value class or an error class: nothing that computes."""
+    return get_origin(obj) is not None or (isinstance(obj, type) and issubclass(obj, (Value, DomainError)))
+
+
+def test_matrix_oracles_import_no_library_code():
+    """The matrix oracles take only data types from ``nonloose``, so none of
+    them runs the code it checks."""
+    tree = ast.parse(Path(linalg_oracles.__file__).read_text(encoding="utf-8"))
+    code = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            code += [alias.name for alias in node.names if alias.name.split(".")[0] == "nonloose"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nonloose":
+            module = import_module(node.module)
+            code += [
+                f"{node.module}.{alias.name}" for alias in node.names if not is_data(getattr(module, alias.name, None))
+            ]
+    assert code == []

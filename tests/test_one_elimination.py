@@ -1,4 +1,5 @@
-"""``det_exact``, ``invert_exact`` and ``solve_exact`` share one elimination.
+"""``det_exact`` and ``solve_exact`` share one elimination; the oracle
+``invert_exact`` runs its own.
 
 Each is checked against an oracle that does not eliminate: the product back
 to v or to the identity, Cramer's rule and the cofactor expansion.  The

@@ -20,10 +20,14 @@ from nonloose.diagram import (
     detect_syntactic_destabilization,
     parse_front,
     resolve_orientation,
+    reverse_orientation,
+    rot,
     serialize_front,
     stabilize_front,
+    tb,
 )
 from nonloose.errors import DomainError, FrontEditError, InvalidParams
+from nonloose.surgery import linking_matrix, rational_invariants
 
 STABILIZED = "l 1 ; l 1 ; r 2 ; r 1"  # a zigzag at events (1, 2)
 
@@ -48,6 +52,9 @@ STABILIZED = "l 1 ; l 1 ; r 2 ; r 1"  # a zigzag at events (1, 2)
         ),
         (lambda: certificate_bounds(5), InvalidParams, "cert must be a Certificate, got 5"),
         (lambda: resolve_orientation(5), InvalidParams, "word must be a FrontWord, got 5"),
+        (lambda: tb(5), InvalidParams, "front must be an OrientedFront, got 5"),
+        (lambda: rot(5), InvalidParams, "front must be an OrientedFront, got 5"),
+        (lambda: reverse_orientation(5), InvalidParams, "front must be an OrientedFront, got 5"),
         (lambda: stabilize_front(5, "+"), FrontEditError, "front must be an OrientedFront, got 5"),
         (
             lambda: stabilize_front(parse_front(STABILIZED), "+"),
@@ -60,6 +67,8 @@ STABILIZED = "l 1 ; l 1 ; r 2 ; r 1"  # a zigzag at events (1, 2)
         (lambda: destabilize_front(parse_front(STABILIZED), 5), FrontEditError, "events 5 do not form"),
         (lambda: destabilize_front(parse_front(STABILIZED), (True, 2)), FrontEditError, "events (True, 2) do not"),
         (lambda: destabilize_front(parse_front(STABILIZED), (1, 2, 3)), FrontEditError, "events (1, 2, 3) do not"),
+        (lambda: linking_matrix(5), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
+        (lambda: rational_invariants(5, -1), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
     ],
 )
 def test_a_value_argument_of_the_wrong_type_is_a_domain_error(call, error, message):
