@@ -171,13 +171,13 @@ class Depth2Witness(Value):
     }
 
 
-# the rules of the value arguments below, and of a search's budget
+# the rules of the value arguments below, and of a search's budget or a bound
 _read_pair = member(ClassicalPair)
 _read_rational = member(RationalData)
 _read_data = member((ClassicalPair, RationalData))
 _read_witness = member(Depth2Witness)
 _read_certificate = member(Certificate)
-_read_budget = nonnegative()
+_read_nonnegative = nonnegative()
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def tension_upper_bound(
         raise InvalidParams(f"side must be one of {_SIDES}, got {side!r}")
     if isinstance(data, ClassicalPair) and data.chi is None:
         raise MissingChi("the stabilization search needs chi")
-    _read_budget(max_n, "max_n", InvalidParams)
+    _read_nonnegative(max_n, "max_n", InvalidParams)
     if isinstance(data, RationalData):
         tb, rot, rhs = data.tb_q, data.rot_q, Fraction(-data.chi, data.order_r)
     else:
@@ -421,7 +421,7 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
         its rational Bennequin violation -|tb_Q| + |rot_Q| > -chi/r reads
         n - 1 - p - q > p - q - pq, which reduces to p < -1 as well.
     """
-    _read_budget(p_max, "p_max", InvalidParams)
+    _read_nonnegative(p_max, "p_max", InvalidParams)
     from .knotdata import negative_torus_record
     from .surgery import dual_invariants
 
@@ -604,6 +604,10 @@ def transverse_transfer(
       * a transverse unknot is loose outright;
       * the binding of a negatively Hopf-stabilized open book (evidence
         flag) has depth = tension = 1.
+
+    The source's ``witness`` (a, b) must be a list or tuple of two
+    nonnegative integers, and its ``t_minus_max`` a nonnegative integer;
+    anything else raises ``InvalidParams``.
     """
     if relation not in _RELATIONS:
         raise IncompatibleRelation(f"relation must be one of {_RELATIONS}, got {relation!r}")
@@ -626,12 +630,13 @@ def transverse_transfer(
             raise IncompatibleRelation(
                 "finite negative tension speaks about the positive push-off"
             )
-        if details.get("t_minus_max") is not None:
+        t_minus_max = details.get("t_minus_max")
+        if t_minus_max is not None:
             return _loose(
                 "pushoff-loose",
                 "negative stabilizations do not move the push-off, so a "
                 "finite negative tension looses it",
-                {"t_minus_max": details["t_minus_max"]},
+                {"t_minus_max": _read_nonnegative(t_minus_max, "t_minus_max", InvalidParams)},
                 assumptions=assumptions,
             )
     if legendrian_cert.verdict is Verdict.LOOSE_CERTIFIED and relation == "pushoff":
@@ -642,6 +647,9 @@ def transverse_transfer(
         )
     witness = details.get("witness")
     if legendrian_cert.verdict is Verdict.TENSION_UPPER_BOUND and witness is not None:
+        pair = isinstance(witness, (list, tuple)) and len(witness) == 2  # (a, b), as tension_upper_bound gives it
+        if not pair or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in witness):
+            raise InvalidParams(f"witness must be a list or tuple of two nonnegative integers, got {witness!r}")
         positive_used = witness[0]
         if positive_used == 0:
             # loosened by negative stabilizations alone, which do not move

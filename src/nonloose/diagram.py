@@ -58,6 +58,7 @@ from .errors import (
     member,
     members,
     read_int,
+    read_str,
 )
 
 
@@ -246,8 +247,9 @@ def parse_front(text: str) -> FrontWord:
 
     Each distinct ``token number`` pair is checked and built once, in order
     of first occurrence; its later occurrences share that (frozen) event.
+    ``text`` must be a ``str``, or ``InvalidParams`` is raised.
     """
-    tokens = _COMMENT_RE.sub("", text).replace(";", " ").split()
+    tokens = _COMMENT_RE.sub("", read_str(text, "text", InvalidParams)).replace(";", " ").split()
     if not tokens:
         raise EmptyWord("no events in input")
     events: list[FrontEvent] = []

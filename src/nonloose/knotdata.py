@@ -59,8 +59,10 @@ def negative_torus_record(p: int, q: int) -> KnotRecord:
     Maximal tb is pq, realized with rotation number p + q, and
     chi = q - p + pq.  (+1)-surgery on the maximal representative is
     overtwisted.  q = 1 is rejected: that curve is an unknot and the
-    formulas do not apply to it.
+    formulas do not apply to it.  p and q must be integers, not booleans.
     """
+    read_int(p, "p", InvalidParams)
+    read_int(q, "q", InvalidParams)
     if not (q >= 2 and -p > q and gcd(p, q) == 1):
         raise InvalidParams(
             f"need coprime (p, q) with -p > q >= 2, got ({p}, {q})"
@@ -77,8 +79,11 @@ def negative_torus_record(p: int, q: int) -> KnotRecord:
 def positive_torus_record(p: int, q: int) -> KnotRecord:
     """Record of the positive torus knot T(p, q), p, q >= 2 coprime.
 
-    Maximal tb is pq - p - q = 2 g_s - 1 with rotation number 0.
+    Maximal tb is pq - p - q = 2 g_s - 1 with rotation number 0.  p and q
+    must be integers, not booleans.
     """
+    read_int(p, "p", InvalidParams)
+    read_int(q, "q", InvalidParams)
     if not (p >= 2 and q >= 2 and gcd(p, q) == 1):
         raise InvalidParams(
             f"need coprime (p, q) with p, q >= 2, got ({p}, {q})"
@@ -105,9 +110,9 @@ def named_example(tag: str) -> KnotRecord:
     S^3 of Hopf invariant 1-2n, carrying a nonvanishing positive-order
     torsion invariant (n >= 2; n = 1 would be an unknot).
 
-    The number is written in ASCII digits.
+    The number is written in ASCII digits, and ``tag`` must be a ``str``.
     """
-    m = _TAG_RE.fullmatch(tag)
+    m = _TAG_RE.fullmatch(read_str(tag, "tag", InvalidParams))
     if m is None:
         raise UnknownTag(f"unrecognized tag {tag!r}")
     family, digits = m.groups()
@@ -165,7 +170,10 @@ def record_from_dict(doc: dict) -> KnotRecord:
 
 
 def load_records(path: str | os.PathLike[str]) -> tuple[KnotRecord, ...]:
-    """Read a user-supplied JSON list of KnotRecord fields."""
+    """Read a user-supplied JSON list of KnotRecord fields from the file at
+    ``path``, a ``str`` or an ``os.PathLike`` (never a file descriptor)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidParams(f"path must be a str or an os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .calculus import RationalData
 from .errors import (
-    DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, member, members, read_count, read_int,
-    read_str,
+    DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, member, members, read_bool, read_count,
+    read_int, read_str,
 )
 from .linalg import Matrix, solve_exact
 
@@ -153,10 +153,12 @@ def rational_invariants(
 
     All three come from x with M x = lkvec, solved with no inverse formed:
     tb_Q = tb_0 - <lkvec, x>, rot_Q = rot_0 - <rotvec, x>, r = lcm of the denominators of x.
-    ``reverse_distinguished`` evaluates the other orientation of the passive
-    component (rot_Q negates, tb_Q and r are unchanged).
+    ``reverse_distinguished``, ``True`` or ``False``, evaluates the other
+    orientation of the passive component (rot_Q negates, tb_Q and r are
+    unchanged); any other value raises ``InvalidParams``.
     """
     diag = _read_diagram(diag, "diag", InvalidParams)
+    read_bool(reverse_distinguished, "reverse_distinguished", InvalidParams)
     lkvec = _distinguished_lk(diag)
     try:
         x = solve_exact(linking_matrix(diag), lkvec)

@@ -5,31 +5,19 @@ rational and transverse data take an even chi but no chi > 1; a knot record,
 like a ``ClassicalPair`` and the surgered knot of certify-dual, takes only an
 odd chi <= 1."""
 
-import contextlib
-import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from nonloose import cli
 from nonloose.calculus import RationalData
 from nonloose.certify import CheckResult, tension_one_dual, transverse_bennequin
 from nonloose.errors import InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
 
-DIAGRAM = {
-    "components": [
-        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-    ],
-    "lk": [["Lstar", "L", -15]],
-    "distinguished": "Lstar",
-}
-
 # every command that builds rational or transverse data, with its chi last
 RATIONAL_COMMANDS = {
-    "surgery-invariants": ["surgery-invariants", "-", "--chi"],
+    "surgery-invariants": ["surgery-invariants", "diagram.json", "--chi"],
     "dual-invariants": ["dual-invariants", "--tb", "-15", "--rot", "-2", "--stab", "+1", "--chi"],
     "certify-bennequin rational": ["certify-bennequin", "--tb-q", "1", "--rot-q", "0", "--chi"],
     "certify-bennequin transverse": ["certify-bennequin", "--sl-q", "1", "--order", "3", "--chi"],
@@ -40,19 +28,11 @@ RATIONAL_COMMANDS = {
 KNOT_CHI_COMMANDS = {"certify-dual"}
 
 
-def run_cli(monkeypatch, argv, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, json.loads(out.getvalue())
-
-
 @pytest.mark.parametrize("command", sorted(RATIONAL_COMMANDS))
 @pytest.mark.parametrize("chi", [2, 4, 6])
-def test_rational_commands_reject_chi_above_one(monkeypatch, command, chi):
+def test_rational_commands_reject_chi_above_one(run_cli, command, chi):
     argv = RATIONAL_COMMANDS[command] + [str(chi)]
-    code, doc = run_cli(monkeypatch, argv, json.dumps(DIAGRAM))
+    code, doc = run_cli.json(argv)
     assert code == 1
     assert doc == {"error": {"type": "InvalidParams", "message": f"chi must be <= 1, got {chi}"}}
 
@@ -66,9 +46,9 @@ def test_rational_commands_reject_chi_above_one(monkeypatch, command, chi):
         if chi % 2 or command not in KNOT_CHI_COMMANDS
     ],
 )
-def test_rational_commands_take_any_chi_up_to_one(monkeypatch, command, chi):
+def test_rational_commands_take_any_chi_up_to_one(run_cli, command, chi):
     argv = RATIONAL_COMMANDS[command] + [str(chi)]
-    code, doc = run_cli(monkeypatch, argv, json.dumps(DIAGRAM))
+    code, doc = run_cli.json(argv)
     assert code == 0, doc
 
 
@@ -80,18 +60,18 @@ def test_rational_commands_take_any_chi_up_to_one(monkeypatch, command, chi):
         (["certify-tension", "--tb", "1", "--rot", "0", "--chi", "0"], "chi of a knot's Seifert surface is odd, got 0"),
     ],
 )
-def test_classical_commands_keep_chi_odd_and_at_most_one(monkeypatch, argv, message):
-    assert run_cli(monkeypatch, argv) == (1, {"error": {"type": "InvalidParams", "message": message}})
+def test_classical_commands_keep_chi_odd_and_at_most_one(run_cli, argv, message):
+    assert run_cli.json(argv) == (1, {"error": {"type": "InvalidParams", "message": message}})
 
 
 @pytest.mark.parametrize("chi", [0, -2, -8])
-def test_certify_dual_takes_only_a_knots_chi(monkeypatch, chi):
+def test_certify_dual_takes_only_a_knots_chi(run_cli, chi):
     """The dual's chi is the surgered knot's, so the tension criterion checks
     it is odd, as it checks a knot record's."""
     message = f"chi of a knot's Seifert surface is odd, got {chi}"
     argv = ["certify-dual", "--tb", "-15", "--rot", "-2", "--chi", str(chi), "--surgery-overtwisted",
             "--complement-tight"]
-    assert run_cli(monkeypatch, argv) == (1, {"error": {"type": "InvalidParams", "message": message}})
+    assert run_cli.json(argv) == (1, {"error": {"type": "InvalidParams", "message": message}})
     with pytest.raises(InvalidParams, match=message):
         tension_one_dual(-15, -2, chi, True)
     with pytest.raises(InvalidParams, match=message):
@@ -108,7 +88,7 @@ def test_library_checks():
 
 
 @pytest.mark.parametrize("chi", [-4, 0, -10])
-def test_knot_record_rejects_even_chi(tmp_path, monkeypatch, chi):
+def test_knot_record_rejects_even_chi(run_cli, tmp_path, chi):
     message = f"chi of a knot's Seifert surface is odd, got {chi}"
     with pytest.raises(InvalidParams, match=message):
         KnotRecord("k", -3, frozenset({0}), chi)
@@ -117,14 +97,14 @@ def test_knot_record_rejects_even_chi(tmp_path, monkeypatch, chi):
         record_from_dict(entry)
     path = tmp_path / "records.json"
     path.write_text(json.dumps([entry]))
-    code, doc = run_cli(monkeypatch, ["--records", str(path), "knot-record", "--name", "k"])
+    code, doc = run_cli.json(["--records", str(path), "knot-record", "--name", "k"])
     assert code == 1
     assert doc == {"error": {"type": "InvalidParams", "message": message}}
 
 
-def test_knot_record_keeps_its_message_above_one(tmp_path, monkeypatch):
+def test_knot_record_keeps_its_message_above_one(run_cli, tmp_path):
     path = tmp_path / "records.json"
     path.write_text(json.dumps([{"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": 4}]))
-    code, doc = run_cli(monkeypatch, ["--records", str(path), "knot-record", "--name", "k"])
+    code, doc = run_cli.json(["--records", str(path), "knot-record", "--name", "k"])
     assert code == 1
     assert doc == {"error": {"type": "InvalidParams", "message": "chi must be <= 1, got 4"}}

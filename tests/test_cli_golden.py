@@ -1,56 +1,38 @@
-"""Golden stdout of the command line: the CLI contract.
+"""Golden stdout of the command line: the CLI contract, and the only
+statement of what a command prints.
 
 Each case pins the exact stdout text and exit code of one command line: every
 example of the README's CLI section (run in a directory holding the files it
-names), each subcommand once with ``--format text``, one error document each
-for a ``DomainError`` and an ``InputError``, and the edges of the input
-boundary (stdin input, the default records file, flag values that are errors).
+names), each subcommand once with ``--format text``, error documents (a
+``DomainError``, an ``InputError`` for a file that is not JSON and one that
+is missing, ``InvalidParams``, ``MeridionalSlope``, ``PositionOutOfRange``),
+and the edges of the input boundary (stdin input, the default records file,
+flag values that are errors, an unknown subcommand).
 A change meant to keep the output byte-identical must leave every case
-passing as it stands.
+passing as it stands.  ``test_readme_cli_block`` holds the README's CLI
+section to the table: each command there is a case, and each output it
+shows is that case's stdout.
 
-Every case runs twice: through ``cli.main`` in this process, and as ``python
--m nonloose.cli`` in a fresh process, where a handler that lost one of its
-imports shows.  Both runs get the case's stdin, run in a work directory that
-holds ``FILES`` and see that directory as ``HOME``, so the default records
-file is the one written here, never the user's own.
+Every case runs twice: through ``cli.main`` in this process, with the shared
+``run_cli`` runner of ``conftest``, and as ``python -m nonloose.cli`` in a
+fresh process, where a handler that lost one of its imports shows.  Both
+runs get the case's stdin, run in a work directory that holds
+``examples.FILES`` and see that directory as ``HOME``, so the default records
+file is the one written there, never the user's own.
 """
 
 import hashlib
-import io
 import json
-import os
 import shlex
-import sys
+from pathlib import Path
 from textwrap import dedent
 from typing import NamedTuple
 
 import pytest
+from examples import FILES, STABILIZED, UNKNOT
 from fresh_process import run_python
 
-from nonloose import cli
-
-# the default records file, relative to HOME
-RECORDS = os.path.join(".config", "nonloose", "records.json")
-
-FILES = {
-    "unknot.front": "l 1\nr 1\n",
-    "stabilized.front": "l 1\nl 1\nr 2\nr 1\n",
-    "diagram.json": json.dumps(
-        {
-            "components": [
-                {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-                {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-            ],
-            "lk": [["Lstar", "L", -15]],
-            "distinguished": "Lstar",
-        }
-    ),
-    "my_records.json": json.dumps(
-        [{"family": "custom", "max_tb": -3, "rot_at_max_tb": [0], "chi": -1}]
-    ),
-    "empty.json": "",
-    RECORDS: json.dumps([{"family": "house", "max_tb": -2, "rot_at_max_tb": [1], "chi": -3}]),
-}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class Case(NamedTuple):
@@ -504,6 +486,68 @@ CASES = {
             }
         """
     ),
+    "trefoil front-invariants": (
+        "front-invariants trefoil.front",
+        0,
+        """\
+            {
+              "tb": 1,
+              "rot": 0,
+              "writhe": 3,
+              "up_cusps": 2,
+              "down_cusps": 2
+            }
+        """
+    ),
+    "PositionOutOfRange document": (
+        "front-invariants -",
+        1,
+        """\
+            {
+              "error": {
+                "type": "PositionOutOfRange",
+                "message": "event 1: right cusp at 2 with 2 strands"
+              }
+            }
+        """,
+        "l 1 ; r 2",
+    ),
+    "missing front file": (
+        "front-invariants no_such.front",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InputError",
+                "message": "cannot read no_such.front: [Errno 2] No such file or directory: 'no_such.front'"
+              }
+            }
+        """
+    ),
+    "MeridionalSlope document": (
+        "dual-invariants --tb -1 --rot 0 --chi 1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "MeridionalSlope",
+                "message": "tb = -1 makes (+1)-surgery meridional (det M = 0)"
+              }
+            }
+        """
+    ),
+    "InvalidParams document": (
+        "knot-record --family negative-torus --p -4 --q 2",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "need coprime (p, q) with -p > q >= 2, got (-4, 2)"
+              }
+            }
+        """
+    ),
     "stdin surgery-invariants": (
         "surgery-invariants - --chi -7",
         0,
@@ -529,7 +573,7 @@ CASES = {
               "down_cusps": 1
             }
         """,
-        FILES["unknot.front"],
+        UNKNOT,
     ),
     # A '#' comment ends at a line boundary, '\r' included.
     "carriage return ends a comment": (
@@ -560,7 +604,7 @@ CASES = {
               "down_cusps": 3
             }
         """,
-        "l 1\nl 1\nr 2\nr 1\n",
+        STABILIZED,
     ),
     # --base-direction orients the destabilized front, as front-invariants
     # orients the printed word: leftward swaps up and down cusps and negates rot.
@@ -729,6 +773,8 @@ CASES = {
             }
         """,
     ),
+    # A usage error prints its message on stderr only.
+    "unknown subcommand": ("no-such-command", 2, ""),
     # argparse stores [] for "--flag=--"; each is a usage error.
     "double dash as --records": ("--records=-- knot-record --name k", 2, ""),
     "double dash as --tag": ("knot-record --tag=--", 2, ""),
@@ -741,37 +787,10 @@ CASES = {name: Case(*fields) for name, fields in CASES.items()}
 # The README's search-examples command prints 294 lines; they are pinned by
 # digest, and the one-certificate run of "text search-examples" pins the
 # fields of a certificate in full.
+README_SEARCH_EXAMPLES = ["search-examples", "--p-max", "5"]
 SEARCH_EXAMPLES_P_MAX_5_SHA256 = (
     "6fd1ad0d847117cb12c9e82b274e1ac0a7e7e6bac44478b50ca4582d59c02e69"
 )
-
-
-@pytest.fixture
-def workdir(tmp_path):
-    for name, text in FILES.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    return tmp_path
-
-
-@pytest.fixture
-def in_process(workdir, monkeypatch, capsys):
-    """A runner of command lines through ``cli.main``: (exit code, stdout)."""
-    monkeypatch.chdir(workdir)
-    monkeypatch.setenv("HOME", str(workdir))
-    # DEFAULT_RECORDS_PATH is computed from HOME at import time, so patch it directly
-    monkeypatch.setattr(cli, "DEFAULT_RECORDS_PATH", os.path.join(workdir, RECORDS))
-
-    def run(argv, stdin=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        try:
-            code = cli.main(shlex.split(argv))
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-        return code, capsys.readouterr().out
-
-    return run
 
 
 @pytest.fixture
@@ -786,8 +805,8 @@ def fresh_process(workdir):
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
-def test_stdout(in_process, case):
-    assert in_process(case.argv, case.stdin) == (case.code, dedent(case.stdout))
+def test_stdout(run_cli, case):
+    assert run_cli(case.argv, case.stdin) == (case.code, dedent(case.stdout))
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
@@ -803,9 +822,45 @@ def check_readme_search_examples(code, out):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_EXAMPLES_P_MAX_5_SHA256
 
 
-def test_readme_search_examples(in_process):
-    check_readme_search_examples(*in_process("search-examples --p-max 5"))
+def test_readme_search_examples(run_cli):
+    check_readme_search_examples(*run_cli(README_SEARCH_EXAMPLES))
 
 
 def test_readme_search_examples_fresh_process(fresh_process):
-    check_readme_search_examples(*fresh_process("search-examples --p-max 5"))
+    check_readme_search_examples(*fresh_process(shlex.join(README_SEARCH_EXAMPLES)))
+
+
+def readme_cli_block():
+    """The README's CLI example block: [argv, the JSON of the ``# {...}`` comment
+    printed below it or None] for each ``nonloose`` line, and the files that
+    its ``printf`` lines write, by name."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands, written = [], {}
+    for line in block.splitlines():
+        if line.startswith("nonloose "):
+            commands.append([shlex.split(line)[1:], None])
+        elif line.startswith("# {"):
+            commands[-1][1] = json.loads(line[2:])
+        elif line.startswith("printf "):
+            text, redirect, name = shlex.split(line)[1:]
+            assert redirect == ">", line
+            written[name] = text.replace("\\n", "\n")
+        else:
+            assert not line or line.startswith("# "), line
+    return commands, written
+
+
+def test_readme_cli_block():
+    commands, written = readme_cli_block()
+    cases = {tuple(shlex.split(case.argv)): case for case in CASES.values()}
+    assert commands and any(printed for _, printed in commands)
+    for argv, printed in commands:
+        if argv == README_SEARCH_EXAMPLES:  # pinned by its digest
+            continue
+        assert tuple(argv) in cases, f"no golden case runs {shlex.join(argv)}"
+        case = cases[tuple(argv)]
+        assert case.code == 0, argv
+        if printed is not None:
+            assert json.loads(dedent(case.stdout)) == printed, argv
+    assert written == {name: FILES[name] for name in written}

@@ -23,10 +23,8 @@ from nonloose.errors import (
     PositionOutOfRange,
     UnknownToken,
 )
+from examples import TREFOIL, UNKNOT
 from wordgen import random_front_word
-
-UNKNOT = "l 1 ; r 1"
-TREFOIL = "l 1 ; l 2 ; x 1 ; x 1 ; x 1 ; r 2 ; r 1"
 
 words = st.randoms(use_true_random=False).map(random_front_word)
 

@@ -1,15 +1,11 @@
 """``dual_invariants`` is closed form; the two-component surgery diagram it
 stands for, run through the matrix pipeline, is its oracle."""
 
-import contextlib
-import io
-import json
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonloose import cli, linalg, surgery
+from nonloose import linalg, surgery
 from nonloose.certify import tension_less_than_depth_search
 from nonloose.errors import InvalidParams
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, dual_invariants, rational_invariants
@@ -56,16 +52,11 @@ def test_negative_stabilization_counts_raise(a, b):
         dual_invariants(-15, -2, a, b, -7)
 
 
-def _certify_dual():
-    out = io.StringIO()
-    argv = ["certify-dual", "--tb", "-15", "--rot", "-2", "--chi", "-7", "--surgery-overtwisted", "--complement-tight"]
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, json.loads(out.getvalue())
+CERTIFY_DUAL = "certify-dual --tb -15 --rot -2 --chi -7 --surgery-overtwisted --complement-tight"
 
 
-def test_certify_path_runs_no_linear_algebra(monkeypatch):
-    expected = (dual_invariants(-15, -2, 1, 0, -7), tension_less_than_depth_search(13), _certify_dual())
+def test_certify_path_runs_no_linear_algebra(run_cli, monkeypatch):
+    expected = (dual_invariants(-15, -2, 1, 0, -7), tension_less_than_depth_search(13), run_cli(CERTIFY_DUAL))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("linear algebra on the certify path")
@@ -77,5 +68,5 @@ def test_certify_path_runs_no_linear_algebra(monkeypatch):
 
     assert dual_invariants(-15, -2, 1, 0, -7) == expected[0]
     assert tension_less_than_depth_search(13) == expected[1]
-    assert _certify_dual() == expected[2]
+    assert run_cli(CERTIFY_DUAL) == expected[2]
     assert expected[2][0] == 0 and len(expected[1]) > 0

@@ -3,8 +3,6 @@ in both renderings, records lookups that find nothing, rejected parameters of
 the certify and knotdata layers, directly built malformed surgery
 diagrams, a zero self-linking pair and the infinite-order sentinel's repr."""
 
-import json
-
 import pytest
 
 from linalg_oracles import INFINITE
@@ -24,39 +22,30 @@ from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
 
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    return code, capsys.readouterr().out
-
-
-def test_certify_tension_without_a_witness(capsys):
-    code, out = run(capsys, "certify-tension", "--tb", "-5", "--rot", "0", "--chi", "1")
+def test_certify_tension_without_a_witness(run_cli):
+    code, doc = run_cli.json("certify-tension --tb -5 --rot 0 --chi 1")
     assert code == 0
-    assert json.loads(out) == {"bound": None, "witness": None, "max_n": 64}
+    assert doc == {"bound": None, "witness": None, "max_n": 64}
 
 
-def test_certify_tension_text_rendering(capsys):
-    code, out = run(capsys, "--format", "text", "certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1")
+def test_certify_tension_text_rendering(run_cli):
+    code, out = run_cli("--format text certify-tension --tb 3 --rot 0 --chi -1")
     assert code == 0
     assert out == "bound: 3\nwitness: [0, 3]\nmax_n: 64\n"
 
 
-def test_knot_record_name_without_records_file(capsys, monkeypatch, tmp_path):
-    missing = tmp_path / "records.json"
+def test_knot_record_name_without_records_file(run_cli, monkeypatch, tmp_path):
+    missing = tmp_path / "missing.json"
     monkeypatch.setattr(cli, "DEFAULT_RECORDS_PATH", missing)
-    code, out = run(capsys, "knot-record", "--name", "foo")
+    code, doc = run_cli.json("knot-record --name foo")
     assert code == 1
-    assert json.loads(out) == {
-        "error": {"type": "DomainError", "message": f"--name needs a --records file or one at {missing}"}
-    }
+    assert doc == {"error": {"type": "DomainError", "message": f"--name needs a --records file or one at {missing}"}}
 
 
-def test_knot_record_unknown_name(capsys, tmp_path):
-    path = tmp_path / "records.json"
-    path.write_text(json.dumps([{"family": "house", "max_tb": -2, "chi": -1}]))
-    code, out = run(capsys, "--records", str(path), "knot-record", "--name", "foo")
+def test_knot_record_unknown_name(run_cli):
+    code, doc = run_cli.json("--records my_records.json knot-record --name foo")
     assert code == 1
-    assert json.loads(out) == {"error": {"type": "DomainError", "message": f"no record named 'foo' in {path}"}}
+    assert doc == {"error": {"type": "DomainError", "message": "no record named 'foo' in my_records.json"}}
 
 
 def test_tension_search_rejects_negative_budget():
@@ -65,17 +54,16 @@ def test_tension_search_rejects_negative_budget():
 
 
 @pytest.mark.parametrize("p_max", [-1, -5])
-def test_example_search_rejects_negative_budget(capsys, p_max):
+def test_example_search_rejects_negative_budget(run_cli, p_max):
     with pytest.raises(InvalidParams, match="p_max must be nonnegative"):
         tension_less_than_depth_search(p_max)
-    code, out = run(capsys, "search-examples", "--p-max", str(p_max))
+    code, doc = run_cli.json(["search-examples", "--p-max", str(p_max)])
     assert code == 1
-    assert json.loads(out) == {"error": {"type": "InvalidParams", "message": "p_max must be nonnegative"}}
+    assert doc == {"error": {"type": "InvalidParams", "message": "p_max must be nonnegative"}}
 
 
-def test_example_search_takes_a_zero_budget(capsys):
-    code, out = run(capsys, "search-examples", "--p-max", "0")
-    assert (code, json.loads(out)) == (0, {"certificates": []})
+def test_example_search_takes_a_zero_budget(run_cli):
+    assert run_cli.json("search-examples --p-max 0") == (0, {"certificates": []})
 
 
 def test_negative_four_ball_genus_and_stabilization_counts():

@@ -28,9 +28,8 @@ from nonloose.errors import (
     NonzeroFinalStrands,
     PositionOutOfRange,
 )
+from examples import TREFOIL, UNKNOT
 from wordgen import random_front_word
-
-TREFOIL = "l 1 ; l 2 ; x 1 ; x 1 ; x 1 ; r 2 ; r 1"
 
 words = st.randoms(use_true_random=False).map(random_front_word)
 bases = st.sampled_from(list(Direction))
@@ -148,10 +147,10 @@ class TestValueSemantics:
         assert len({a, b, c}) == 1
 
     def test_different_words_differ(self):
-        assert parse_front(TREFOIL) != parse_front("l 1 ; r 1")
+        assert parse_front(TREFOIL) != parse_front(UNKNOT)
 
     def test_repr_shows_only_events(self):
-        word = parse_front("l 1 ; r 1")
+        word = parse_front(UNKNOT)
         assert repr(word) == f"FrontWord(events={word.events!r})"
 
     def test_replace_reorients(self):

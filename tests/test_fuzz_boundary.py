@@ -8,6 +8,7 @@ import io
 import json
 from unittest import mock
 
+import examples
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,24 +17,16 @@ from nonloose.cli import build_parser, main
 from nonloose.diagram import parse_front, serialize_front
 from nonloose.errors import FrontParseError, PositionOutOfRange, UnknownToken
 
-UNKNOT = b"l 1\nr 1\n"
-TREFOIL = b"l 1 ; l 2 ; x 1 ; x 1 ; x 1 ; r 2 ; r 1\n"
-DIAGRAM = json.dumps(
-    {
-        "components": [
-            {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-            {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-        ],
-        "lk": [["Lstar", "L", -15]],
-        "distinguished": "Lstar",
-    }
-).encode()
+# the shared examples, as the bytes of input files
+UNKNOT, TREFOIL = examples.UNKNOT.encode(), examples.TREFOIL.encode()
+DIAGRAM = json.dumps(examples.README_DIAGRAM).encode()
 RECORDS = json.dumps([{"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": -5}]).encode()
 HUGE = b"1" * 5000  # past int()'s 4,300-digit limit
 
 
 def run(argv, stdin=""):
-    """Exit code and stdout of ``main(argv)``, usage errors included."""
+    """Exit code and stdout of ``main(argv)``, usage errors included: the
+    runner of the ``@given`` tests, which cannot take ``conftest.run_cli``."""
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -225,13 +218,12 @@ BAD_FILES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILES))
-def test_cli_bad_input_file(tmp_path, case):
+def test_cli_bad_input_file(run_cli, workdir, case):
     argv, data, error = BAD_FILES[case]
-    path = tmp_path / "input"
-    path.write_bytes(data)
-    code, out = run([str(path) if arg == "FILE" else arg for arg in argv])
+    (workdir / "FILE").write_bytes(data)
+    code, doc = run_cli.json(argv)
     assert code == 1
-    assert json.loads(out)["error"]["type"] == error
+    assert doc["error"]["type"] == error
 
 
 def test_cli_stdin_not_utf8():

@@ -3,17 +3,7 @@ exactly one kind, classical (--tb, --rot), rational (--tb-q, --rot-q) or,
 for certify-bennequin, transverse (--sl-q), each pair given whole.  --order
 goes with the rational and transverse kinds only, and defaults to 1 there."""
 
-import json
-
 import pytest
-
-from nonloose.cli import main
-
-
-def run_json(capsys, *argv):
-    code = main(list(argv))
-    return code, json.loads(capsys.readouterr().out)
-
 
 REJECTED = [
     # a rational flag beside a classical pair
@@ -42,8 +32,8 @@ REJECTED = [
 
 
 @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
-def test_mixed_or_half_given_flags_are_domain_errors(capsys, argv):
-    code, doc = run_json(capsys, *argv)
+def test_mixed_or_half_given_flags_are_domain_errors(run_cli, argv):
+    code, doc = run_cli.json(argv)
     assert code == 1
     assert doc["error"]["type"] == "DomainError"
 
@@ -56,9 +46,9 @@ def test_mixed_or_half_given_flags_are_domain_errors(capsys, argv):
     ],
     ids=" ".join,
 )
-def test_order_beside_a_classical_pair_is_a_domain_error(capsys, argv):
+def test_order_beside_a_classical_pair_is_a_domain_error(run_cli, argv):
     # only rational and transverse invariants have an order
-    code, doc = run_json(capsys, *argv)
+    code, doc = run_cli.json(argv)
     assert code == 1
     assert doc["error"] == {
         "type": "DomainError",
@@ -92,8 +82,8 @@ ACCEPTED = [
 
 
 @pytest.mark.parametrize("argv, expected", ACCEPTED, ids=[" ".join(argv) for argv, _ in ACCEPTED])
-def test_one_whole_kind_is_read(capsys, argv, expected):
-    assert run_json(capsys, *argv) == (0, expected)
+def test_one_whole_kind_is_read(run_cli, argv, expected):
+    assert run_cli.json(argv) == (0, expected)
 
 
 @pytest.mark.parametrize(
@@ -105,8 +95,8 @@ def test_one_whole_kind_is_read(capsys, argv, expected):
         (["certify-tension", "--tb-q", "1", "--rot-q", "0", "--order", "0", "--chi", "-1"], "InvalidParams"),
     ],
 )
-def test_values_are_still_checked_by_the_library(capsys, argv, error):
-    code, doc = run_json(capsys, *argv)
+def test_values_are_still_checked_by_the_library(run_cli, argv, error):
+    code, doc = run_cli.json(argv)
     assert code == 1
     assert doc["error"]["type"] == error
 
@@ -120,8 +110,8 @@ def test_values_are_still_checked_by_the_library(capsys, argv, error):
     ],
     ids=" ".join,
 )
-def test_order_defaults_to_one(capsys, argv):
-    code, doc = run_json(capsys, *argv)
+def test_order_defaults_to_one(run_cli, argv):
+    code, doc = run_cli.json(argv)
     assert code == 0
-    assert run_json(capsys, *argv, "--order", "1") == (0, doc)
-    assert run_json(capsys, *argv, "--order", "2") != (0, doc)
+    assert run_cli.json([*argv, "--order", "1"]) == (0, doc)
+    assert run_cli.json([*argv, "--order", "2"]) != (0, doc)

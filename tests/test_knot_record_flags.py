@@ -1,11 +1,7 @@
 """``knot-record`` takes exactly one selector, and --p/--q only with a torus
 family; any other combination is a domain error, never a silent drop."""
 
-import json
-
 import pytest
-
-from nonloose.cli import main
 
 REJECTED = {
     "tag and family": (["--tag", "L2q(3)", "--family", "unknot"], "not --family and --tag"),
@@ -27,28 +23,23 @@ REJECTED = {
 }
 
 
-def run_json(capsys, argv):
-    code = main(["knot-record", *argv])
-    return code, json.loads(capsys.readouterr().out)
-
-
 @pytest.mark.parametrize("case", sorted(REJECTED))
-def test_rejected_combinations(capsys, case):
+def test_rejected_combinations(run_cli, case):
     argv, fragment = REJECTED[case]
-    code, doc = run_json(capsys, argv)
+    code, doc = run_cli.json(["knot-record", *argv])
     assert code == 1
     assert doc["error"]["type"] == "DomainError"
     assert fragment in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--p", "2", "--q", "3"]])
-def test_no_selector_keeps_its_message(capsys, argv):
-    code, doc = run_json(capsys, argv)
+def test_no_selector_keeps_its_message(run_cli, argv):
+    code, doc = run_cli.json(["knot-record", *argv])
     assert (code, doc["error"]) == (1, {"type": "DomainError", "message": "choose --family, --tag or --name"})
 
 
-def test_half_given_torus_keeps_its_message(capsys):
-    code, doc = run_json(capsys, ["--family", "negative-torus", "--p", "-5"])
+def test_half_given_torus_keeps_its_message(run_cli):
+    code, doc = run_cli.json("knot-record --family negative-torus --p -5")
     assert (code, doc["error"]["message"]) == (1, "negative-torus needs --p and --q")
 
 
@@ -59,6 +50,6 @@ def test_half_given_torus_keeps_its_message(capsys):
         (["--family", "positive-torus", "--p", "2", "--q", "3"], "torus(2,3)"),
     ],
 )
-def test_one_selector_still_works(capsys, argv, family):
-    code, doc = run_json(capsys, argv)
+def test_one_selector_still_works(run_cli, argv, family):
+    code, doc = run_cli.json(["knot-record", *argv])
     assert (code, doc["family"]) == (0, family)

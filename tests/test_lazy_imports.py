@@ -11,28 +11,18 @@ from fresh_process import run_python
 
 import nonloose
 
-UNKNOT = "l 1\nr 1\n"
-README_DIAGRAM = {
-    "components": [
-        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-    ],
-    "lk": [["Lstar", "L", -15]],
-    "distinguished": "Lstar",
-}
-
 FRONT = {"cli", "diagram", "errors"}
 SURGERY = {"calculus", "cli", "errors", "linalg", "surgery"}
 CERTIFY = {"calculus", "certify", "cli", "errors"}
 
-# argv (FRONT_FILE and DIAGRAM_FILE stand for files written by the test),
-# and the nonloose submodules the command leaves loaded
+# argv, run in the work directory of examples.FILES, and the nonloose
+# submodules the command leaves loaded
 COMMANDS = {
-    "front-invariants": (["front-invariants", "FRONT_FILE"], FRONT),
-    "front-stabilize": (["front-stabilize", "FRONT_FILE", "--sign", "+"], FRONT),
-    "front-destab": (["front-destab", "FRONT_FILE"], FRONT),
+    "front-invariants": (["front-invariants", "unknot.front"], FRONT),
+    "front-stabilize": (["front-stabilize", "unknot.front", "--sign", "+"], FRONT),
+    "front-destab": (["front-destab", "unknot.front"], FRONT),
     "dual-invariants": (["dual-invariants", "--tb", "-15", "--rot", "-2", "--chi", "-7", "--stab", "+1"], SURGERY),
-    "surgery-invariants": (["surgery-invariants", "DIAGRAM_FILE", "--chi", "-7"], SURGERY),
+    "surgery-invariants": (["surgery-invariants", "diagram.json", "--chi", "-7"], SURGERY),
     "certify-bennequin": (["certify-bennequin", "--tb", "0", "--rot", "3", "--chi", "-1"], CERTIFY),
     "certify-unknot": (["certify-unknot", "--tb", "2", "--rot", "1"], CERTIFY),
     "certify-tension": (["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1"], CERTIFY),
@@ -52,8 +42,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nonloose.
 """
 
 
-def fresh(code, *argv, options=()):
-    done = run_python([*options, "-c", code, *argv])
+def fresh(code, *argv, options=(), cwd=None):
+    done = run_python([*options, "-c", code, *argv], cwd=cwd, home=cwd)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -64,12 +54,9 @@ def test_bare_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_only_what_it_runs(tmp_path, command):
+def test_command_loads_only_what_it_runs(workdir, command):
     argv, expected = COMMANDS[command]
-    files = {"FRONT_FILE": tmp_path / "unknot.front", "DIAGRAM_FILE": tmp_path / "diagram.json"}
-    files["FRONT_FILE"].write_text(UNKNOT)
-    files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
-    code, loaded = fresh(PROBE, *[str(files.get(arg, arg)) for arg in argv])
+    code, loaded = fresh(PROBE, *argv, cwd=workdir)
     assert code == 0
     assert loaded == sorted(f"nonloose.{name}" for name in expected)
 
@@ -86,14 +73,11 @@ print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modul
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_no_dataclasses_or_inspect(tmp_path, command):
+def test_command_loads_no_dataclasses_or_inspect(workdir, command):
     """Value classes are plain ``__slots__`` classes, so no command pays for
     ``dataclasses`` and the ``inspect`` it imports."""
     argv, _ = COMMANDS[command]
-    files = {"FRONT_FILE": tmp_path / "unknot.front", "DIAGRAM_FILE": tmp_path / "diagram.json"}
-    files["FRONT_FILE"].write_text(UNKNOT)
-    files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
-    assert fresh(STARTUP_PROBE, *[str(files.get(arg, arg)) for arg in argv]) == [0, []]
+    assert fresh(STARTUP_PROBE, *argv, cwd=workdir) == [0, []]
 
 
 # Runs argv through cli.main, then prints its exit code (argparse's, if it
@@ -113,17 +97,14 @@ print(json.dumps([code, out.getvalue()[:60], [m for m in ("argparse", "pathlib")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_no_argparse_or_pathlib(tmp_path, command):
+def test_command_loads_no_argparse_or_pathlib(workdir, command):
     """A well-formed command line is read from the flag table, without
     argparse, and no command needs ``pathlib``.  The probe runs under
     ``python -S``: a site ``.pth`` file (certifi's, where it is installed)
     can load ``pathlib`` before any program code, and then no plain run
     shows it and no timing can tell it apart."""
     argv, _ = COMMANDS[command]
-    files = {"FRONT_FILE": tmp_path / "unknot.front", "DIAGRAM_FILE": tmp_path / "diagram.json"}
-    files["FRONT_FILE"].write_text(UNKNOT)
-    files["DIAGRAM_FILE"].write_text(json.dumps(README_DIAGRAM))
-    code, _, loaded = fresh(ARGPARSE_PROBE, *[str(files.get(arg, arg)) for arg in argv], options=["-S"])
+    code, _, loaded = fresh(ARGPARSE_PROBE, *argv, options=["-S"], cwd=workdir)
     assert (code, loaded) == (0, [])
 
 
@@ -155,16 +136,14 @@ print(json.dumps([code, "fractions" in sys.modules]))
 @pytest.mark.parametrize(
     "argv, parses_a_fraction",
     [
-        (["front-invariants", "FRONT_FILE"], False),
+        (["front-invariants", "unknot.front"], False),
         (["knot-record", "--family", "unknot"], False),
         (["certify-bennequin", "--tb-q", "1/2", "--rot-q", "1/2", "--chi", "-1"], True),
     ],
     ids=["front-invariants", "knot-record", "certify-bennequin"],
 )
-def test_fractions_loads_only_to_parse_a_fraction(tmp_path, argv, parses_a_fraction):
-    front = tmp_path / "unknot.front"
-    front.write_text(UNKNOT)
-    code, loaded = fresh(FRACTIONS_PROBE, *[str(front) if arg == "FRONT_FILE" else arg for arg in argv])
+def test_fractions_loads_only_to_parse_a_fraction(workdir, argv, parses_a_fraction):
+    code, loaded = fresh(FRACTIONS_PROBE, *argv, cwd=workdir)
     assert (code, loaded) == (0, parses_a_fraction)
 
 

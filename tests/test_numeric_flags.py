@@ -7,24 +7,8 @@ before any work is done: an exponent such as ``1e10000000`` would have
 such as ``٣`` would be read as 3.
 """
 
-import contextlib
-import io
-import json
-
 import pytest
-
-from nonloose.cli import main
-
-
-def run(argv):
-    """Exit code, stdout and stderr of ``main(argv)``, usage errors included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+from examples import README_DOC
 
 
 def bennequin(tb_q="1/2", order="3"):
@@ -32,41 +16,36 @@ def bennequin(tb_q="1/2", order="3"):
 
 
 @pytest.mark.parametrize("text", ["1e3", "1e10000000", "1.5", "١/٢", "1/0", " 1/2", "1_0", "0x1"])
-def test_rational_flag_rejects(text):
-    code, out, err = run(bennequin(tb_q=text))
-    assert (code, out) == (2, "")
-    assert f"argument --tb-q: not an exact rational: {text!r}" in err
+def test_rational_flag_rejects(run_cli, text):
+    assert run_cli(bennequin(tb_q=text)) == (2, "")
+    assert f"argument --tb-q: not an exact rational: {text!r}" in run_cli.stderr
 
 
 @pytest.mark.parametrize("text", ["٣", "3.0", "1e3", "1_0", " 3", "+-3"])
-def test_int_flag_rejects(text):
-    code, out, err = run(bennequin(order=text))
-    assert (code, out) == (2, "")
-    assert f"argument --order: invalid int value: {text!r}" in err
+def test_int_flag_rejects(run_cli, text):
+    assert run_cli(bennequin(order=text)) == (2, "")
+    assert f"argument --order: invalid int value: {text!r}" in run_cli.stderr
 
 
 @pytest.mark.parametrize("flag", ["--tb", "--rot", "--chi", "--max-n"])
-def test_each_int_flag_of_certify_tension_reads_ascii_only(flag):
+def test_each_int_flag_of_certify_tension_reads_ascii_only(run_cli, flag):
     values = {"--tb": "3", "--rot": "0", "--chi": "-1", "--max-n": "4", flag: "٣"}
     argv = ["certify-tension"]
     for name, value in values.items():
         argv += [name, value]
-    code, out, err = run(argv)
-    assert (code, out) == (2, "")
-    assert f"argument {flag}: invalid int value: '٣'" in err
+    assert run_cli(argv) == (2, "")
+    assert f"argument {flag}: invalid int value: '٣'" in run_cli.stderr
 
 
 @pytest.mark.parametrize(
     "tb_q, rot_q, result",
     [("15/14", "-15/14", "Holds"), ("+1", "3", "Violated"), ("-15/14", "+1/7", "Holds"), ("3", "0", "Holds")],
 )
-def test_rational_forms_still_parse(tb_q, rot_q, result):
-    code, out, _ = run(["certify-bennequin", f"--tb-q={tb_q}", f"--rot-q={rot_q}", "--order", "14", "--chi", "-7"])
-    assert code == 0
-    assert json.loads(out) == {"check": "rational", "result": result}
+def test_rational_forms_still_parse(run_cli, tb_q, rot_q, result):
+    argv = ["certify-bennequin", f"--tb-q={tb_q}", f"--rot-q={rot_q}", "--order", "14", "--chi", "-7"]
+    assert run_cli.json(argv) == (0, {"check": "rational", "result": result})
 
 
-def test_signed_int_flags_still_parse():
-    code, out, _ = run(["dual-invariants", "--tb", "-15", "--rot", "-2", "--chi", "-7", "--stab=+1", "--stab", "-0"])
-    assert code == 0
-    assert json.loads(out) == {"tb_q": "1/14", "rot_q": "8/7", "r": 14, "chi": -7}
+def test_signed_int_flags_still_parse(run_cli):
+    argv = "dual-invariants --tb -15 --rot -2 --chi -7 --stab=+1 --stab -0"
+    assert run_cli.json(argv) == (0, README_DOC)

@@ -5,10 +5,10 @@ Each is checked against an oracle that does not eliminate: the product back
 to v or to the identity, Cramer's rule and the cofactor expansion.  The
 surgery path solves M x = lk and builds no inverse."""
 
-import json
 from fractions import Fraction
 
 import pytest
+from examples import README_DIAGRAM, README_DOC
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,7 @@ from nonloose import linalg, surgery
 from nonloose.errors import LinalgError, SingularMatrix
 from nonloose.linalg import det_exact, solve_exact
 from nonloose.surgery import diagram_from_json, rational_invariants
-from test_one_solve import README_DIAGRAM, README_DOC, assert_moved_to_oracles, run_cli
+from test_one_solve import assert_moved_to_oracles
 
 INTS = st.integers(-9, 9)
 FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
@@ -133,7 +133,7 @@ def test_non_square_det_and_inverse(m):
         invert_exact(m)
 
 
-def test_surgery_path_builds_no_inverse(monkeypatch):
+def test_surgery_path_builds_no_inverse(run_cli, monkeypatch):
     solved = []
 
     def one_vector(m, v):
@@ -145,9 +145,8 @@ def test_surgery_path_builds_no_inverse(monkeypatch):
 
     data = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
     assert (data.tb_q, data.rot_q, data.order_r, data.chi) == (Fraction(1, 14), Fraction(8, 7), 14, -7)
-    argv = ["surgery-invariants", "-", "--chi", "-7"]
-    assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, README_DOC)
-    argv.append("--reverse-distinguished")
-    assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, dict(README_DOC, rot_q="-8/7"))
+    assert run_cli.json("surgery-invariants diagram.json --chi -7") == (0, README_DOC)
+    reversed_doc = dict(README_DOC, rot_q="-8/7")
+    assert run_cli.json("surgery-invariants diagram.json --chi -7 --reverse-distinguished") == (0, reversed_doc)
     # one right-hand side per diagram, never the identity's columns
     assert solved == [(-15,)] * 3

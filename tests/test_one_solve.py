@@ -2,27 +2,16 @@
 x = M^{-1} lk.  The four-elimination formulas it replaced (det M, det M0 of
 the bordered matrix, the inverse and the Smith normal form) are its oracle."""
 
-import contextlib
-import io
 import json
 from fractions import Fraction
 
+from examples import README_DIAGRAM, README_DOC
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linalg_oracles import det_cofactor, homological_order
-from nonloose import cli, linalg, surgery
+from nonloose import linalg, surgery
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, rational_invariants
-
-README_DIAGRAM = {
-    "components": [
-        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-    ],
-    "lk": [["Lstar", "L", -15]],
-    "distinguished": "Lstar",
-}
-README_DOC = {"tb_q": "1/14", "rot_q": "8/7", "r": 14, "chi": -7}
 
 # the matrix routines that left the library for the test oracles
 MOVED_TO_ORACLES = (
@@ -96,14 +85,6 @@ def test_one_solve_matches_four_eliminations(diag, chi, reverse):
     assert (got.tb_q, got.rot_q, got.order_r, got.chi) == four_eliminations(diag, chi, reverse)
 
 
-def run_cli(monkeypatch, argv, stdin):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, json.loads(out.getvalue())
-
-
 SINGULAR_MESSAGE = "surgery linking matrix is singular"
 SINGULAR_DIAGRAMS = {
     # M = [0]: (+1)-surgery on a tb = -1 knot
@@ -128,16 +109,16 @@ SINGULAR_DIAGRAMS = {
 }
 
 
-def test_singular_diagram_keeps_its_error(monkeypatch):
+def test_singular_diagram_keeps_its_error(run_cli):
     for name, doc in SINGULAR_DIAGRAMS.items():
         for extra in ([], ["--reverse-distinguished"]):
             argv = ["surgery-invariants", "-", "--chi", "1", *extra]
-            code, out = run_cli(monkeypatch, argv, json.dumps(doc))
+            code, out = run_cli.json(argv, json.dumps(doc))
             assert code == 1, name
             assert out == {"error": {"type": "SingularMatrix", "message": SINGULAR_MESSAGE}}, name
 
 
-def test_no_determinant_or_smith_form_on_the_surgery_path(monkeypatch):
+def test_no_determinant_or_smith_form_on_the_surgery_path(run_cli, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a second elimination on the surgery path")
 
@@ -146,8 +127,6 @@ def test_no_determinant_or_smith_form_on_the_surgery_path(monkeypatch):
 
     data = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
     assert (data.tb_q, data.rot_q, data.order_r, data.chi) == (Fraction(1, 14), Fraction(8, 7), 14, -7)
-    argv = ["surgery-invariants", "-", "--chi", "-7"]
-    assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, README_DOC)
+    assert run_cli.json("surgery-invariants diagram.json --chi -7") == (0, README_DOC)
     reversed_doc = dict(README_DOC, rot_q="-8/7")
-    argv.append("--reverse-distinguished")
-    assert run_cli(monkeypatch, argv, json.dumps(README_DIAGRAM)) == (0, reversed_doc)
+    assert run_cli.json("surgery-invariants diagram.json --chi -7 --reverse-distinguished") == (0, reversed_doc)

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from nonloose.cli import main
 from nonloose.knotdata import (
     KnotRecord,
     named_example,
@@ -38,9 +37,10 @@ def test_negative_torus_document():
     }
 
 
-def test_knot_record_command_text(capsys):
-    assert main(["knot-record", "--family", "negative-torus", "--p", "-5", "--q", "3"]) == 0
-    assert capsys.readouterr().out == (
+def test_knot_record_command_text(run_cli):
+    code, out = run_cli("knot-record --family negative-torus --p -5 --q 3")
+    assert code == 0
+    assert out == (
         "{\n"
         '  "family": "torus(-5,3)",\n'
         '  "max_tb": -15,\n'

@@ -5,13 +5,11 @@ before building a certificate, is kept here as its oracle, and each of those
 checks is asserted for every pair.  Also: a tension bound with no witness
 does not transfer to a transverse knot."""
 
-import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from nonloose import cli
 from nonloose.calculus import ClassicalPair
 from nonloose.certify import (
     Certificate,
@@ -113,12 +111,13 @@ def test_every_pair_meets_every_hypothesis(p, q):
     assert bennequin_rational(dual) is CheckResult.VIOLATED
 
 
-def test_command_certificates_violate_bennequin(capsys):
+def test_command_certificates_violate_bennequin(run_cli):
     """``search-examples --p-max 40`` prints one certificate per coprime pair,
     and each dual violates the rational Bennequin bound, checked here with
     plain fractions and no library call."""
-    assert cli.main(["search-examples", "--p-max", str(P_MAX)]) == 0
-    certificates = json.loads(capsys.readouterr().out)["certificates"]
+    code, doc = run_cli.json(["search-examples", "--p-max", str(P_MAX)])
+    assert code == 0
+    certificates = doc["certificates"]
     assert [c["knot"] for c in certificates] == [f"torus({p},{q})" for p, q in coprime_pairs(P_MAX)]
     for c in certificates:
         d = c["certificate"]["details"]

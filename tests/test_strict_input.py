@@ -3,26 +3,17 @@ either is read as the type its field documents or ends in a DomainError,
 never a coercion or a traceback."""
 
 import copy
-import io
 import json
 
 import pytest
+from examples import README_DIAGRAM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonloose.cli import main
 from nonloose.errors import DiagramError, DomainError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
-README_DIAGRAM = {
-    "components": [
-        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-    ],
-    "lk": [["Lstar", "L", -15]],
-    "distinguished": "Lstar",
-}
 RECORD = {
     "family": "k",
     "max_tb": -3,
@@ -226,12 +217,6 @@ def test_record_defaults():
     assert rec.plus_one_surgery_overtwisted is None
 
 
-def run_cli(capsys, monkeypatch, argv, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    code = main(argv)
-    return code, json.loads(capsys.readouterr().out)
-
-
 MALFORMED_DIAGRAMS = {
     "non-integer lk": put(
         put(README_DIAGRAM, ("lk", 0), ["Lstar", "L", "x"]), ("components", 0, "tb"), -2
@@ -242,10 +227,8 @@ MALFORMED_DIAGRAMS = {
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DIAGRAMS))
-def test_cli_malformed_diagram(capsys, monkeypatch, name):
-    code, doc = run_cli(
-        capsys, monkeypatch, ["surgery-invariants", "-", "--chi", "-7"], json.dumps(MALFORMED_DIAGRAMS[name])
-    )
+def test_cli_malformed_diagram(run_cli, name):
+    code, doc = run_cli.json("surgery-invariants - --chi -7", json.dumps(MALFORMED_DIAGRAMS[name]))
     assert code == 1
     assert doc["error"]["type"] == "DiagramError"
 
@@ -254,19 +237,17 @@ def test_cli_malformed_diagram(capsys, monkeypatch, name):
     "field, value",
     [("chi", "x"), ("order_positive", "false"), ("plus_one_surgery_overtwisted", "false")],
 )
-def test_cli_malformed_record(capsys, monkeypatch, tmp_path, field, value):
+def test_cli_malformed_record(run_cli, tmp_path, field, value):
     path = tmp_path / "records.json"
     path.write_text(json.dumps([{"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": -5, field: value}]))
-    code, doc = run_cli(capsys, monkeypatch, ["--records", str(path), "knot-record", "--name", "k"])
+    code, doc = run_cli.json(["--records", str(path), "knot-record", "--name", "k"])
     assert code == 1
     assert doc["error"]["type"] == "InvalidParams"
 
 
 @pytest.mark.parametrize("name", sorted(NON_STRING_DIAGRAMS))
-def test_cli_non_string_diagram_field(capsys, monkeypatch, name):
-    code, doc = run_cli(
-        capsys, monkeypatch, ["surgery-invariants", "-", "--chi", "-7"], json.dumps(NON_STRING_DIAGRAMS[name])
-    )
+def test_cli_non_string_diagram_field(run_cli, name):
+    code, doc = run_cli.json("surgery-invariants - --chi -7", json.dumps(NON_STRING_DIAGRAMS[name]))
     assert code == 1
     assert doc["error"]["type"] == "DiagramError"
 
@@ -280,10 +261,10 @@ def test_cli_non_string_diagram_field(capsys, monkeypatch, name):
     ],
     ids=["null family", "numeric ambient"],
 )
-def test_cli_non_string_record_field(capsys, monkeypatch, tmp_path, record):
+def test_cli_non_string_record_field(run_cli, tmp_path, record):
     path = tmp_path / "records.json"
     path.write_text(json.dumps([record]))
-    code, doc = run_cli(capsys, monkeypatch, ["--records", str(path), "knot-record", "--name", str(record["family"])])
+    code, doc = run_cli.json(["--records", str(path), "knot-record", "--name", str(record["family"])])
     assert code == 1
     assert doc["error"]["type"] == "InvalidParams"
 

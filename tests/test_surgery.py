@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from examples import README_DIAGRAM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,12 +99,7 @@ class TestExtendedMatrix:
 
 class TestRationalInvariants:
     def test_stabilized_pushoff_distinguished(self):
-        comps = (
-            SurgeryComponent("Lstar", -16, -1, "passive"),
-            SurgeryComponent("L", -15, -2, "+1"),
-        )
-        diag = SurgeryDiagram.build(comps, [("Lstar", "L", -15)], "Lstar")
-        d = rational_invariants(diag, -7)
+        d = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
         assert (d.tb_q, d.rot_q, d.order_r, d.chi) == (
             Fraction(1, 14),
             Fraction(8, 7),
@@ -131,11 +127,7 @@ class TestRationalInvariants:
         assert (d.tb_q, d.rot_q, d.order_r) == (-5, 2, 1)
 
     def test_reverse_distinguished(self):
-        comps = (
-            SurgeryComponent("Lstar", -16, -1, "passive"),
-            SurgeryComponent("L", -15, -2, "+1"),
-        )
-        diag = SurgeryDiagram.build(comps, [("Lstar", "L", -15)], "Lstar")
+        diag = diagram_from_json(README_DIAGRAM)
         fwd = rational_invariants(diag, -7)
         rev = rational_invariants(diag, -7, reverse_distinguished=True)
         assert rev.tb_q == fwd.tb_q

@@ -1,11 +1,18 @@
 """A function that takes a value reads it with a rule: an argument of the
 wrong type is a ``DomainError`` naming the parameter and the class it must
-be, never an ``AttributeError`` from deep inside."""
+be, never an ``AttributeError`` or ``TypeError`` from deep inside, and never
+a value read as another (``"false"`` as true, ``0`` as standard input)."""
+
+from math import inf
 
 import pytest
+from examples import README_DIAGRAM, STABILIZED
 
 from nonloose.calculus import ClassicalPair
 from nonloose.certify import (
+    Certificate,
+    Reason,
+    Verdict,
     bennequin_null,
     bennequin_rational,
     certificate_bounds,
@@ -27,9 +34,21 @@ from nonloose.diagram import (
     tb,
 )
 from nonloose.errors import DomainError, FrontEditError, InvalidParams
-from nonloose.surgery import linking_matrix, rational_invariants
+from nonloose.knotdata import load_records, named_example, negative_torus_record, positive_torus_record
+from nonloose.surgery import diagram_from_json, linking_matrix, rational_invariants
 
-STABILIZED = "l 1 ; l 1 ; r 2 ; r 1"  # a zigzag at events (1, 2)
+
+def transfer(verdict, details, relation):
+    """``transverse_transfer`` of a certificate built directly, as a caller may."""
+    return transverse_transfer(Certificate(verdict, details, (Reason("rule", "note"),)), relation)
+
+
+def transfer_witness(witness):
+    return transfer(Verdict.TENSION_UPPER_BOUND, {"tension_max": 1, "witness": witness}, "approximation")
+
+
+def transfer_t_minus_max(t_minus_max):
+    return transfer(Verdict.SIGNED_TENSION_BOUND, {"t_minus_max": t_minus_max}, "pushoff")
 
 
 @pytest.mark.parametrize(
@@ -69,6 +88,34 @@ STABILIZED = "l 1 ; l 1 ; r 2 ; r 1"  # a zigzag at events (1, 2)
         (lambda: destabilize_front(parse_front(STABILIZED), (1, 2, 3)), FrontEditError, "events (1, 2, 3) do not"),
         (lambda: linking_matrix(5), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
         (lambda: rational_invariants(5, -1), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
+        (
+            lambda: rational_invariants(diagram_from_json(README_DIAGRAM), -7, reverse_distinguished="false"),
+            InvalidParams,
+            "reverse_distinguished must be true or false, got 'false'",
+        ),
+        (
+            lambda: rational_invariants(diagram_from_json(README_DIAGRAM), -7, reverse_distinguished=1.0),
+            InvalidParams,
+            "reverse_distinguished must be true or false, got 1.0",
+        ),
+        *[
+            (
+                lambda w=w: transfer_witness(w),
+                InvalidParams,
+                f"witness must be a list or tuple of two nonnegative integers, got {w!r}",
+            )
+            for w in (5, (), ("a", 1), (-3, 1), (True, 1))
+        ],
+        (lambda: transfer_t_minus_max(inf), InvalidParams, "t_minus_max must be an integer, got inf"),
+        (lambda: transfer_t_minus_max("x"), InvalidParams, "t_minus_max must be an integer, got 'x'"),
+        (lambda: parse_front(5), InvalidParams, "text must be a string, got 5"),
+        (lambda: parse_front(b"l 1 r 1"), InvalidParams, "text must be a string, got b'l 1 r 1'"),
+        (lambda: named_example(5), InvalidParams, "tag must be a string, got 5"),
+        (lambda: negative_torus_record("a", 3), InvalidParams, "p must be an integer, got 'a'"),
+        (lambda: negative_torus_record(-5.0, 3), InvalidParams, "p must be an integer, got -5.0"),
+        (lambda: positive_torus_record(2.0, 3), InvalidParams, "p must be an integer, got 2.0"),
+        (lambda: load_records(None), InvalidParams, "path must be a str or an os.PathLike, got None"),
+        (lambda: load_records(0), InvalidParams, "path must be a str or an os.PathLike, got 0"),
     ],
 )
 def test_a_value_argument_of_the_wrong_type_is_a_domain_error(call, error, message):
@@ -76,3 +123,9 @@ def test_a_value_argument_of_the_wrong_type_is_a_domain_error(call, error, messa
         call()
     assert isinstance(exc.value, DomainError)
     assert str(exc.value).startswith(message)
+
+
+def test_a_well_formed_transfer_still_reads_its_bound():
+    assert transfer_witness((2, 1)).details["tension_max"] == 2
+    assert transfer_witness([0, 3]).verdict is Verdict.LOOSE_CERTIFIED
+    assert transfer_t_minus_max(1).verdict is Verdict.LOOSE_CERTIFIED

@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import pytest
 import value_oracles
+from examples import README_DIAGRAM, TREFOIL, UNKNOT
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from wordgen import random_front_word
@@ -22,15 +23,6 @@ from nonloose.diagram import (
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import AMBIENT_TIGHT_S3, KnotRecord, ambient_overtwisted_s3, negative_torus_record
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
-
-README_DIAGRAM = {
-    "components": [
-        {"id": "Lstar", "tb": -16, "rot": -1, "coeff": "passive"},
-        {"id": "L", "tb": -15, "rot": -2, "coeff": "+1"},
-    ],
-    "lk": [["Lstar", "L", -15]],
-    "distinguished": "Lstar",
-}
 
 # one value of each class, and the fields its constructor takes
 VALUES = [
@@ -46,9 +38,9 @@ VALUES = [
         ("surface_kind", "tw_boundary", "tw_curve", "essential", "non_separating", "orientation_preserving"),
     ),
     (FrontEvent(EventKind.LEFT_CUSP, 1), ("kind", "position")),
-    (parse_front("l 1 ; r 1"), ("events",)),
+    (parse_front(UNKNOT), ("events",)),
     (
-        resolve_orientation(parse_front("l 1 ; l 2 ; x 1 ; x 1 ; x 1 ; r 2 ; r 1")),
+        resolve_orientation(parse_front(TREFOIL)),
         ("word", "base_direction", "arc_directions", "writhe", "up_cusps", "down_cusps"),
     ),
     (

@@ -18,8 +18,9 @@ A function is each ``def``.  It is reached when it runs beneath an entry: a
 call of ``cli.main``, or the body of a ``src/nonloose`` module while it is
 imported, since every command that imports the module runs that work too.
 The tracer counts the entries on the stack, and records each code object
-that starts while the count is above zero.  Test files that call
-``cli.main`` in process (the golden table among them) are what reach a
+that starts while the count is above zero.  The in-process CLI tests,
+which run command lines through ``cli.main`` with the shared ``run_cli``
+of ``tests/conftest.py`` (the golden table among them), are what reach a
 function at run time.
 
 Each line of the allowlist reads ``file | def line | reason``, the file
