@@ -6,11 +6,15 @@ and one distinguished passive component.  Its rational invariants in the
 surgered manifold are read off the solution x of M x = lkvec, one
 ``linalg.solve_exact`` with no inverse, determinant or Smith form formed; M
 is the linking matrix of the surgered components (diagonal tb_i + coeff_i)
-and lkvec their linking numbers with the distinguished one:
+and lkvec their linking numbers with the distinguished one.  With r the lcm
+of the denominators of x, y = r x is an integer vector, and
 
-    tb_Q  = tb_0 - <lkvec, x>    (= tb_0 + det M0 / det M, M0 = M bordered by 0 and lkvec)
-    rot_Q = rot_0 - <rotvec, x>
-    r     = lcm of the denominators of x, the order of [lkvec] in Z^n / M Z^n
+    tb_Q  = (r tb_0 - <lkvec, y>) / r    (= tb_0 + det M0 / det M, M0 = M bordered by 0 and lkvec)
+    rot_Q = (r rot_0 - <rotvec, y>) / r
+    r     = the order of [lkvec] in Z^n / M Z^n
+
+so the inner products are taken over the integers and each of tb_Q and
+rot_Q is one ``Fraction``.
 
 The stabilized dual of (+1)-surgery on one knot has a 1x1 M, and
 ``dual_invariants`` gives its invariants in closed form.  Only contact
@@ -121,29 +125,25 @@ class SurgeryDiagram(Value):
 _read_diagram = member(SurgeryDiagram)
 
 
-def _split(diag: SurgeryDiagram) -> tuple[int, tuple[int, ...]]:
-    """The index of the passive component and those of the surgered ones, in diagram order."""
-    passive = next(i for i, c in enumerate(diag.components) if c.coeff == COEFF_PASSIVE)
-    return passive, tuple(i for i in range(len(diag.components)) if i != passive)
+def _linking_system(
+    diag: SurgeryDiagram,
+) -> tuple[SurgeryComponent, tuple[SurgeryComponent, ...], Matrix, tuple[int, ...]]:
+    """The passive component, the surgered ones in diagram order, their linking
+    matrix M and their linking numbers with the passive one, from one split."""
+    comps, lk = diag.components, diag.lk
+    p = next(i for i, c in enumerate(comps) if c.coeff == COEFF_PASSIVE)
+    surgered = comps[:p] + comps[p + 1 :]
+    m = []
+    for k, (c, row) in enumerate(zip(surgered, lk[:p] + lk[p + 1 :])):
+        row = list(row[:p] + row[p + 1 :])
+        row[k] = c.tb + (1 if c.coeff == COEFF_PLUS else -1)
+        m.append(tuple(row))
+    return comps[p], surgered, tuple(m), lk[p][:p] + lk[p][p + 1 :]
 
 
 def linking_matrix(diag: SurgeryDiagram) -> Matrix:
     """Topological linking matrix over the surgered components only."""
-    diag = _read_diagram(diag, "diag", InvalidParams)
-    _, surgered = _split(diag)
-    comps, lk = diag.components, diag.lk
-    return tuple(
-        tuple(
-            comps[i].tb + (1 if comps[i].coeff == COEFF_PLUS else -1) if i == j else lk[i][j]
-            for j in surgered
-        )
-        for i in surgered
-    )
-
-
-def _distinguished_lk(diag: SurgeryDiagram) -> tuple[int, ...]:
-    passive, surgered = _split(diag)
-    return tuple(diag.lk[passive][i] for i in surgered)
+    return _linking_system(_read_diagram(diag, "diag", InvalidParams))[2]
 
 
 def rational_invariants(
@@ -151,25 +151,27 @@ def rational_invariants(
 ) -> RationalData:
     """Exact (tb_Q, rot_Q, r) of the distinguished component after surgery.
 
-    All three come from x with M x = lkvec, solved with no inverse formed:
-    tb_Q = tb_0 - <lkvec, x>, rot_Q = rot_0 - <rotvec, x>, r = lcm of the denominators of x.
+    All three come from x with M x = lkvec, solved with no inverse formed: r is
+    the lcm of the denominators of x, y = r x is an integer vector, and
+    tb_Q = (r tb_0 - <lkvec, y>)/r, rot_Q = (r rot_0 - <rotvec, y>)/r.
     ``reverse_distinguished``, ``True`` or ``False``, evaluates the other
     orientation of the passive component (rot_Q negates, tb_Q and r are
     unchanged); any other value raises ``InvalidParams``.
     """
     diag = _read_diagram(diag, "diag", InvalidParams)
     read_bool(reverse_distinguished, "reverse_distinguished", InvalidParams)
-    lkvec = _distinguished_lk(diag)
+    passive, surgered, m, lkvec = _linking_system(diag)
     try:
-        x = solve_exact(linking_matrix(diag), lkvec)
+        x = solve_exact(m, lkvec)
     except SingularMatrix:
         raise SingularMatrix("surgery linking matrix is singular") from None
-    passive, surgered = _split(diag)
-    comps = diag.components
-    tb_q = comps[passive].tb - sum(lk * xi for lk, xi in zip(lkvec, x))
-    rot_q = comps[passive].rot - sum(comps[i].rot * xi for i, xi in zip(surgered, x))
     order = lcm(*(xi.denominator for xi in x))
-    return RationalData(Fraction(tb_q), Fraction(-rot_q if reverse_distinguished else rot_q), order, chi)
+    y = [xi.numerator * (order // xi.denominator) for xi in x]
+    tb_q = order * passive.tb - sum(lk * yi for lk, yi in zip(lkvec, y))
+    rot_q = order * passive.rot - sum(c.rot * yi for c, yi in zip(surgered, y))
+    return RationalData(
+        Fraction(tb_q, order), Fraction(-rot_q if reverse_distinguished else rot_q, order), order, chi
+    )
 
 
 def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData:
@@ -198,13 +200,22 @@ def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData
     return RationalData(Fraction(tb, n) - a - b, Fraction(rot, n) + a - b, abs(n), chi)
 
 
+_DIAGRAM_KEYS = frozenset({"components", "lk", "distinguished"})
+_COMPONENT_KEYS = frozenset({"id", "tb", "rot", "coeff"})
+
+
 def diagram_from_json(doc: dict) -> SurgeryDiagram:
-    """Load the documented JSON shape; missing lk pairs default to 0."""
+    """Load the documented JSON shape; missing lk pairs default to 0, and a key
+    the shape does not name, in the document or in a component, raises
+    ``DiagramError``."""
     try:
         raw_components = doc["components"]
         distinguished = doc["distinguished"]
     except (TypeError, KeyError) as exc:
         raise DiagramError(f"missing required key: {exc}") from exc
+    unknown = doc.keys() - _DIAGRAM_KEYS
+    if unknown:
+        raise DiagramError(f"unknown diagram keys: {sorted(unknown)}")
     if not isinstance(raw_components, list) or not raw_components:
         raise DiagramError("'components' must be a non-empty list")
     comps = []
@@ -213,5 +224,8 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
             cid, tb, rot, coeff = entry["id"], entry["tb"], entry["rot"], entry["coeff"]
         except (TypeError, KeyError) as exc:
             raise DiagramError(f"bad component entry {entry!r}") from exc
+        unknown = entry.keys() - _COMPONENT_KEYS
+        if unknown:
+            raise DiagramError(f"component {cid!r}: unknown keys: {sorted(unknown)}")
         comps.append(SurgeryComponent(cid, tb, rot, coeff))
     return SurgeryDiagram.build(comps, doc.get("lk", []), distinguished)

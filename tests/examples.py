@@ -1,6 +1,7 @@
 """The example inputs the tests share, each defined once: the README's front
-words and surgery diagram, and the files of the work directory in which a
-command line runs (``conftest.workdir``)."""
+words and surgery diagram (and that diagram with a misspelt key), and the
+files of the work directory in which a command line runs
+(``conftest.workdir``)."""
 
 import json
 import os
@@ -19,6 +20,9 @@ README_DIAGRAM = {
     "distinguished": "Lstar",
 }
 README_DOC = {"tb_q": "1/14", "rot_q": "8/7", "r": 14, "chi": -7}
+# the README's diagram with "links" for "lk", a key no diagram has: ignored,
+# it would leave the diagram unlinked
+LINKS_DIAGRAM = {"links" if key == "lk" else key: value for key, value in README_DIAGRAM.items()}
 
 # the default records file, relative to HOME
 RECORDS = os.path.join(".config", "nonloose", "records.json")

@@ -5,9 +5,10 @@ Each case pins the exact stdout text and exit code of one command line: every
 example of the README's CLI section (run in a directory holding the files it
 names), each subcommand once with ``--format text``, error documents (a
 ``DomainError``, an ``InputError`` for a file that is not JSON and one that
-is missing, ``InvalidParams``, ``MeridionalSlope``, ``PositionOutOfRange``),
-and the edges of the input boundary (stdin input, the default records file,
-flag values that are errors, an unknown subcommand).
+is missing, ``InvalidParams``, ``MeridionalSlope``, ``PositionOutOfRange``,
+a ``DiagramError`` for an unknown key), and the edges of the input boundary
+(stdin input, the default records file, flag values that are errors, an
+abbreviated flag, an unknown subcommand).
 A change meant to keep the output byte-identical must leave every case
 passing as it stands.  ``test_readme_cli_block`` holds the README's CLI
 section to the table: each command there is a case, and each output it
@@ -29,7 +30,7 @@ from textwrap import dedent
 from typing import NamedTuple
 
 import pytest
-from examples import FILES, STABILIZED, UNKNOT
+from examples import FILES, LINKS_DIAGRAM, STABILIZED, UNKNOT
 from fresh_process import run_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,6 +42,20 @@ class Case(NamedTuple):
     stdout: str  # with its indentation removed by dedent
     stdin: str = ""
 
+
+# Two unlinked surgered components, M = diag(2, 3), each linking the passive
+# one once, so M x = (1, 1) gives x = (1/2, 1/3), r = 6 and y = r x = (3, 2):
+# tb_q = (6 (-2) - 5)/6 and rot_q = (6 - 2)/6 = 2/3.  Each tb + rot is odd,
+# as for any Legendrian knot.
+R6_DIAGRAM = {
+    "components": [
+        {"id": "K", "tb": -2, "rot": 1, "coeff": "passive"},
+        {"id": "A", "tb": 1, "rot": 0, "coeff": "+1"},
+        {"id": "B", "tb": 2, "rot": 1, "coeff": "+1"},
+    ],
+    "lk": [["K", "A", 1], ["K", "B", 1]],
+    "distinguished": "K",
+}
 
 # name -> the fields of its Case
 CASES = {
@@ -561,6 +576,34 @@ CASES = {
         """,
         FILES["diagram.json"],
     ),
+    # r = 6 is the lcm of the denominators of x = (1/2, 1/3), and neither of them.
+    "r the lcm of the denominators": (
+        "surgery-invariants - --chi -1",
+        0,
+        """\
+            {
+              "tb_q": "-17/6",
+              "rot_q": "2/3",
+              "r": 6,
+              "chi": -1
+            }
+        """,
+        json.dumps(R6_DIAGRAM),
+    ),
+    # A key the shape does not name is an error, not ignored.
+    "unknown diagram key": (
+        "surgery-invariants - --chi -7",
+        1,
+        """\
+            {
+              "error": {
+                "type": "DiagramError",
+                "message": "unknown diagram keys: ['links']"
+              }
+            }
+        """,
+        json.dumps(LINKS_DIAGRAM),
+    ),
     "stdin front-invariants": (
         "front-invariants -",
         0,
@@ -782,6 +825,8 @@ CASES = {
     "double dash as a choice": ("front-stabilize unknot.front --sign=--", 2, ""),
     "double dash as a repeated flag": ("dual-invariants --tb -15 --rot -2 --chi -7 --stab=--", 2, ""),
 }
+# argparse reads an abbreviated flag, which cli.main's own reader leaves to it.
+CASES["abbreviated --rot"] = ("certify-unknot --tb 2 --ro 1", 0, CASES["readme certify-unknot"][2])
 CASES = {name: Case(*fields) for name, fields in CASES.items()}
 
 # The README's search-examples command prints 294 lines; they are pinned by

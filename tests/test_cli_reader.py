@@ -54,8 +54,9 @@ def test_help_is_the_oracles(monkeypatch, columns):
         assert parser.format_help() == subparsers(old)[name].format_help(), name
 
 
-# the golden command lines that are no usage error
-READ = {name: case.argv for name, case in CASES.items() if case.code != 2}
+# the golden command lines that are no usage error, but for the abbreviated
+# flag that the reader leaves to argparse ("abbreviated flag" below)
+READ = {name: case.argv for name, case in CASES.items() if case.code != 2 and name != "abbreviated --rot"}
 
 
 @pytest.mark.parametrize("argv", READ.values(), ids=READ)

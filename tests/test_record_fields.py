@@ -1,4 +1,5 @@
-"""A knot record's JSON keys are its fields (``KnotRecord._fields``), in declaration order."""
+"""A knot record's JSON keys are its fields (``KnotRecord._fields``), in declaration order.
+The golden row "readme knot-record family" pins the command's text of one."""
 
 import json
 
@@ -35,22 +36,3 @@ def test_negative_torus_document():
         "ambient": "tight-S3",
         "order_positive": False,
     }
-
-
-def test_knot_record_command_text(run_cli):
-    code, out = run_cli("knot-record --family negative-torus --p -5 --q 3")
-    assert code == 0
-    assert out == (
-        "{\n"
-        '  "family": "torus(-5,3)",\n'
-        '  "max_tb": -15,\n'
-        '  "rot_at_max_tb": [\n'
-        "    -2\n"
-        "  ],\n"
-        '  "chi": -7,\n'
-        '  "g_s": null,\n'
-        '  "plus_one_surgery_overtwisted": true,\n'
-        '  "ambient": "tight-S3",\n'
-        '  "order_positive": false\n'
-        "}\n"
-    )

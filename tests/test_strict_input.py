@@ -6,8 +6,8 @@ import copy
 import json
 
 import pytest
-from examples import README_DIAGRAM
-from hypothesis import given, settings
+from examples import LINKS_DIAGRAM, README_DIAGRAM
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonloose.errors import DiagramError, DomainError, InvalidParams
@@ -135,6 +135,44 @@ NON_STRING_DIAGRAMS = {
 def test_diagram_rejects_non_strings(name):
     with pytest.raises(DiagramError):
         diagram_from_json(NON_STRING_DIAGRAMS[name])
+
+
+# where in the diagram document a key goes, the keys its shape names there,
+# and the start of the message that names an unknown one
+KNOWN_DIAGRAM_KEYS = {
+    "document": ((), {"components", "lk", "distinguished"}, "unknown diagram keys"),
+    "passive component": (("components", 0), {"id", "tb", "rot", "coeff"}, "component 'Lstar': unknown keys"),
+    "surgered component": (("components", 1), {"id", "tb", "rot", "coeff"}, "component 'L': unknown keys"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(KNOWN_DIAGRAM_KEYS)), st.text(max_size=5), json_values)
+def test_diagram_rejects_an_unknown_key(where, key, value):
+    path, known, message = KNOWN_DIAGRAM_KEYS[where]
+    assume(key not in known)
+    with pytest.raises(DiagramError) as raised:
+        diagram_from_json(put(README_DIAGRAM, (*path, key), value))
+    assert str(raised.value) == f"{message}: {[key]}"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (LINKS_DIAGRAM, "unknown diagram keys: ['links']"),
+        (dict(README_DIAGRAM, zeta=1, alpha=2), "unknown diagram keys: ['alpha', 'zeta']"),
+        (put(README_DIAGRAM, ("components", 1, "rotation"), 0), "component 'L': unknown keys: ['rotation']"),
+        (
+            put(put(README_DIAGRAM, ("components", 0, "tb_q"), 1), ("components", 0, "name"), "K"),
+            "component 'Lstar': unknown keys: ['name', 'tb_q']",
+        ),
+    ],
+    ids=["links for lk", "two document keys", "component key", "two component keys"],
+)
+def test_diagram_unknown_keys_are_named_sorted(doc, message):
+    with pytest.raises(DiagramError) as raised:
+        diagram_from_json(doc)
+    assert str(raised.value) == message
 
 
 INT_FIELDS = ("max_tb", "chi", "g_s")
