@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParams, Value, check_chi, optional, rational, read_int
+from .errors import InvalidParams, Value, check_chi, optional, read_int
 
-read_fraction = rational(Fraction)
+
+def read_fraction(value, what, error):
+    """The rule: an integer, not a boolean, or a ``Fraction``, stored as a ``Fraction``."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value if type(value) is Fraction else Fraction(value)
+    raise error(f"{what} must be an integer or a Fraction, got {value!r}")
 
 
 class ClassicalPair(Value):

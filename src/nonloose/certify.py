@@ -31,7 +31,6 @@ from .errors import (
     ContradictoryEvidence,
     IncompatibleRelation,
     InvalidParams,
-    MissingChi,
     NotLoosened,
     Value,
     member,
@@ -193,7 +192,7 @@ def bennequin_null(p: ClassicalPair) -> CheckResult:
     """-|tb| + |rot| <= -chi, required of every non-loose null-homologous knot."""
     _read_pair(p, "p", InvalidParams)
     if p.chi is None:
-        raise MissingChi("the classical Bennequin check needs chi")
+        raise InvalidParams("the classical Bennequin check needs chi")
     return CheckResult.VIOLATED if _exceeds(p.tb, p.rot, -p.chi) else CheckResult.HOLDS
 
 
@@ -299,7 +298,7 @@ def tension_upper_bound(
     if side not in _SIDES:
         raise InvalidParams(f"side must be one of {_SIDES}, got {side!r}")
     if isinstance(data, ClassicalPair) and data.chi is None:
-        raise MissingChi("the stabilization search needs chi")
+        raise InvalidParams("the stabilization search needs chi")
     _read_nonnegative(max_n, "max_n", InvalidParams)
     if isinstance(data, RationalData):
         tb, rot, rhs = data.tb_q, data.rot_q, Fraction(-data.chi, data.order_r)

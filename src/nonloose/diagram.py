@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 from .errors import (
     EmptyWord,
-    FrontEditError,
     InvalidParams,
     MultipleComponents,
     NonzeroFinalStrands,
@@ -331,8 +330,8 @@ def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     moves by +1 or -1 according to ``sign``.
     """
     if sign not in ("+", "-"):
-        raise FrontEditError("sign must be '+' or '-'")
-    word = _read_front(front, "front", FrontEditError).word
+        raise InvalidParams("sign must be '+' or '-'")
+    word = _read_front(front, "front", InvalidParams).word
     o = word._orientation
     dirs = o.arc_directions
     rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
@@ -373,11 +372,11 @@ def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
     cusps before it.  Both of its cusps are up when arc 2m runs leftward
     (for a rightward base) and down otherwise.
     """
-    ev = _read_word(word, "word", FrontEditError).events
+    ev = _read_word(word, "word", InvalidParams).events
     i, j = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (-1, -1)
     positions = type(i) is int and type(j) is int and 0 <= i < len(ev) and j == i + 1 < len(ev)
     if not (positions and _is_zigzag(ev[i], ev[j])):
-        raise FrontEditError(f"events {pair} do not form a removable zigzag")
+        raise InvalidParams(f"events {pair} do not form a removable zigzag")
     left_cusp = EventKind.LEFT_CUSP
     lo = 2 * sum([e.kind is left_cusp for e in ev[:i]])
     o = word._orientation

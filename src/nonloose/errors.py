@@ -47,16 +47,8 @@ class EmptyWord(FrontParseError):
     pass
 
 
-class FrontEditError(DomainError, ValueError):
-    """A stabilization or destabilization was asked for with bad arguments."""
-
-
 class DiagramError(DomainError):
     """A surgery diagram is structurally malformed."""
-
-
-class LinalgError(DomainError, ValueError):
-    """A matrix or vector has the wrong shape or entries for the operation."""
 
 
 class SingularMatrix(DomainError):
@@ -67,12 +59,8 @@ class MeridionalSlope(DomainError):
     pass
 
 
-class MissingChi(DomainError):
-    pass
-
-
 class InvalidParams(DomainError):
-    pass
+    """An argument of the wrong type or value, to a constructor or a function."""
 
 
 class UnknownTag(DomainError):
@@ -133,18 +121,6 @@ def optional(rule):
 
     def read(value, what, error):
         return None if value is None else rule(value, what, error)
-
-    return read
-
-
-def rational(kind: type):
-    """The rule: an integer, not a boolean, or a ``kind`` value, stored as a
-    ``kind``: ``fractions.Fraction``, which most commands never load."""
-
-    def read(value, what, error):
-        if isinstance(value, (int, kind)) and not isinstance(value, bool):
-            return value if type(value) is kind else kind(value)
-        raise error(f"{what} must be an integer or a {kind.__name__}, got {value!r}")
 
     return read
 

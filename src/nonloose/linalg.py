@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence, Union
 
-from .errors import LinalgError, SingularMatrix
+from .errors import InvalidParams, SingularMatrix
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -28,7 +28,7 @@ Vector = tuple[Entry, ...]
 def _check_square(m: Matrix) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
-        raise LinalgError("matrix is not square")
+        raise InvalidParams("matrix is not square")
     return n
 
 
@@ -39,7 +39,7 @@ def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[int, list
     Raises ``SingularMatrix`` at the first column with no pivot."""
     n = _check_square(m)
     if any(len(col) != n for col in columns):
-        raise LinalgError("vector length must match matrix dimension")
+        raise InvalidParams("vector length must match matrix dimension")
     a = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in columns] for i, row in enumerate(m)]
     sign = 1
     for c in range(n):

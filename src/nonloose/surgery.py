@@ -205,13 +205,15 @@ _COMPONENT_KEYS = frozenset({"id", "tb", "rot", "coeff"})
 
 
 def diagram_from_json(doc: dict) -> SurgeryDiagram:
-    """Load the documented JSON shape; missing lk pairs default to 0, and a key
-    the shape does not name, in the document or in a component, raises
-    ``DiagramError``."""
+    """Load the documented JSON shape; missing lk pairs default to 0.  A
+    document that is not an object, or a key the shape does not name, in the
+    document or in a component, raises ``DiagramError``."""
+    if not isinstance(doc, dict):
+        raise DiagramError(f"surgery diagram must be a JSON object, got {type(doc).__name__}")
     try:
         raw_components = doc["components"]
         distinguished = doc["distinguished"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise DiagramError(f"missing required key: {exc}") from exc
     unknown = doc.keys() - _DIAGRAM_KEYS
     if unknown:

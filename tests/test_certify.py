@@ -36,7 +36,6 @@ from nonloose.errors import (
     ContradictoryEvidence,
     IncompatibleRelation,
     InvalidParams,
-    MissingChi,
     NotLoosened,
 )
 
@@ -48,7 +47,7 @@ class TestBennequinChecks:
         assert bennequin_null(ClassicalPair(-15, -2, -7)) is CheckResult.HOLDS
 
     def test_classical_needs_chi(self):
-        with pytest.raises(MissingChi):
+        with pytest.raises(InvalidParams, match="needs chi"):
             bennequin_null(ClassicalPair(0, 0))
 
     def test_rational(self):
@@ -70,18 +69,6 @@ class TestBennequinChecks:
 
 
 class TestUnknotVerdict:
-    def test_loose_cases(self):
-        assert unknot_verdict(ClassicalPair(0, 1)).verdict is Verdict.LOOSE_CERTIFIED
-        assert unknot_verdict(ClassicalPair(2, 0)).verdict is Verdict.LOOSE_CERTIFIED
-        assert unknot_verdict(ClassicalPair(-3, 2)).verdict is Verdict.LOOSE_CERTIFIED
-
-    def test_constrained_case(self):
-        cert = unknot_verdict(ClassicalPair(2, 1))
-        assert cert.verdict is Verdict.INCONCLUSIVE
-        assert cert.details["possibly_nonloose"] is True
-        assert cert.details["if_nonloose"] == {"depth": 1, "tension": 1, "order_bar": 0}
-        assert cert.details["order_bar_max"] == 0
-
     def test_family_classification(self):
         for n in range(1, 21):
             for r in range(-n - 2, n + 3):
@@ -119,7 +106,7 @@ class TestTensionUpperBound:
         assert tension_upper_bound(ClassicalPair(0, 3, -1), 5) == (0, (0, 0))
 
     def test_needs_chi(self):
-        with pytest.raises(MissingChi):
+        with pytest.raises(InvalidParams, match="needs chi"):
             tension_upper_bound(ClassicalPair(3, 0), 5)
 
     def test_bad_side(self):
@@ -151,15 +138,6 @@ class TestTensionUpperBound:
             for a2 in range(total + 1):
                 assert not _violates_classical(p, a2, total - a2)
 
-    def test_certificate_wrapper(self):
-        cert = tension_certificate(ClassicalPair(3, 0, -1), 10)
-        assert cert.verdict is Verdict.TENSION_UPPER_BOUND
-        assert cert.details["tension_max"] == 3
-        assert cert.details["witness"] == (0, 3)
-        absent = tension_certificate(ClassicalPair(-5, 0, 1), 20)
-        assert absent.verdict is Verdict.NO_OBSTRUCTION
-        assert absent.details["max_n"] == 20
-
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-6, 8), st.integers(-6, 6), st.sampled_from([1, -1, -3, -5]))
     def test_repeating_the_violating_sign_stays_violating(self, tb, rot, chi):
@@ -172,32 +150,6 @@ class TestTensionUpperBound:
             assert _violates_classical(p, a + 1, b)
         else:
             assert _violates_classical(p, a, b + 1)
-
-
-class TestDualCertificates:
-    def test_depth_one_dual(self):
-        assert depth_one_dual(True, True).verdict is Verdict.DEPTH_ONE
-        assert depth_one_dual(False, True).verdict is Verdict.DEPTH_AT_LEAST_TWO
-        assert depth_one_dual(True, False).verdict is Verdict.LOOSE_CERTIFIED
-        assert depth_one_dual(False, False).verdict is Verdict.LOOSE_CERTIFIED
-
-    def test_assumptions_echoed(self):
-        cert = depth_one_dual(True, True)
-        assert dict(cert.assumptions) == {
-            "is_stabilization": True,
-            "complement_tight": True,
-        }
-
-    def test_tension_one_dual(self):
-        assert (
-            tension_one_dual(-15, -2, -7, True).verdict is Verdict.TENSION_EXACTLY_ONE
-        )
-        missing = tension_one_dual(-15, -2, -7, False)
-        assert missing.verdict is Verdict.INCONCLUSIVE
-        assert "surgery_overtwisted" in missing.details["failed_conditions"]
-        bad_rot = tension_one_dual(-2, 1, -1, True)
-        assert bad_rot.verdict is Verdict.INCONCLUSIVE
-        assert "rot < 0" in bad_rot.details["failed_conditions"]
 
 
 class TestSearch:
@@ -229,122 +181,30 @@ class TestSearch:
 
 
 class TestDepth2:
-    WITNESS = Depth2Witness("punctured-torus", 0, 1, True, True, True)
-
-    def test_all_clauses(self):
-        assert depth2_check(self.WITNESS, False, True).verdict is Verdict.DEPTH_EXACTLY_TWO
-
-    def test_stabilization_blocks(self):
-        cert = depth2_check(self.WITNESS, True, True)
-        assert cert.verdict is Verdict.INCONCLUSIVE
-        assert "not_a_stabilization" in cert.details["failed_conditions"]
-
-    def test_wrong_twisting(self):
-        w = Depth2Witness("punctured-klein-bottle", 0, 0, True, True, True)
-        cert = depth2_check(w, False, True)
-        assert cert.verdict is Verdict.INCONCLUSIVE
-        assert "tw_curve == +1" in cert.details["failed_conditions"]
-
     def test_bad_surface_kind(self):
         with pytest.raises(InvalidParams):
             Depth2Witness("sphere", 0, 1, True, True, True)
 
 
-class TestPossurg:
-    def test_examples(self):
-        assert possurg_depth_one(1, 1).verdict is Verdict.INCONCLUSIVE
-        assert possurg_depth_one(7, 4).verdict is Verdict.DEPTH_ONE
-        assert possurg_depth_one(5, 2).verdict is Verdict.INCONCLUSIVE
-
-
 class TestOrder:
-    def test_bounds(self):
-        cert = order_bounds(1, 0, True)
-        assert cert.verdict is Verdict.ORDER_BOUNDS
-        assert cert.details["order_max"] == 1
-        assert cert.details["order_reversed_max"] == 0
-        cert = order_bounds(2, 3, True)
-        assert cert.details["order_bar_max"] == 5
-        zero = order_bounds(0, 0, True)
-        assert zero.details["order_bar_max"] == 0
-
     def test_not_loosened(self):
         with pytest.raises(NotLoosened):
             order_bounds(1, 1, False)
-
-    def test_zero_by_tb_bound(self):
-        cert = order_zero_by_tb_bound(True)
-        assert cert.verdict is Verdict.ORDER_ZERO
-        assert cert.details["t_plus_finite"] and cert.details["t_minus_finite"]
-        assert order_zero_by_tb_bound(False).verdict is Verdict.INCONCLUSIVE
 
     def test_contradictory_evidence(self):
         with pytest.raises(ContradictoryEvidence):
             order_zero_by_tb_bound(True, order_positive=True)
 
 
-class TestRefinement:
-    def test_full_evidence(self):
-        cert = tension_refinement(True, True, True)
-        assert cert.verdict is Verdict.SIGNED_TENSION_BOUND
-        assert cert.details["t_minus_max"] == 1
-        assert cert.details["t_plus_min"] == 2
-
-    def test_negative_only(self):
-        cert = tension_refinement(True, False, True)
-        assert cert.details["t_minus_max"] == 1
-        assert "t_plus_min" not in cert.details
-
-    def test_not_a_positive_stab(self):
-        assert tension_refinement(False, True, True).verdict is Verdict.INCONCLUSIVE
-
-    def test_loose_complement(self):
-        assert tension_refinement(True, True, False).verdict is Verdict.LOOSE_CERTIFIED
-
-
 class TestTransfer:
-    def witness_cert(self, a, b):
-        return Certificate(
-            Verdict.TENSION_UPPER_BOUND,
-            details={"tension_max": a + b, "witness": (a, b)},
-            reasons=(Reason("stabilization-violation-search", "test input"),),
-        )
-
-    def test_loosening_witness(self):
-        cert = transverse_transfer(self.witness_cert(3, 2), "approximation")
-        assert cert.verdict is Verdict.TENSION_UPPER_BOUND
-        assert cert.details["tension_max"] == 3
-
-    def test_purely_negative_loosening_looses_transverse(self):
-        src = tension_certificate(ClassicalPair(3, 0, -1), 10)
-        assert src.details["witness"] == (0, 3)
-        cert = transverse_transfer(src, "approximation")
-        assert cert.verdict is Verdict.LOOSE_CERTIFIED
-
-    def test_finite_negative_tension(self):
-        src = tension_refinement(True, True, True)
-        cert = transverse_transfer(src, "pushoff")
-        assert cert.verdict is Verdict.LOOSE_CERTIFIED
-
     def test_negative_tension_needs_pushoff_relation(self):
         src = tension_refinement(True, True, True)
         with pytest.raises(IncompatibleRelation):
             transverse_transfer(src, "approximation")
 
-    def test_transverse_unknot(self):
-        src = unknot_verdict(ClassicalPair(2, 1))
-        cert = transverse_transfer(src, "approximation")
-        assert cert.verdict is Verdict.LOOSE_CERTIFIED
-
-    def test_hopf_binding(self):
-        src = self.witness_cert(1, 0)
-        cert = transverse_transfer(src, "pushoff", is_negative_hopf_stabilization=True)
-        assert cert.verdict is Verdict.DEPTH_ONE
-        assert cert.details["tension_max"] == 1
-
     def test_bad_relation(self):
         with pytest.raises(IncompatibleRelation):
-            transverse_transfer(self.witness_cert(1, 0), "sibling")
+            transverse_transfer(_witness_cert(1, 0), "sibling")
 
 
 class TestCertificateStructure:
@@ -449,6 +309,15 @@ class TestPinnedCertificates:
             '"note": "a Legendrian unknot with tb <= 0 in an overtwisted structure is loose", '
             '"inputs": {"tb": 0}}], "assumptions": {}}'
         ),
+        "unknot tb negative": (
+            lambda: unknot_verdict(ClassicalPair(-3, 2)),
+            '{"verdict": "LooseCertified", "details": {"knot_type": "unknot", '
+            '"tb": -3, "rot": 2, "depth_min": 0, "depth_max": 0, "tension_min": 0, '
+            '"tension_max": 0, "order_bar_max": 0}, '
+            '"reasons": [{"rule": "unknot-tb-nonpositive", '
+            '"note": "a Legendrian unknot with tb <= 0 in an overtwisted structure is loose", '
+            '"inputs": {"tb": -3}}], "assumptions": {}}'
+        ),
         "unknot rot off the classification": (
             lambda: unknot_verdict(ClassicalPair(2, 0)),
             '{"verdict": "LooseCertified", "details": {"knot_type": "unknot", '
@@ -499,6 +368,14 @@ class TestPinnedCertificates:
             '"inputs": {}}], "assumptions": {"is_stabilization": true, '
             '"complement_tight": false}}'
         ),
+        "depth one dual loose, not a stabilization": (
+            lambda: depth_one_dual(False, False),
+            '{"verdict": "LooseCertified", "details": {"depth_min": 0, "depth_max": 0, '
+            '"tension_min": 0, "tension_max": 0}, "reasons": [{"rule": '
+            '"loose-complement", "note": "an overtwisted complement is the definition '
+            'of loose", "inputs": {}}], "assumptions": {"is_stabilization": false, '
+            '"complement_tight": false}}'
+        ),
         "depth one dual one": (
             lambda: depth_one_dual(True, True),
             '{"verdict": "DepthOne", "details": {"depth_min": 1, "depth_max": 1}, '
@@ -524,6 +401,22 @@ class TestPinnedCertificates:
             '"note": "hypotheses of the dual tension-one criterion are not all met", '
             '"inputs": {"tb": -2, "rot": 1, "chi": -1}}], '
             '"assumptions": {"surgery_overtwisted": false}}'
+        ),
+        "tension one dual failed rot": (
+            lambda: tension_one_dual(-2, 1, -1, True),
+            '{"verdict": "Inconclusive", "details": {"tb": -2, "rot": 1, "chi": -1, '
+            '"failed_conditions": ["rot < 0", "tb + rot + 2 < chi"]}, "reasons": '
+            '[{"rule": "dual-tension-criterion", "note": "hypotheses of the dual '
+            'tension-one criterion are not all met", "inputs": {"tb": -2, "rot": 1, '
+            '"chi": -1}}], "assumptions": {"surgery_overtwisted": true}}'
+        ),
+        "tension one dual failed overtwisted": (
+            lambda: tension_one_dual(-15, -2, -7, False),
+            '{"verdict": "Inconclusive", "details": {"tb": -15, "rot": -2, "chi": -7, '
+            '"failed_conditions": ["surgery_overtwisted"]}, "reasons": [{"rule": '
+            '"dual-tension-criterion", "note": "hypotheses of the dual tension-one '
+            'criterion are not all met", "inputs": {"tb": -15, "rot": -2, '
+            '"chi": -7}}], "assumptions": {"surgery_overtwisted": false}}'
         ),
         "tension one dual exactly one": (
             lambda: tension_one_dual(-15, -2, -7, True),
@@ -564,6 +457,24 @@ class TestPinnedCertificates:
             '"inputs": {"surface_kind": "punctured-klein-bottle"}}], '
             '"assumptions": {"is_stabilization": true, "complement_tight": true}}'
         ),
+        "depth two failed stabilization": (
+            lambda: depth2_check(_DEPTH2_WITNESS, True, True),
+            '{"verdict": "Inconclusive", "details": {"surface_kind": '
+            '"punctured-torus", "failed_conditions": ["not_a_stabilization"]}, '
+            '"reasons": [{"rule": "depth-two-witness", "note": "a clause of the '
+            'depth-two characterization fails", "inputs": {"surface_kind": '
+            '"punctured-torus"}}], "assumptions": {"is_stabilization": true, '
+            '"complement_tight": true}}'
+        ),
+        "depth two failed twisting": (
+            lambda: depth2_check(Depth2Witness("punctured-klein-bottle", 0, 0, True, True, True), False, True),
+            '{"verdict": "Inconclusive", "details": {"surface_kind": '
+            '"punctured-klein-bottle", "failed_conditions": ["tw_curve == +1"]}, '
+            '"reasons": [{"rule": "depth-two-witness", "note": "a clause of the '
+            'depth-two characterization fails", "inputs": {"surface_kind": '
+            '"punctured-klein-bottle"}}], "assumptions": {"is_stabilization": false, '
+            '"complement_tight": true}}'
+        ),
         "depth two exactly": (
             lambda: depth2_check(_DEPTH2_WITNESS, False, True),
             '{"verdict": "DepthExactlyTwo", '
@@ -582,6 +493,13 @@ class TestPinnedCertificates:
             '"note": "the sharp slice-Bennequin hypothesis does not hold", '
             '"inputs": {"tb": 1, "g_s": 1}}], "assumptions": {}}'
         ),
+        "possurg failed sharpness": (
+            lambda: possurg_depth_one(5, 2),
+            '{"verdict": "Inconclusive", "details": {"tb": 5, "g_s": 2, '
+            '"failed_conditions": ["tb == 2*g_s - 1"]}, "reasons": [{"rule": '
+            '"positive-surgery-tight", "note": "the sharp slice-Bennequin hypothesis '
+            'does not hold", "inputs": {"tb": 5, "g_s": 2}}], "assumptions": {}}'
+        ),
         "possurg depth one": (
             lambda: possurg_depth_one(7, 4),
             '{"verdict": "DepthOne", "details": {"tb": 7, "g_s": 4, '
@@ -599,6 +517,14 @@ class TestPinnedCertificates:
             '"reasons": [{"rule": "stabilization-order-bound", '
             '"note": "positive stabilizations multiply the invariant by U, '
             'negative ones fix it", "inputs": {"a": 2, "b": 3}}], '
+            '"assumptions": {"loosened": true}}'
+        ),
+        "order bounds positive only": (
+            lambda: order_bounds(1, 0, True),
+            '{"verdict": "OrderBounds", "details": {"order_max": 1, '
+            '"order_reversed_max": 0, "order_bar_max": 1}, "reasons": [{"rule": '
+            '"stabilization-order-bound", "note": "positive stabilizations multiply '
+            'the invariant by U, negative ones fix it", "inputs": {"a": 1, "b": 0}}], '
             '"assumptions": {"loosened": true}}'
         ),
         "order bounds loose": (
@@ -733,21 +659,29 @@ class TestPinnedCertificates:
 
     BOUNDS = {
         "unknot tb nonpositive": {"order_bar": (0, 0), "tension": (0, 0), "depth": (0, 0)},
+        "unknot tb negative": {"order_bar": (0, 0), "tension": (0, 0), "depth": (0, 0)},
         "unknot rot off the classification": {"order_bar": (0, 0), "tension": (0, 0), "depth": (0, 0)},
         "unknot possibly nonloose": {"order_bar": (0, 0), "tension": (1, 1), "depth": (1, 1)},
         "tension found": {"order_bar": (0, inf), "tension": (0, 3), "depth": (0, inf)},
         "tension not found": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
         "depth one dual loose": {"order_bar": (0, inf), "tension": (0, 0), "depth": (0, 0)},
+        "depth one dual loose, not a stabilization": {"order_bar": (0, inf), "tension": (0, 0), "depth": (0, 0)},
         "depth one dual one": {"order_bar": (0, inf), "tension": (0, inf), "depth": (1, 1)},
         "depth one dual at least two": {"order_bar": (0, inf), "tension": (0, inf), "depth": (2, inf)},
         "tension one dual failed": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
+        "tension one dual failed rot": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
+        "tension one dual failed overtwisted": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
         "tension one dual exactly one": {"order_bar": (0, inf), "tension": (1, 1), "depth": (0, inf)},
         "tension less than depth": {"order_bar": (0, inf), "tension": (1, 1), "depth": (2, inf)},
         "depth two failed": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
+        "depth two failed stabilization": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
+        "depth two failed twisting": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
         "depth two exactly": {"order_bar": (0, inf), "tension": (0, inf), "depth": (2, 2)},
         "possurg failed": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
+        "possurg failed sharpness": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
         "possurg depth one": {"order_bar": (0, inf), "tension": (0, inf), "depth": (1, 1)},
         "order bounds": {"order_bar": (0, 5), "tension": (0, inf), "depth": (0, inf)},
+        "order bounds positive only": {"order_bar": (0, 1), "tension": (0, inf), "depth": (0, inf)},
         "order bounds loose": {"order_bar": (0, 0), "tension": (0, inf), "depth": (0, inf)},
         "order zero inconclusive": {"order_bar": (0, inf), "tension": (0, inf), "depth": (0, inf)},
         "order zero": {"order_bar": (0, 0), "tension": (0, inf), "depth": (0, inf)},

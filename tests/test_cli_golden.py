@@ -5,8 +5,12 @@ Each case pins the exact stdout text and exit code of one command line: every
 example of the README's CLI section (run in a directory holding the files it
 names), each subcommand once with ``--format text``, error documents (a
 ``DomainError``, an ``InputError`` for a file that is not JSON and one that
-is missing, ``InvalidParams``, ``MeridionalSlope``, ``PositionOutOfRange``,
-a ``DiagramError`` for an unknown key), and the edges of the input boundary
+is missing, ``InvalidParams``, ``MeridionalSlope``, ``SingularMatrix``, the
+front word errors ``UnknownToken``, ``EmptyWord``, ``NonzeroFinalStrands``,
+``MultipleComponents`` and ``PositionOutOfRange``, and a ``DiagramError``
+for an unknown key and for a document that is not an object; the law of
+``test_printed_names`` holds every error type a command prints to a case
+here), and the edges of the input boundary
 (stdin input, the default records file, flag values that are errors, an
 abbreviated flag, an unknown subcommand).
 A change meant to keep the output byte-identical must leave every case
@@ -54,6 +58,17 @@ R6_DIAGRAM = {
         {"id": "B", "tb": 2, "rot": 1, "coeff": "+1"},
     ],
     "lk": [["K", "A", 1], ["K", "B", 1]],
+    "distinguished": "K",
+}
+
+# A surgered component with tb = -1 and coefficient +1 has the diagonal
+# entry tb + 1 = 0, and links nothing else surgered, so M = (0) is singular.
+SINGULAR_DIAGRAM = {
+    "components": [
+        {"id": "K", "tb": -2, "rot": 1, "coeff": "passive"},
+        {"id": "A", "tb": -1, "rot": 0, "coeff": "+1"},
+    ],
+    "lk": [["K", "A", 1]],
     "distinguished": "K",
 }
 
@@ -562,6 +577,85 @@ CASES = {
               }
             }
         """
+    ),
+    "UnknownToken document": (
+        "front-invariants -",
+        1,
+        """\
+            {
+              "error": {
+                "type": "UnknownToken",
+                "message": "unknown token 'q'"
+              }
+            }
+        """,
+        "q 1",
+    ),
+    "EmptyWord document": (
+        "front-invariants -",
+        1,
+        """\
+            {
+              "error": {
+                "type": "EmptyWord",
+                "message": "no events in input"
+              }
+            }
+        """,
+        "",
+    ),
+    "NonzeroFinalStrands document": (
+        "front-invariants -",
+        1,
+        """\
+            {
+              "error": {
+                "type": "NonzeroFinalStrands",
+                "message": "4 strands left open at the end"
+              }
+            }
+        """,
+        "l 1 l 2",
+    ),
+    "MultipleComponents document": (
+        "front-invariants -",
+        1,
+        """\
+            {
+              "error": {
+                "type": "MultipleComponents",
+                "message": "front word traces out more than one component"
+              }
+            }
+        """,
+        "l 1 r 1 l 1 r 1",
+    ),
+    "SingularMatrix document": (
+        "surgery-invariants - --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "SingularMatrix",
+                "message": "surgery linking matrix is singular"
+              }
+            }
+        """,
+        json.dumps(SINGULAR_DIAGRAM),
+    ),
+    # A document that is not an object is a DiagramError, not a leaked Python error.
+    "diagram not an object": (
+        "surgery-invariants - --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "DiagramError",
+                "message": "surgery diagram must be a JSON object, got list"
+              }
+            }
+        """,
+        "[1]",
     ),
     "stdin surgery-invariants": (
         "surgery-invariants - --chi -7",

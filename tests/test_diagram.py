@@ -139,10 +139,6 @@ class TestInvariants:
         b = reverse_orientation(stabilize_front(f, "-"))
         assert (tb(a), rot(a)) == (tb(b), rot(b)) == (-2, 1)
 
-    def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            stabilize_front(oriented(UNKNOT), "?")
-
 
 class TestDestabilization:
     def test_found_on_stabilized_unknot(self):
@@ -156,10 +152,6 @@ class TestDestabilization:
 
     def test_absent_on_trefoil(self):
         assert detect_syntactic_destabilization(parse_front(TREFOIL)) is None
-
-    def test_bad_pair_rejected(self):
-        with pytest.raises(ValueError):
-            destabilize_front(parse_front(TREFOIL), (0, 1))
 
 
 @settings(max_examples=150, deadline=None)

@@ -31,14 +31,22 @@ COMMANDS = {
     "knot-record": (["knot-record", "--family", "unknot"], {"cli", "errors", "knotdata"}),
 }
 
-# Runs argv through cli.main, then prints its exit code and the loaded
-# nonloose submodules as one JSON line.
+# Runs argv through cli.main, then prints as one JSON line its exit code
+# (argparse's, if it exits), the start of what it wrote, the nonloose
+# submodules it left loaded, and which of ``argparse``, ``dataclasses``,
+# ``inspect`` and ``pathlib`` got loaded.
 PROBE = """
 import contextlib, io, json, sys
 from nonloose import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nonloose."))]))
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("nonloose."))
+watched = [m for m in ("argparse", "dataclasses", "inspect", "pathlib") if m in sys.modules]
+print(json.dumps([code, out.getvalue()[:60], loaded, watched]))
 """
 
 
@@ -55,57 +63,18 @@ def test_bare_import_loads_no_submodule():
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_loads_only_what_it_runs(workdir, command):
+    """A command loads only the nonloose modules it runs.  A well-formed
+    command line is read from the flag table, without argparse; value
+    classes are plain ``__slots__`` classes, so no command pays for
+    ``dataclasses`` and the ``inspect`` it imports; and no command needs
+    ``pathlib``.  The probe runs under ``python -S``: a site ``.pth`` file
+    (certifi's, where it is installed) can load ``pathlib`` before any
+    program code, and then no plain run shows it and no timing can tell it
+    apart."""
     argv, expected = COMMANDS[command]
-    code, loaded = fresh(PROBE, *argv, cwd=workdir)
-    assert code == 0
+    code, _, loaded, watched = fresh(PROBE, *argv, options=["-S"], cwd=workdir)
+    assert (code, watched) == (0, [])
     assert loaded == sorted(f"nonloose.{name}" for name in expected)
-
-
-# Runs argv through cli.main, then prints its exit code and which of
-# ``dataclasses`` and ``inspect`` got loaded, as one JSON line.
-STARTUP_PROBE = """
-import contextlib, io, json, sys
-from nonloose import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
-"""
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_no_dataclasses_or_inspect(workdir, command):
-    """Value classes are plain ``__slots__`` classes, so no command pays for
-    ``dataclasses`` and the ``inspect`` it imports."""
-    argv, _ = COMMANDS[command]
-    assert fresh(STARTUP_PROBE, *argv, cwd=workdir) == [0, []]
-
-
-# Runs argv through cli.main, then prints its exit code (argparse's, if it
-# exits), the start of what it wrote, and which of ``argparse`` and
-# ``pathlib`` got loaded, as one JSON line.
-ARGPARSE_PROBE = """
-import contextlib, io, json, sys
-from nonloose import cli
-out = io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-    try:
-        code = cli.main(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
-print(json.dumps([code, out.getvalue()[:60], [m for m in ("argparse", "pathlib") if m in sys.modules]]))
-"""
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_no_argparse_or_pathlib(workdir, command):
-    """A well-formed command line is read from the flag table, without
-    argparse, and no command needs ``pathlib``.  The probe runs under
-    ``python -S``: a site ``.pth`` file (certifi's, where it is installed)
-    can load ``pathlib`` before any program code, and then no plain run
-    shows it and no timing can tell it apart."""
-    argv, _ = COMMANDS[command]
-    code, _, loaded = fresh(ARGPARSE_PROBE, *argv, options=["-S"], cwd=workdir)
-    assert (code, loaded) == (0, [])
 
 
 @pytest.mark.parametrize(
@@ -117,8 +86,8 @@ def test_command_loads_no_argparse_or_pathlib(workdir, command):
 )
 def test_help_and_usage_errors_load_argparse(argv, code, usage):
     """argparse writes the help and every usage error, and only they load it."""
-    got, start, loaded = fresh(ARGPARSE_PROBE, *argv, options=["-S"])
-    assert (got, loaded) == (code, ["argparse"])
+    got, start, _, watched = fresh(PROBE, *argv, options=["-S"])
+    assert (got, watched) == (code, ["argparse"])
     assert start.startswith(usage)
 
 

@@ -19,7 +19,7 @@ from linalg_oracles import (
     mat_vec,
     smith_normal_form,
 )
-from nonloose.errors import DomainError, SingularMatrix, Value
+from nonloose.errors import DomainError, InvalidParams, SingularMatrix, Value
 from nonloose.linalg import det_exact
 
 
@@ -109,7 +109,7 @@ class TestSmith:
         check_snf(((2,), (4,), (4,)))
 
     def test_rejects_fractions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             smith_normal_form(((Fraction(1, 2),),))
 
     @settings(max_examples=200, deadline=None)

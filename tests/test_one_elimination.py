@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from linalg_oracles import det_cofactor, identity, invert_exact, mat_mul, mat_vec
 from nonloose import linalg, surgery
-from nonloose.errors import LinalgError, SingularMatrix
+from nonloose.errors import InvalidParams, SingularMatrix
 from nonloose.linalg import det_exact, solve_exact
 from nonloose.surgery import diagram_from_json, rational_invariants
 from test_one_solve import assert_moved_to_oracles
@@ -121,15 +121,15 @@ def test_empty_matrix():
     ],
 )
 def test_shape_errors(m, v):
-    with pytest.raises(LinalgError):
+    with pytest.raises(InvalidParams):
         solve_exact(m, v)
 
 
 @pytest.mark.parametrize("m", [((1, 2),), ((1, 2), (3,)), ((1,), (2,))])
 def test_non_square_det_and_inverse(m):
-    with pytest.raises(LinalgError):
+    with pytest.raises(InvalidParams):
         det_exact(m)
-    with pytest.raises(LinalgError):
+    with pytest.raises(InvalidParams):
         invert_exact(m)
 
 

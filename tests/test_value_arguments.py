@@ -33,7 +33,7 @@ from nonloose.diagram import (
     stabilize_front,
     tb,
 )
-from nonloose.errors import DomainError, FrontEditError, InvalidParams
+from nonloose.errors import DomainError, InvalidParams
 from nonloose.knotdata import load_records, named_example, negative_torus_record, positive_torus_record
 from nonloose.surgery import diagram_from_json, linking_matrix, rational_invariants
 
@@ -74,18 +74,18 @@ def transfer_t_minus_max(t_minus_max):
         (lambda: tb(5), InvalidParams, "front must be an OrientedFront, got 5"),
         (lambda: rot(5), InvalidParams, "front must be an OrientedFront, got 5"),
         (lambda: reverse_orientation(5), InvalidParams, "front must be an OrientedFront, got 5"),
-        (lambda: stabilize_front(5, "+"), FrontEditError, "front must be an OrientedFront, got 5"),
+        (lambda: stabilize_front(5, "+"), InvalidParams, "front must be an OrientedFront, got 5"),
         (
             lambda: stabilize_front(parse_front(STABILIZED), "+"),
-            FrontEditError,
+            InvalidParams,
             "front must be an OrientedFront, got FrontWord(",
         ),
         (lambda: serialize_front(5), InvalidParams, "word must be a FrontWord, got 5"),
         (lambda: detect_syntactic_destabilization(5), InvalidParams, "word must be a FrontWord, got 5"),
-        (lambda: destabilize_front(5, (1, 2)), FrontEditError, "word must be a FrontWord, got 5"),
-        (lambda: destabilize_front(parse_front(STABILIZED), 5), FrontEditError, "events 5 do not form"),
-        (lambda: destabilize_front(parse_front(STABILIZED), (True, 2)), FrontEditError, "events (True, 2) do not"),
-        (lambda: destabilize_front(parse_front(STABILIZED), (1, 2, 3)), FrontEditError, "events (1, 2, 3) do not"),
+        (lambda: destabilize_front(5, (1, 2)), InvalidParams, "word must be a FrontWord, got 5"),
+        (lambda: destabilize_front(parse_front(STABILIZED), 5), InvalidParams, "events 5 do not form"),
+        (lambda: destabilize_front(parse_front(STABILIZED), (True, 2)), InvalidParams, "events (True, 2) do not"),
+        (lambda: destabilize_front(parse_front(STABILIZED), (1, 2, 3)), InvalidParams, "events (1, 2, 3) do not"),
         (lambda: linking_matrix(5), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
         (lambda: rational_invariants(5, -1), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
         (
