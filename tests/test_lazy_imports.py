@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from examples import FILES
 from fresh_process import run_python
 
 import nonloose
@@ -61,20 +62,50 @@ def test_bare_import_loads_no_submodule():
     assert loaded == ["nonloose"]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_only_what_it_runs(workdir, command):
-    """A command loads only the nonloose modules it runs.  A well-formed
-    command line is read from the flag table, without argparse; value
-    classes are plain ``__slots__`` classes, so no command pays for
-    ``dataclasses`` and the ``inspect`` it imports; and no command needs
-    ``pathlib``.  The probe runs under ``python -S``: a site ``.pth`` file
-    (certifi's, where it is installed) can load ``pathlib`` before any
+@pytest.fixture(scope="module")
+def command_probe(tmp_path_factory):
+    """Runs a command's argv through PROBE once, under ``python -S``, in a
+    work directory holding examples.FILES; each test below reads its own
+    part of the one result.  The probe runs under ``-S``: a site ``.pth``
+    file (certifi's, where it is installed) can load ``pathlib`` before any
     program code, and then no plain run shows it and no timing can tell it
     apart."""
-    argv, expected = COMMANDS[command]
-    code, _, loaded, watched = fresh(PROBE, *argv, options=["-S"], cwd=workdir)
-    assert (code, watched) == (0, [])
-    assert loaded == sorted(f"nonloose.{name}" for name in expected)
+    workdir = tmp_path_factory.mktemp("commands")
+    for name, text in FILES.items():
+        path = workdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    results = {}
+
+    def probe(command):
+        if command not in results:
+            results[command] = fresh(PROBE, *COMMANDS[command][0], options=["-S"], cwd=workdir)
+        return results[command]
+
+    return probe
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_what_it_runs(command_probe, command):
+    code, _, loaded, _ = command_probe(command)
+    assert code == 0
+    assert loaded == sorted(f"nonloose.{name}" for name in COMMANDS[command][1])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_dataclasses_or_inspect(command_probe, command):
+    """Value classes are plain ``__slots__`` classes, so no command pays for
+    ``dataclasses`` and the ``inspect`` it imports."""
+    code, _, _, watched = command_probe(command)
+    assert (code, [m for m in watched if m in ("dataclasses", "inspect")]) == (0, [])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_argparse_or_pathlib(command_probe, command):
+    """A well-formed command line is read from the flag table, without
+    argparse, and no command needs ``pathlib``."""
+    code, _, _, watched = command_probe(command)
+    assert (code, [m for m in watched if m in ("argparse", "pathlib")]) == (0, [])
 
 
 @pytest.mark.parametrize(
