@@ -21,16 +21,12 @@ from nonloose import cli
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from examples import FILES, RECORDS  # noqa: E402  (found through the path just set)
+from examples import RECORDS, write_files  # noqa: E402  (found through the path just set)
 
 
 @pytest.fixture
 def workdir(tmp_path):
-    for name, text in FILES.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    return tmp_path
+    return write_files(tmp_path)
 
 
 class CliRunner:

@@ -1,7 +1,7 @@
 """The example inputs the tests share, each defined once: the README's front
 words and surgery diagram (and that diagram with a misspelt key), and the
 files of the work directory in which a command line runs
-(``conftest.workdir``)."""
+(``conftest.workdir``), written by ``write_files``."""
 
 import json
 import os
@@ -38,3 +38,12 @@ FILES = {
     "empty.json": "",
     RECORDS: json.dumps([{"family": "house", "max_tb": -2, "rot_at_max_tb": [1], "chi": -3}]),
 }
+
+
+def write_files(directory):
+    """Writes ``FILES`` into ``directory`` (a ``pathlib.Path``) and returns it."""
+    for name, text in FILES.items():
+        path = directory / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return directory

@@ -18,6 +18,7 @@ from nonloose.diagram import (
 )
 from nonloose.errors import (
     EmptyWord,
+    InvalidParams,
     MultipleComponents,
     NonzeroFinalStrands,
     PositionOutOfRange,
@@ -139,6 +140,9 @@ class TestInvariants:
         b = reverse_orientation(stabilize_front(f, "-"))
         assert (tb(a), rot(a)) == (tb(b), rot(b)) == (-2, 1)
 
+    def test_bad_sign(self):
+        with pytest.raises(InvalidParams):
+            stabilize_front(oriented(UNKNOT), "?")
 
 class TestDestabilization:
     def test_found_on_stabilized_unknot(self):
@@ -153,6 +157,9 @@ class TestDestabilization:
     def test_absent_on_trefoil(self):
         assert detect_syntactic_destabilization(parse_front(TREFOIL)) is None
 
+    def test_bad_pair_rejected(self):
+        with pytest.raises(InvalidParams):
+            destabilize_front(parse_front(TREFOIL), (0, 1))
 
 @settings(max_examples=150, deadline=None)
 @given(words)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from examples import FILES
+from examples import write_files
 from fresh_process import run_python
 
 import nonloose
@@ -70,11 +70,7 @@ def command_probe(tmp_path_factory):
     file (certifi's, where it is installed) can load ``pathlib`` before any
     program code, and then no plain run shows it and no timing can tell it
     apart."""
-    workdir = tmp_path_factory.mktemp("commands")
-    for name, text in FILES.items():
-        path = workdir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    workdir = write_files(tmp_path_factory.mktemp("commands"))
     results = {}
 
     def probe(command):
