@@ -176,6 +176,7 @@ _read_rational = member(RationalData)
 _read_data = member((ClassicalPair, RationalData))
 _read_witness = member(Depth2Witness)
 _read_certificate = member(Certificate)
+_read_certificates = members(Certificate)
 _read_nonnegative = nonnegative()
 
 
@@ -742,4 +743,4 @@ def check_consistency(certs: Iterable[Certificate]) -> list[Certificate]:
     """Return the certificates whose own bound windows admit no order <=
     tension <= depth.  Each certificate is checked on its own: certificates
     do not name their subject, so two about the same knot are not compared."""
-    return [c for c in certs if not bundle_is_consistent(c)]
+    return [c for c in _read_certificates(certs, "certs", InvalidParams) if not bundle_is_consistent(c)]

@@ -2,14 +2,16 @@
 
 Matrices are tuples of tuples (row major) over Python ints or
 ``fractions.Fraction``; everything is computed exactly and no floating point
-appears anywhere.  Sizes stay in the dozens, so plain O(n^3) elimination
-fits.  One pivoted Gaussian elimination over the rationals, ``_eliminate``,
-gives ``solve_exact``, which ``surgery.rational_invariants`` runs once per
-diagram, and ``det_exact``.  The elimination forms no determinant: it
-returns the sign of its row swaps and its pivots, and ``det_exact``
-multiplies them, so a solve pays for no product it throws away.  The
-cofactor determinant, the inverse and the Smith normal form live with the
-tests, as oracles.
+appears anywhere.  An entry of a matrix or a vector that is not an int (a
+bool is not) or a ``Fraction``, or a matrix, row or vector that is not a
+tuple or a list, raises ``InvalidParams``: nothing is converted.  Sizes stay
+in the dozens, so plain O(n^3) elimination fits.  One pivoted Gaussian
+elimination over the rationals, ``_eliminate``, gives ``solve_exact``, which
+``surgery.rational_invariants`` runs once per diagram, and ``det_exact``.
+The elimination forms no determinant: it returns the sign of its row swaps
+and its pivots, and ``det_exact`` multiplies them, so a solve pays for no
+product it throws away.  The cofactor determinant, the inverse and the Smith
+normal form live with the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence, Union
 
+from .calculus import read_fraction
 from .errors import InvalidParams, SingularMatrix
 
 Entry = Union[int, Fraction]
@@ -25,11 +28,12 @@ Matrix = tuple[tuple[Entry, ...], ...]
 Vector = tuple[Entry, ...]
 
 
-def _check_square(m: Matrix) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InvalidParams("matrix is not square")
-    return n
+def _entries(values: object, what: str, entry: str) -> list[Fraction]:
+    """``values``, a row or a vector, as ``Fraction``s; each entry is read with ``read_fraction``."""
+    if not isinstance(values, (tuple, list)):
+        raise InvalidParams(f"{what} must be a tuple or a list, got {values!r}")
+    # a plain int, every entry on the surgery path, needs no call to the rule
+    return [Fraction(x) if type(x) is int else read_fraction(x, entry, InvalidParams) for x in values]
 
 
 def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[int, list[Fraction], list[Vector]]:
@@ -37,10 +41,17 @@ def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[int, list
     forward elimination with first-nonzero row pivots carries the columns along,
     then back substitution.  det m is the sign times the product of the pivots.
     Raises ``SingularMatrix`` at the first column with no pivot."""
-    n = _check_square(m)
+    if not isinstance(m, (tuple, list)):
+        raise InvalidParams(f"matrix must be a tuple or a list of rows, got {m!r}")
+    a = [_entries(row, "matrix row", "matrix entry") for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise InvalidParams("matrix is not square")
+    columns = [_entries(col, "vector", "vector entry") for col in columns]
     if any(len(col) != n for col in columns):
         raise InvalidParams("vector length must match matrix dimension")
-    a = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in columns] for i, row in enumerate(m)]
+    for i, row in enumerate(a):
+        row += [col[i] for col in columns]
     sign = 1
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)

@@ -38,6 +38,7 @@ from nonloose.errors import (
     InvalidParams,
     NotLoosened,
 )
+from test_tension_pins import _violates
 
 
 class TestBennequinChecks:
@@ -85,11 +86,6 @@ class TestUnknotVerdict:
                 assert cert.verdict is not Verdict.DEPTH_ONE
 
 
-def _violates_classical(p: ClassicalPair, a: int, b: int) -> bool:
-    """Bennequin fails after a positive and b negative stabilizations: tb -= a + b, rot += a - b."""
-    return bennequin_null(ClassicalPair(p.tb - a - b, p.rot + a - b, p.chi)) is CheckResult.VIOLATED
-
-
 class TestTensionUpperBound:
     def test_l2q_examples(self):
         assert tension_upper_bound(ClassicalPair(3, 0, -1), 10) == (3, (0, 3))
@@ -115,31 +111,6 @@ class TestTensionUpperBound:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-6, 8), st.integers(-6, 6), st.sampled_from([1, -1, -3, -5]))
-    def test_sides_dominate_both(self, tb, rot, chi):
-        p = ClassicalPair(tb, rot, chi)
-        both = tension_upper_bound(p, 16, "both")
-        pos = tension_upper_bound(p, 16, "positive_only")
-        neg = tension_upper_bound(p, 16, "negative_only")
-        for sided in (pos, neg):
-            if sided is not None:
-                assert both is not None and both[0] <= sided[0]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(-6, 8), st.integers(-6, 6), st.sampled_from([1, -1, -3, -5]))
-    def test_witness_is_minimal_and_violating(self, tb, rot, chi):
-        p = ClassicalPair(tb, rot, chi)
-        found = tension_upper_bound(p, 12, "both")
-        if found is None:
-            return
-        n, (a, b) = found
-        assert a + b == n
-        assert _violates_classical(p, a, b)
-        for total in range(n):
-            for a2 in range(total + 1):
-                assert not _violates_classical(p, a2, total - a2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(-6, 8), st.integers(-6, 6), st.sampled_from([1, -1, -3, -5]))
     def test_repeating_the_violating_sign_stays_violating(self, tb, rot, chi):
         p = ClassicalPair(tb, rot, chi)
         found = tension_upper_bound(p, 12, "both")
@@ -147,9 +118,9 @@ class TestTensionUpperBound:
             return
         _, (a, b) = found
         if rot + a - b >= 0:
-            assert _violates_classical(p, a + 1, b)
+            assert _violates(p, a + 1, b)
         else:
-            assert _violates_classical(p, a, b + 1)
+            assert _violates(p, a, b + 1)
 
 
 class TestSearch:

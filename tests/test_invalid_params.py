@@ -33,40 +33,6 @@ from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, dual_invariants
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: ClassicalPair(1.5, 0, -1),
-        lambda: ClassicalPair(1, 0.5, -1),
-        lambda: ClassicalPair(True, 0, -1),
-        lambda: ClassicalPair(1, False, -1),
-        lambda: ClassicalPair("1", 0, -1),
-        lambda: ClassicalPair(1, 0, -1.0),
-        lambda: ClassicalPair(1, 0, True),
-        lambda: RationalData(0.1, 0, 1, -1),
-        lambda: RationalData("3/2", 0, 1, -1),
-        lambda: RationalData(True, 0, 1, -1),
-        lambda: RationalData(0, 0.5, 1, -1),
-        lambda: RationalData(0, False, 1, -1),
-        lambda: RationalData(0, 0, 1.5, -1),
-        lambda: RationalData(0, 0, True, -1),
-        lambda: RationalData(0, 0, Fraction(2), -1),
-        lambda: RationalData(0, 0, 1, -1.0),
-        lambda: RationalData(0, 0, 1, True),
-    ],
-    ids=[
-        "float tb", "float rot", "bool tb", "bool rot", "str tb", "float chi", "bool chi", "float tb_q", "str tb_q",
-        "bool tb_q", "float rot_q", "bool rot_q", "float order_r", "bool order_r", "Fraction order_r",
-        "float rational chi", "bool rational chi",
-    ],
-)
-def test_calculus_values_coerce_nothing(build):
-    """Each field is an int that is no bool (tb_Q and rot_Q may be Fractions);
-    anything else is rejected, not converted."""
-    with pytest.raises(InvalidParams, match="must be"):
-        build()
-
-
 PASSIVE = SurgeryComponent("a", 1, 0, "passive")
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import linalg_oracles
 from linalg_oracles import (
     INFINITE,
-    det_cofactor,
     homological_order,
     identity,
     invert_exact,
@@ -21,16 +20,6 @@ from linalg_oracles import (
 )
 from nonloose.errors import DomainError, InvalidParams, SingularMatrix, Value
 from nonloose.linalg import det_exact
-
-
-def square(draw_dim=5, lo=-9, hi=9):
-    return st.integers(1, draw_dim).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(lo, hi), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        ).map(lambda rows: tuple(tuple(r) for r in rows))
-    )
 
 
 class TestDet:
@@ -44,11 +33,6 @@ class TestDet:
         m = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 5)))
         assert det_exact(m) == Fraction(1, 10) - Fraction(1, 12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(square(draw_dim=4))
-    def test_matches_cofactor_expansion(self, m):
-        assert det_exact(m) == det_cofactor(m)
-
 
 class TestInvert:
     def test_single(self):
@@ -57,20 +41,6 @@ class TestInvert:
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             invert_exact(((0, 0), (0, 0)))
-
-    @settings(max_examples=150, deadline=None)
-    @given(square())
-    def test_exact_inverse_identity(self, m):
-        d = det_exact(m)
-        if d == 0:
-            with pytest.raises(SingularMatrix):
-                invert_exact(m)
-        else:
-            inv = invert_exact(m)
-            n = len(m)
-            assert mat_mul(m, inv) == tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            )
 
 
 def check_snf(m):
@@ -112,22 +82,6 @@ class TestSmith:
         with pytest.raises(InvalidParams):
             smith_normal_form(((Fraction(1, 2),),))
 
-    @settings(max_examples=200, deadline=None)
-    @given(square())
-    def test_properties(self, m):
-        check_snf(m)
-
-
-def order_bruteforce(m, lkvec):
-    # naive search: first r for which r * M^{-1} lkvec is integral
-    bound = abs(det_exact(m))
-    assert bound != 0
-    v = mat_vec(invert_exact(m), lkvec)
-    for r in range(1, bound + 1):
-        if all((r * x.numerator) % x.denominator == 0 for x in v):
-            return r
-    raise AssertionError("no order found within |det M|")
-
 
 class TestHomologicalOrder:
     def test_examples(self):
@@ -147,27 +101,17 @@ class TestHomologicalOrder:
 
         assert homological_order(((m,),), (l,)) == abs(m) // gcd(abs(m), abs(l))
 
-    @settings(max_examples=100, deadline=None)
-    @given(square(draw_dim=3, lo=-6, hi=6), st.randoms(use_true_random=False))
-    def test_matches_bruteforce(self, m, rng):
-        if det_exact(m) == 0:
-            return
-        lkvec = tuple(rng.randint(-9, 9) for _ in range(len(m)))
-        assert homological_order(m, lkvec) == order_bruteforce(m, lkvec)
-
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: mat_mul(((1, 2),), ((1, 2),)),
         lambda: mat_vec(((1, 2),), (1,)),
-        lambda: det_exact(((1, 2),)),
-        lambda: invert_exact(((1, 2),)),
         lambda: smith_normal_form(((1, 2), (3,))),
         lambda: smith_normal_form(((Fraction(1, 2),),)),
         lambda: homological_order(identity(2), (1,)),
     ],
-    ids=["mat_mul", "mat_vec", "det_exact", "invert_exact", "snf ragged", "snf fraction", "order length"],
+    ids=["mat_mul", "mat_vec", "snf ragged", "snf fraction", "order length"],
 )
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):

@@ -133,6 +133,32 @@ def test_non_square_det_and_inverse(m):
         invert_exact(m)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: det_exact((("1/2",),)), "matrix entry must be an integer or a Fraction, got '1/2'"),
+        (lambda: det_exact(((1.5,),)), "matrix entry must be an integer or a Fraction, got 1.5"),
+        (lambda: det_exact((("a",),)), "matrix entry must be an integer or a Fraction, got 'a'"),
+        (lambda: det_exact(5), "matrix must be a tuple or a list of rows, got 5"),
+        (lambda: det_exact((5,)), "matrix row must be a tuple or a list, got 5"),
+        (lambda: solve_exact(((True,),), ("3",)), "matrix entry must be an integer or a Fraction, got True"),
+        (lambda: solve_exact(((1,),), ("3",)), "vector entry must be an integer or a Fraction, got '3'"),
+        (lambda: solve_exact(5, (1,)), "matrix must be a tuple or a list of rows, got 5"),
+        (lambda: solve_exact(((1,),), 5), "vector must be a tuple or a list, got 5"),
+    ],
+    ids=[
+        "str det", "float det", "word det", "int matrix det", "int row det", "bool solve", "str vector",
+        "int matrix solve", "int vector",
+    ],
+)
+def test_entries_are_integers_or_fractions(call, message):
+    """Nothing is read as a number that is not one: a bool, a float or a
+    string is rejected, not converted."""
+    with pytest.raises(InvalidParams) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_surgery_path_builds_no_inverse(run_cli, monkeypatch):
     solved = []
 

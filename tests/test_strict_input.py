@@ -311,28 +311,6 @@ def test_cli_non_string_record_field(run_cli, tmp_path, record):
 # Values built directly, not read from JSON, check their integer fields too.
 
 
-def test_directly_built_values_reject_non_integers():
-    with pytest.raises(InvalidParams):
-        KnotRecord("k", 1.5, [0.5], -3.0)
-    with pytest.raises(DiagramError):
-        SurgeryDiagram(
-            (SurgeryComponent("a", -2.5, 0.5, "passive"), SurgeryComponent("b", 1.5, True, "+1")),
-            ((0, 1.5), (1.5, 0)),
-            "a",
-        )
-
-
-GOOD_RECORD = {"family": "k", "max_tb": -3, "rot_at_max_tb": [0], "chi": -5, "g_s": 2}
-
-
-@pytest.mark.parametrize("value", [1.5, -3.0, True, False, "2", [2]])
-@pytest.mark.parametrize("field", ["max_tb", "rot_at_max_tb entry", "chi", "g_s"])
-def test_knot_record_integer_fields(field, value):
-    args = dict(GOOD_RECORD, rot_at_max_tb=[value]) if field == "rot_at_max_tb entry" else {**GOOD_RECORD, field: value}
-    with pytest.raises(InvalidParams, match=f"{field} must be an integer"):
-        KnotRecord(**args)
-
-
 def test_knot_record_keeps_a_bool_beside_its_integer():
     # frozenset({1, True}) would drop True: each entry is read before the set is built
     with pytest.raises(InvalidParams):
@@ -341,13 +319,6 @@ def test_knot_record_keeps_a_bool_beside_its_integer():
 
 def components(tb=-16, rot=-1):
     return SurgeryComponent("Lstar", tb, rot, "passive"), SurgeryComponent("L", -15, -2, "+1")
-
-
-@pytest.mark.parametrize("value", [-2.5, -16.0, True, "1", None])
-@pytest.mark.parametrize("field", ["tb", "rot"])
-def test_surgery_component_integer_fields(field, value):
-    with pytest.raises(DiagramError, match=f"component {field} must be an integer"):
-        components(**{field: value})
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 signs of a rational move, the side filter, the budget and its default.
 Each case pins one place where a changed search would still pass the
 property tests in ``test_certify.py``.  The search also agrees with its
-reference loop, which builds and checks one stabilized class per
-candidate split and filters the splits by side."""
+reference loop, which tries every candidate split, filters the splits by
+side and states the Bennequin inequality itself, so it shares no code with
+``nonloose.certify``."""
 
 from fractions import Fraction
 
@@ -12,24 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonloose.calculus import ClassicalPair, RationalData
-from nonloose.certify import (
-    CheckResult,
-    Verdict,
-    bennequin_null,
-    bennequin_rational,
-    tension_certificate,
-    tension_upper_bound,
-)
+from nonloose.certify import Verdict, tension_certificate, tension_upper_bound
 
 SIDES = ("both", "positive_only", "negative_only")
 
 
 def _violates(data: ClassicalPair | RationalData, a: int, b: int) -> bool:
+    """Bennequin fails after a positive and b negative stabilizations:
+    -|tb - a - b| + |rot + a - b| > -chi, or > -chi/r for rational data."""
     if isinstance(data, RationalData):
-        moved = RationalData(data.tb_q - a - b, data.rot_q + a - b, data.order_r, data.chi)
-        return bennequin_rational(moved) is CheckResult.VIOLATED
-    moved = ClassicalPair(data.tb - a - b, data.rot + a - b, data.chi)
-    return bennequin_null(moved) is CheckResult.VIOLATED
+        tb, rot, rhs = data.tb_q, data.rot_q, Fraction(-data.chi, data.order_r)
+    else:
+        tb, rot, rhs = data.tb, data.rot, -data.chi
+    return -abs(tb - a - b) + abs(rot + a - b) > rhs
 
 
 def reference_search(data, max_n, side):

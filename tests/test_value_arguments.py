@@ -16,6 +16,7 @@ from nonloose.certify import (
     bennequin_null,
     bennequin_rational,
     certificate_bounds,
+    check_consistency,
     depth2_check,
     tension_certificate,
     tension_upper_bound,
@@ -70,6 +71,8 @@ def transfer_t_minus_max(t_minus_max):
             "legendrian_cert must be a Certificate, got 5",
         ),
         (lambda: certificate_bounds(5), InvalidParams, "cert must be a Certificate, got 5"),
+        (lambda: check_consistency(5), InvalidParams, "certs must be Certificate values, got 5"),
+        (lambda: check_consistency([5]), InvalidParams, "certs must be Certificate values, got 5"),
         (lambda: resolve_orientation(5), InvalidParams, "word must be a FrontWord, got 5"),
         (lambda: tb(5), InvalidParams, "front must be an OrientedFront, got 5"),
         (lambda: rot(5), InvalidParams, "front must be an OrientedFront, got 5"),

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import pytest
 import value_oracles
 from examples import README_DIAGRAM, TREFOIL, UNKNOT
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from wordgen import random_front_word
 
@@ -230,13 +230,24 @@ def test_values_behave_as_the_dataclasses_did(name, data):
 # Every field of every value class rejects an ill-typed value with the class's
 # DomainError, never a bare Python error and never a value.
 
-# one candidate value of each wrong type
-CANDIDATES = {"float": 1.5, "bool": True, "str": "false", "None": None, "list": [1.5], "dict": {"k": 1.5}}
+# the candidate values of each wrong type: beside 1.5, an integral float and
+# numeric strings, which a lax rule would convert, and False beside True
+CANDIDATES = {
+    "float": (1.5, 0.5, 0.1, -2.5),
+    "integral float": (-3.0, -1.0, -16.0),
+    "bool": (True, False),
+    "str": ("false", "1", "2", "3/2"),
+    "None": (None,),
+    "Fraction": (Fraction(2),),
+    "list": ([1.5], [-3.0], [True], [False], ["2"], [[2]]),
+    "int list": ([2],),
+    "dict": ({"k": 1.5},),
+}
 INT, STR, BOOL, MAPPING, COLLECTION = set(), {"str"}, {"bool"}, {"dict"}, set()
-# the oracle: each field's candidates that are well typed for it
+# the oracle: each field's candidate kinds that are well typed for it
 WELL_TYPED = {
     "ClassicalPair": {"tb": INT, "rot": INT, "chi": {"None"}},
-    "RationalData": {"tb_q": INT, "rot_q": INT, "order_r": INT, "chi": INT},
+    "RationalData": {"tb_q": {"Fraction"}, "rot_q": {"Fraction"}, "order_r": INT, "chi": INT},
     "Reason": {"rule": STR, "note": STR, "inputs": MAPPING},
     "Certificate": {"verdict": set(), "details": MAPPING, "reasons": COLLECTION, "assumptions": MAPPING},
     "Depth2Witness": {
@@ -250,33 +261,94 @@ WELL_TYPED = {
         "down_cusps": INT,
     },
     "KnotRecord": {
-        "family": STR, "max_tb": {"None"}, "rot_at_max_tb": COLLECTION, "chi": INT, "g_s": {"None"},
+        "family": STR, "max_tb": {"None"}, "rot_at_max_tb": {"int list"}, "chi": INT, "g_s": {"None"},
         "plus_one_surgery_overtwisted": {"bool", "None"}, "ambient": STR, "order_positive": BOOL,
     },
     "SurgeryComponent": {"id": STR, "tb": INT, "rot": INT, "coeff": STR},
     "SurgeryDiagram": {"components": COLLECTION, "lk": COLLECTION, "distinguished": STR},
 }
+# the oracle: how the error message for an ill-typed field starts, the field's
+# label first (one of a tuple of starts, or a start by kind)
+INTEGER = "must be an integer"
+MESSAGES = {
+    "ClassicalPair": {"tb": f"tb {INTEGER}", "rot": f"rot {INTEGER}", "chi": f"chi {INTEGER}"},
+    "RationalData": {
+        "tb_q": f"tb_q {INTEGER} or a Fraction", "rot_q": f"rot_q {INTEGER} or a Fraction",
+        "order_r": f"order_r {INTEGER}", "chi": f"chi {INTEGER}",
+    },
+    "Reason": {"rule": "rule must be a string", "note": "note must be a string", "inputs": "inputs must be a mapping"},
+    "Certificate": {
+        "verdict": "verdict must be a Verdict", "details": "details must be a mapping",
+        "reasons": "a certificate's reasons must be Reason values", "assumptions": "assumptions must be a mapping",
+    },
+    "Depth2Witness": {
+        "surface_kind": "surface_kind must name a once-punctured torus or Klein bottle",
+        "tw_boundary": f"tw_boundary {INTEGER}", "tw_curve": f"tw_curve {INTEGER}",
+        "essential": "essential must be true or false", "non_separating": "non_separating must be true or false",
+        "orientation_preserving": "orientation_preserving must be true or false",
+    },
+    "FrontEvent": {"kind": "event kind must be an EventKind", "position": f"event position {INTEGER} >= 1"},
+    "FrontWord": {"events": "events must be FrontEvent values"},
+    "OrientedFront": {
+        "word": "word must be a FrontWord", "base_direction": "base_direction must be a Direction",
+        "arc_directions": "arc_directions must be Direction values", "writhe": f"writhe {INTEGER}",
+        "up_cusps": f"up_cusps {INTEGER}", "down_cusps": f"down_cusps {INTEGER}",
+    },
+    "KnotRecord": {
+        "family": "family must be a string", "max_tb": f"max_tb {INTEGER}",
+        # a list names its ill-typed entry
+        "rot_at_max_tb": {"list": f"rot_at_max_tb entry {INTEGER}", "other": "rot_at_max_tb must be a list of integers"},
+        "chi": f"chi {INTEGER}", "g_s": f"g_s {INTEGER}",
+        "plus_one_surgery_overtwisted": "plus_one_surgery_overtwisted must be true or false",
+        "ambient": "ambient must be a string", "order_positive": "order_positive must be true or false",
+    },
+    "SurgeryComponent": {
+        "id": "component id must be a string", "tb": f"component tb {INTEGER}", "rot": f"component rot {INTEGER}",
+        "coeff": "component coeff must be a string",
+    },
+    "SurgeryDiagram": {
+        "components": "a diagram's components must be SurgeryComponent values",
+        # a value whose rows are strings is read down to a character; any other is a shape error
+        "lk": (f"lk value {INTEGER}", "linking matrix shape must match the component count"),
+        "distinguished": "distinguished must be a string",
+    },
+}
 ERRORS = {"SurgeryComponent": DiagramError, "SurgeryDiagram": DiagramError}
 
 
 def test_the_oracle_names_every_field():
-    assert {name: list(fields) for name, fields in WELL_TYPED.items()} == {
-        name: list(cls._fields) for name, cls in NEW.items()
-    }
+    for oracle in (WELL_TYPED, MESSAGES):
+        assert {name: list(fields) for name, fields in oracle.items()} == {
+            name: list(cls._fields) for name, cls in NEW.items()
+        }
 
 
-@pytest.mark.parametrize("name", sorted(NEW))
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_an_ill_typed_field_raises_the_class_error(name, data):
-    recipe = data.draw(RECIPES[name], label="recipe")
-    assume(outcome(lambda: make(NEW, recipe))[0] == "value")
-    field = data.draw(st.sampled_from(NEW[name]._fields), label="field")
-    kind = data.draw(st.sampled_from(sorted(set(CANDIDATES) - WELL_TYPED[name][field])), label="kind")
-    args = [make(NEW, arg) for arg in recipe.args]
-    args[NEW[name]._fields.index(field)] = copy.deepcopy(CANDIDATES[kind])
-    with pytest.raises(ERRORS.get(name, InvalidParams)):
-        NEW[name](*args)
+# every (value, field, kind) with the kind not well typed for the field: one
+# case each, so a failure names the field and the kind it lets through
+ILL_TYPED = [
+    (value, names, field, kind)
+    for value, names in VALUES
+    for field in names
+    for kind in sorted(set(CANDIDATES) - WELL_TYPED[type(value).__name__][field])
+]
+
+
+@pytest.mark.parametrize(
+    "value, names, field, kind", ILL_TYPED, ids=[f"{type(v).__name__}-{f}-{k}" for v, _, f, k in ILL_TYPED]
+)
+def test_an_ill_typed_field_raises_the_class_error(value, names, field, kind):
+    """Every candidate of the kind in place of the field's value in an
+    otherwise valid value of the class."""
+    name = type(value).__name__
+    start = MESSAGES[name][field]
+    if isinstance(start, dict):
+        start = start.get(kind, start["other"])
+    for candidate in CANDIDATES[kind]:
+        args = [getattr(value, other) for other in names]
+        args[names.index(field)] = copy.deepcopy(candidate)
+        with pytest.raises(ERRORS.get(name, InvalidParams)) as exc:
+            NEW[name](*args)
+        assert str(exc.value).startswith(start), candidate
 
 
 @pytest.mark.parametrize(
