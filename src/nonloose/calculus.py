@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParams, Value, check_chi, optional, read_int
+from .errors import InvalidParams, Value, check_chi, optional, read_chi, read_int
 
 
 def read_fraction(value, what, error):
@@ -24,12 +24,10 @@ class ClassicalPair(Value):
     """(tb, rot) of an oriented Legendrian knot, with optional genus data."""
 
     __slots__ = _fields = ("tb", "rot", "chi")
-    _rules = {"tb": read_int, "rot": read_int, "chi": optional(read_int)}
+    _rules = {"tb": read_int, "rot": read_int, "chi": optional(read_chi)}
 
     def __init__(self, tb: int, rot: int, chi: int | None = None):
         self._set(tb, rot, chi)
-        if chi is not None:
-            check_chi(chi)
 
 
 class RationalData(Value):

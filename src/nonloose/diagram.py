@@ -330,7 +330,7 @@ def stabilize_front(front: OrientedFront, sign: str) -> OrientedFront:
     moves by +1 or -1 according to ``sign``.
     """
     if sign not in ("+", "-"):
-        raise InvalidParams("sign must be '+' or '-'")
+        raise InvalidParams(f"sign must be '+' or '-', got {sign!r}")
     word = _read_front(front, "front", InvalidParams).word
     o = word._orientation
     dirs = o.arc_directions
@@ -376,7 +376,7 @@ def destabilize_front(word: FrontWord, pair: tuple[int, int]) -> FrontWord:
     i, j = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (-1, -1)
     positions = type(i) is int and type(j) is int and 0 <= i < len(ev) and j == i + 1 < len(ev)
     if not (positions and _is_zigzag(ev[i], ev[j])):
-        raise InvalidParams(f"events {pair} do not form a removable zigzag")
+        raise InvalidParams(f"events {pair!r} do not form a removable zigzag")
     left_cusp = EventKind.LEFT_CUSP
     lo = 2 * sum([e.kind is left_cusp for e in ev[:i]])
     o = word._orientation

@@ -157,10 +157,11 @@ def member(kind: type | tuple[type, ...]):
 
 
 def members(kind: type):
-    """The rule: any iterable of ``kind`` values, stored as a tuple."""
+    """The rule: any iterable of ``kind`` values, stored as a tuple.  A string
+    (or ``bytes``) is one value, not a collection of characters."""
 
     def read(value, what, error):
-        items = tuple(value) if isinstance(value, Iterable) else None
+        items = tuple(value) if isinstance(value, Iterable) and not isinstance(value, (str, bytes)) else None
         bad = [value] if items is None else [item for item in items if not isinstance(item, kind)]
         if bad:
             raise error(f"{what} must be {kind.__name__} values, got {bad[0]!r}")
@@ -176,6 +177,12 @@ def check_chi(chi: int, odd: bool = True) -> None:
         raise InvalidParams(f"chi must be <= 1, got {chi}")
     if odd and chi % 2 == 0:
         raise InvalidParams(f"chi of a knot's Seifert surface is odd, got {chi}")
+
+
+def read_chi(value: object, what: str, error: type[DomainError]) -> int:
+    """The rule of the chi of a knot's Seifert surface: an integer that ``check_chi`` accepts."""
+    check_chi(read_int(value, what, error))
+    return value
 
 
 class Value:

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import (
-    InvalidParams, UnknownTag, Value, check_chi, optional, read_bool, read_genus, read_int, read_ints, read_str
+    InvalidParams, UnknownTag, Value, optional, read_bool, read_chi, read_genus, read_int, read_ints, read_str
 )
 
 AMBIENT_TIGHT_S3 = "tight-S3"
@@ -31,8 +31,8 @@ class KnotRecord(Value):
     )
     _rules = {
         "plus_one_surgery_overtwisted": optional(read_bool), "family": read_str, "ambient": read_str,
-        "order_positive": read_bool, "max_tb": optional(read_int), "rot_at_max_tb": read_ints, "chi": read_int,
-        "g_s": optional(read_int),
+        "order_positive": read_bool, "max_tb": optional(read_int), "rot_at_max_tb": read_ints, "chi": read_chi,
+        "g_s": optional(read_genus),
     }
 
     def __init__(
@@ -40,9 +40,6 @@ class KnotRecord(Value):
         plus_one_surgery_overtwisted: bool | None = None, ambient: str = AMBIENT_TIGHT_S3, order_positive: bool = False,
     ):
         self._set(family, max_tb, rot_at_max_tb, chi, g_s, plus_one_surgery_overtwisted, ambient, order_positive)
-        check_chi(chi)
-        if g_s is not None:
-            read_genus(g_s, "g_s", InvalidParams)
         if ambient == AMBIENT_TIGHT_S3 and max_tb is not None:
             for r in self.rot_at_max_tb:
                 if max_tb + abs(r) > -chi:

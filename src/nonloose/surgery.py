@@ -57,11 +57,17 @@ _SHAPE = "linking matrix shape must match the component count"
 
 
 def _read_matrix(value, what, error) -> Matrix:
-    """The rule of a matrix of integers, stored as a tuple of rows."""
-    try:
-        return tuple([tuple([read_int(entry, what, error) for entry in row]) for row in value])
-    except TypeError:  # the matrix, or a row of it, is not iterable
-        raise error(_SHAPE) from None
+    """The rule of a matrix of integers, a tuple or a list of rows that are
+    each a tuple or a list, stored as a tuple of rows."""
+    if not isinstance(value, (tuple, list)):
+        raise error(f"{what} must be a tuple or a list of rows, got {value!r}")
+    rows = []
+    for row in value:
+        if not isinstance(row, (tuple, list)):
+            raise error(f"{what} row must be a tuple or a list, got {row!r}")
+        # a plain int, as nearly every entry is, needs no call to the rule
+        rows.append(tuple([x if type(x) is int else read_int(x, f"{what} value", error) for x in row]))
+    return tuple(rows)
 
 
 class SurgeryDiagram(Value):
@@ -70,7 +76,7 @@ class SurgeryDiagram(Value):
     __slots__ = _fields = ("components", "lk", "distinguished")
     _rules = {"distinguished": read_str, "components": members(SurgeryComponent), "lk": _read_matrix}
     _error = DiagramError
-    _labels = {"components": "a diagram's components", "lk": "lk value"}
+    _labels = {"components": "a diagram's components"}
 
     def __init__(self, components: Sequence[SurgeryComponent], lk: Matrix, distinguished: str):
         self._set(components, lk, distinguished)

@@ -1,13 +1,11 @@
 """``dual_invariants`` is closed form; the two-component surgery diagram it
 stands for, run through the matrix pipeline, is its oracle."""
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonloose import linalg, surgery
 from nonloose.certify import tension_less_than_depth_search
-from nonloose.errors import InvalidParams
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, dual_invariants, rational_invariants
 from test_one_solve import assert_moved_to_oracles
 
@@ -44,12 +42,6 @@ def test_every_tb_matches_diagram_pipeline():
         for a in range(4):
             for b in range(4):
                 assert dual_invariants(tb, rot, a, b, -7) == diagram_dual(tb, rot, a, b, -7)
-
-
-@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (-3, 5), (2, -7)])
-def test_negative_stabilization_counts_raise(a, b):
-    with pytest.raises(InvalidParams, match="nonnegative"):
-        dual_invariants(-15, -2, a, b, -7)
 
 
 CERTIFY_DUAL = "certify-dual --tb -15 --rot -2 --chi -7 --surgery-overtwisted --complement-tight"

@@ -1,22 +1,14 @@
 """One test for each branch no other test reaches: the empty tension search
-in both renderings, records lookups that find nothing, rejected parameters of
-the certify and knotdata layers, directly built malformed surgery
-diagrams, a zero self-linking pair and the infinite-order sentinel's repr."""
+in both renderings, records lookups that find nothing, a negative search
+budget on the command line, rejected knot records, directly built malformed
+surgery diagrams, a zero self-linking pair and the infinite-order sentinel's
+repr."""
 
 import pytest
 
 from linalg_oracles import INFINITE
 from nonloose import cli
-from nonloose.calculus import ClassicalPair
-from nonloose.certify import (
-    Certificate,
-    Reason,
-    Verdict,
-    order_bounds,
-    possurg_depth_one,
-    tension_less_than_depth_search,
-    tension_upper_bound,
-)
+from nonloose.certify import Certificate, Reason, Verdict
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
@@ -48,15 +40,8 @@ def test_knot_record_unknown_name(run_cli):
     assert doc == {"error": {"type": "DomainError", "message": "no record named 'foo' in my_records.json"}}
 
 
-def test_tension_search_rejects_negative_budget():
-    with pytest.raises(InvalidParams, match="max_n must be nonnegative"):
-        tension_upper_bound(ClassicalPair(3, 0, -1), max_n=-1)
-
-
 @pytest.mark.parametrize("p_max", [-1, -5])
 def test_example_search_rejects_negative_budget(run_cli, p_max):
-    with pytest.raises(InvalidParams, match="p_max must be nonnegative"):
-        tension_less_than_depth_search(p_max)
     code, doc = run_cli.json(["search-examples", "--p-max", str(p_max)])
     assert code == 1
     assert doc == {"error": {"type": "InvalidParams", "message": "p_max must be nonnegative"}}
@@ -64,13 +49,6 @@ def test_example_search_rejects_negative_budget(run_cli, p_max):
 
 def test_example_search_takes_a_zero_budget(run_cli):
     assert run_cli.json("search-examples --p-max 0") == (0, {"certificates": []})
-
-
-def test_negative_four_ball_genus_and_stabilization_counts():
-    with pytest.raises(InvalidParams, match="smooth 4-ball genus must be nonnegative"):
-        possurg_depth_one(3, -1)
-    with pytest.raises(InvalidParams, match="stabilization counts must be nonnegative"):
-        order_bounds(-1, 0, True)
 
 
 def test_certificate_serializes_frozenset_details_sorted():

@@ -174,10 +174,3 @@ class TestBadFrontEdits:
         with pytest.raises(InvalidParams, match=r"events \(.*\) do not form a removable zigzag"):
             destabilize_front(parse_front(TREFOIL), pair)
 
-
-@pytest.mark.parametrize("base", ["leftward", "rightward", None, 1])
-def test_base_direction_must_be_a_direction(base):
-    """A string is not read as the Direction of that name: orienting with it
-    would have stored it beside arcs oriented for a rightward base."""
-    with pytest.raises(InvalidParams, match="base_direction must be a Direction"):
-        resolve_orientation(parse_front(TREFOIL), base)

@@ -7,30 +7,11 @@ from math import inf, nan
 import pytest
 
 from nonloose.calculus import ClassicalPair, RationalData
-from nonloose.certify import (
-    Certificate,
-    Depth2Witness,
-    Reason,
-    Verdict,
-    bundle_is_consistent,
-    certificate_bounds,
-    check_consistency,
-    depth2_check,
-    depth_one_dual,
-    order_bounds,
-    order_zero_by_tb_bound,
-    possurg_depth_one,
-    tension_certificate,
-    tension_less_than_depth_search,
-    tension_one_dual,
-    tension_refinement,
-    tension_upper_bound,
-    transverse_bennequin,
-    transverse_transfer,
-)
+from nonloose.certify import Certificate, Reason, Verdict, bundle_is_consistent, certificate_bounds, check_consistency
+from nonloose.diagram import FrontWord
 from nonloose.errors import DiagramError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
-from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json, dual_invariants
+from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
 
 PASSIVE = SurgeryComponent("a", 1, 0, "passive")
@@ -58,11 +39,7 @@ PASSIVE = SurgeryComponent("a", 1, 0, "passive")
             DiagramError,
             "distinguished must be a string, got ['a']",
         ),
-        (
-            lambda: SurgeryDiagram((PASSIVE,), (1,), "a"),
-            DiagramError,
-            "linking matrix shape must match the component count",
-        ),
+        (lambda: SurgeryDiagram((PASSIVE,), (1,), "a"), DiagramError, "lk row must be a tuple or a list, got 1"),
         (
             lambda: SurgeryDiagram(("a",), ((0,),), "a"),
             DiagramError,
@@ -95,6 +72,7 @@ PASSIVE = SurgeryComponent("a", 1, 0, "passive")
             DiagramError,
             "a diagram's components must be SurgeryComponent values, got 5",
         ),
+        (lambda: FrontWord("abc"), InvalidParams, "events must be FrontEvent values, got 'abc'"),
         (
             lambda: SurgeryDiagram.build((PASSIVE, SurgeryComponent("b", 1, 0, "+1")), ["ab1"], "a"),
             DiagramError,
@@ -104,7 +82,7 @@ PASSIVE = SurgeryComponent("a", 1, 0, "passive")
     ids=["family", "ambient", "plus_one_surgery_overtwisted", "order_positive", "component id", "coeff",
          "distinguished", "lk row not a sequence", "component not a SurgeryComponent", "rot_at_max_tb not iterable",
          "lk entry of two", "unhashable lk id", "build from a str component", "build from None components",
-         "build from None lk pairs", "non-iterable components", "lk entry a string of three"],
+         "build from None lk pairs", "non-iterable components", "events a string", "lk entry a string of three"],
 )
 def test_value_fields_checked_at_construction(build, error, message):
     """A value built directly checks each field as its JSON reader does."""
@@ -126,75 +104,6 @@ def test_direct_values_fail_as_their_json_readers_do():
     }
     with pytest.raises(DiagramError, match=re.escape("bad lk entry ['a', 'b']; expected [idA, idB, int]")):
         diagram_from_json(doc)
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: transverse_bennequin(0.1, -1, 1), "sl_q must be an integer or a Fraction, got 0.1"),
-        (lambda: transverse_bennequin("1", -1, 1), "sl_q must be an integer or a Fraction, got '1'"),
-        (lambda: transverse_bennequin(1, -1.0, 1), "chi must be an integer, got -1.0"),
-        (lambda: transverse_bennequin(1, -1, True), "order_r must be an integer, got True"),
-        (lambda: tension_one_dual(-15.0, -2, -7, True), "tb must be an integer, got -15.0"),
-        (lambda: tension_one_dual(-15, True, -7, True), "rot must be an integer, got True"),
-        (lambda: tension_one_dual(-15, -2, -7.0, True), "chi must be an integer, got -7.0"),
-        (lambda: order_bounds(1.5, 0, True), "a must be an integer, got 1.5"),
-        (lambda: order_bounds(1, False, True), "b must be an integer, got False"),
-        (lambda: possurg_depth_one(1.0, 1), "tb must be an integer, got 1.0"),
-        (lambda: possurg_depth_one(1, 1.0), "g_s must be an integer, got 1.0"),
-        (lambda: tension_upper_bound(ClassicalPair(3, 0, -1), max_n=True), "max_n must be an integer, got True"),
-        (lambda: tension_upper_bound(ClassicalPair(3, 0, -1), max_n=1.5), "max_n must be an integer, got 1.5"),
-        (lambda: tension_certificate(ClassicalPair(3, 0, -1), max_n="8"), "max_n must be an integer, got '8'"),
-        (lambda: tension_less_than_depth_search(2.5), "p_max must be an integer, got 2.5"),
-        (lambda: dual_invariants(-1.0, 0, 0, 0, 1), "tb must be an integer, got -1.0"),
-        (lambda: dual_invariants(-15, True, 1, 0, -7), "rot must be an integer, got True"),
-        (lambda: dual_invariants(-15, -2, 1.0, 0, -7), "a must be an integer, got 1.0"),
-        (lambda: dual_invariants(-15, -2, 1, 0.0, -7), "b must be an integer, got 0.0"),
-        (lambda: depth_one_dual("false", "true"), "is_stabilization must be true or false, got 'false'"),
-        (lambda: order_zero_by_tb_bound("yes"), "has_tb_lower_bound must be true or false, got 'yes'"),
-        (lambda: order_zero_by_tb_bound(False, 1), "order_positive must be true or false, got 1"),
-        (lambda: tension_refinement("x", "y", "z"), "is_positive_stab_of_pushoff must be true or false, got 'x'"),
-        (lambda: tension_one_dual(-15, -2, -7, "no"), "surgery_overtwisted must be true or false, got 'no'"),
-        (
-            lambda: transverse_transfer(depth_one_dual(True, True), "pushoff", is_negative_hopf_stabilization="no"),
-            "is_negative_hopf_stabilization must be true or false, got 'no'",
-        ),
-        (lambda: order_bounds(1, 0, "yes"), "loosened must be true or false, got 'yes'"),
-        (
-            lambda: depth2_check(Depth2Witness("punctured-torus", 0, 1, True, True, True), "false", True),
-            "is_stabilization must be true or false, got 'false'",
-        ),
-    ],
-    ids=[
-        "transverse float sl_q", "transverse str sl_q", "transverse float chi", "transverse bool order_r",
-        "dual float tb", "dual bool rot", "dual float chi", "order float a", "order bool b", "possurg float tb",
-        "possurg float g_s", "bool max_n", "float max_n", "str max_n via certificate", "float p_max",
-        "dual invariants float tb", "dual invariants bool rot", "dual invariants float a", "dual invariants float b",
-        "depth one str flags", "order zero str flag", "order zero int order_positive", "refinement str flags",
-        "tension one str flag", "transverse str flag", "order bounds str flag", "depth two str flag",
-    ],
-)
-def test_certify_arguments_coerce_nothing(call, message):
-    """Each integer argument is an int that is no bool, and sl_Q an int or a
-    Fraction; anything else is rejected before any range check, not converted."""
-    with pytest.raises(InvalidParams, match=re.escape(message)):
-        call()
-
-
-@pytest.mark.parametrize(
-    "witness",
-    [
-        lambda: Depth2Witness("punctured-torus", 0.0, 1.0, True, True, True),
-        lambda: Depth2Witness("punctured-torus", 0, 1, "false", True, True),
-        lambda: Depth2Witness("punctured-torus", 0, 1, True, "false", "false"),
-    ],
-    ids=["float twisting numbers", "str essential", "str flags"],
-)
-def test_depth_two_witness_coerces_nothing(witness):
-    """A witness whose twisting numbers are floats or whose flags are strings
-    never yields DepthExactlyTwo: it is not built at all."""
-    with pytest.raises(InvalidParams, match="must be"):
-        depth2_check(witness(), False, True)
 
 
 def test_record_names_its_first_bad_field():

@@ -167,8 +167,8 @@ class TestDualInvariants:
     @given(
         st.integers(-20, -2),
         st.integers(-10, 10),
-        st.integers(0, 5),
-        st.integers(0, 5),
+        st.integers(0, 8),
+        st.integers(0, 8),
     )
     def test_commutes_with_rational_stabilization(self, tb, rot, a, b):
         base = dual_invariants(tb, rot, 0, 0, -7)

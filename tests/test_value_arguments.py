@@ -1,42 +1,171 @@
 """A function that takes a value reads it with a rule: an argument of the
-wrong type is a ``DomainError`` naming the parameter and the class it must
-be, never an ``AttributeError`` or ``TypeError`` from deep inside, and never
-a value read as another (``"false"`` as true, ``0`` as standard input)."""
+wrong type is a ``DomainError`` whose message starts with the parameter's
+label, never an ``AttributeError`` or ``TypeError`` from deep inside, and
+never a value read as another (``"false"`` as true, ``0`` as standard input).
 
+One table, ``ARGUMENTS``, holds a valid keyword call of every function the
+package exports, and of ``linalg.solve_exact``, and names for each parameter
+the candidate kinds that are well typed for it; each other kind is a case."""
+
+import copy
+import inspect
+from fractions import Fraction
 from math import inf
 
 import pytest
-from examples import README_DIAGRAM, STABILIZED
+from examples import README_DIAGRAM, STABILIZED, UNKNOT
+from test_value_classes import CANDIDATES, VALUES
 
-from nonloose.calculus import ClassicalPair
-from nonloose.certify import (
-    Certificate,
-    Reason,
-    Verdict,
-    bennequin_null,
-    bennequin_rational,
-    certificate_bounds,
-    check_consistency,
-    depth2_check,
-    tension_certificate,
-    tension_upper_bound,
-    transverse_transfer,
-    unknot_verdict,
-)
-from nonloose.diagram import (
-    destabilize_front,
-    detect_syntactic_destabilization,
-    parse_front,
-    resolve_orientation,
-    reverse_orientation,
-    rot,
-    serialize_front,
-    stabilize_front,
-    tb,
-)
-from nonloose.errors import DomainError, InvalidParams
-from nonloose.knotdata import load_records, named_example, negative_torus_record, positive_torus_record
-from nonloose.surgery import diagram_from_json, linking_matrix, rational_invariants
+import nonloose
+from nonloose import linalg
+from nonloose.calculus import ClassicalPair, RationalData
+from nonloose.certify import Certificate, Depth2Witness, Reason, Verdict, transverse_transfer
+from nonloose.diagram import Direction, FrontWord, OrientedFront, parse_front
+from nonloose.errors import DiagramError, IncompatibleRelation, InvalidParams
+from nonloose.surgery import SurgeryDiagram
+
+# the candidates of the kinds a field has, and of those only an argument
+# needs: a plain int, a negative one (ill typed where a count or a budget
+# belongs), bytes, tuples of the wrong length or holding a bool, and a value
+# of each class (but those of the classes a parameter takes)
+KINDS = {
+    **CANDIDATES,
+    "int": (5, 0, 1),
+    "negative int": (-1, -3, -5, -7),
+    "bytes": (b"l 1 r 1",),
+    "tuple": ((1,), (1, 2, 3), (True, 2)),
+    "value": tuple(value for value, _ in VALUES),
+}
+INT, COUNT, BOOL, STR, NONE = {"int", "negative int"}, {"int"}, {"bool"}, {"str"}, set()
+OF = {type(value): value for value, _ in VALUES}
+
+
+def one_of(*classes):
+    """A parameter that takes a value of one of ``classes``: the first one's
+    value from ``VALUES``, and the classes, whose values are well typed."""
+    return OF[classes[0]], set(classes)
+
+
+DATA = one_of(ClassicalPair, RationalData)
+# the oracle: for each function, each parameter in order with a valid value
+# and the candidate kinds (and classes) that are well typed for it
+ARGUMENTS = {
+    "bennequin_null": {"p": one_of(ClassicalPair)},
+    "bennequin_rational": {"d": one_of(RationalData)},
+    "bundle_is_consistent": {"cert": one_of(Certificate)},
+    "certificate_bounds": {"cert": one_of(Certificate)},
+    "check_consistency": {"certs": ((OF[Certificate],), NONE)},
+    "depth2_check": {"w": one_of(Depth2Witness), "is_stabilization": (False, BOOL), "complement_tight": (True, BOOL)},
+    "depth_one_dual": {"is_stabilization": (True, BOOL), "complement_tight": (True, BOOL)},
+    "order_bounds": {"a": (1, COUNT), "b": (0, COUNT), "loosened": (True, BOOL)},
+    "order_zero_by_tb_bound": {"has_tb_lower_bound": (True, BOOL), "order_positive": (False, BOOL)},
+    "possurg_depth_one": {"tb": (3, INT), "g_s": (2, COUNT)},
+    "tension_certificate": {"data": DATA, "max_n": (8, COUNT), "side": ("both", NONE)},
+    "tension_less_than_depth_search": {"p_max": (5, COUNT)},
+    "tension_one_dual": {"tb": (-15, INT), "rot": (-2, INT), "chi": (-7, INT), "surgery_overtwisted": (True, BOOL)},
+    "tension_refinement": {
+        "is_positive_stab_of_pushoff": (True, BOOL), "contact_invariant_nonzero": (True, BOOL),
+        "complement_tight": (True, BOOL),
+    },
+    "tension_upper_bound": {"data": DATA, "max_n": (8, COUNT), "side": ("both", NONE)},
+    "transverse_bennequin": {"sl_q": (Fraction(1, 14), INT | {"Fraction"}), "chi": (-7, INT), "order_r": (14, INT)},
+    "transverse_transfer": {
+        "legendrian_cert": one_of(Certificate), "relation": ("pushoff", NONE),
+        "is_negative_hopf_stabilization": (True, BOOL),
+    },
+    "unknot_verdict": {"p": one_of(ClassicalPair)},
+    "destabilize_front": {"word": (parse_front(STABILIZED), {FrontWord}), "pair": ((1, 2), NONE)},
+    "detect_syntactic_destabilization": {"word": one_of(FrontWord)},
+    "parse_front": {"text": (UNKNOT, STR)},
+    "resolve_orientation": {"word": one_of(FrontWord), "base_direction": (Direction.LEFTWARD, NONE)},
+    "reverse_orientation": {"front": one_of(OrientedFront)},
+    "rot": {"front": one_of(OrientedFront)},
+    "serialize_front": {"word": one_of(FrontWord)},
+    "stabilize_front": {"front": one_of(OrientedFront), "sign": ("+", NONE)},
+    "tb": {"front": one_of(OrientedFront)},
+    "load_records": {"path": ("my_records.json", STR)},  # a file of the work directory
+    "named_example": {"tag": ("L2q(3)", STR)},
+    "negative_torus_record": {"p": (-5, INT), "q": (3, INT)},
+    "positive_torus_record": {"p": (2, INT), "q": (3, INT)},
+    "unknot_record": {},
+    "det_exact": {"m": (((1, 2), (3, 4)), {"int matrix"})},
+    "solve_exact": {"m": (((1, 2), (3, 4)), {"int matrix"}), "v": ((1, 0), NONE)},
+    "diagram_from_json": {"doc": (README_DIAGRAM, {"dict"})},
+    "dual_invariants": {"tb": (-15, INT), "rot": (-2, INT), "a": (1, COUNT), "b": (0, COUNT), "chi": (-7, INT)},
+    "linking_matrix": {"diag": one_of(SurgeryDiagram)},
+    "rational_invariants": {"diag": one_of(SurgeryDiagram), "chi": (-7, INT), "reverse_distinguished": (False, BOOL)},
+}
+# the oracle: how a message starts where it is not with the parameter's name,
+# formatted with the candidate as ``value`` (or a start by kind)
+COUNTS, GENUS = "stabilization counts must be nonnegative", "smooth 4-ball genus must be nonnegative"
+LABELS = {
+    ("check_consistency", "certs"): {"str": "certs must be Certificate values, got {value!r}", "other": "certs"},
+    ("order_bounds", "a"): {"negative int": COUNTS, "other": "a"},
+    ("order_bounds", "b"): {"negative int": COUNTS, "other": "b"},
+    ("possurg_depth_one", "g_s"): {"negative int": GENUS, "other": "g_s"},
+    ("destabilize_front", "pair"): "events {value!r} do not form a removable zigzag",
+    ("stabilize_front", "sign"): "sign must be '+' or '-', got {value!r}",
+    ("det_exact", "m"): "matrix",
+    ("solve_exact", "m"): "matrix",
+    ("solve_exact", "v"): "vector",
+    ("diagram_from_json", "doc"): "surgery diagram must be a JSON object",
+    ("dual_invariants", "a"): {"negative int": COUNTS, "other": "a"},
+    ("dual_invariants", "b"): {"negative int": COUNTS, "other": "b"},
+}
+ERRORS = {("transverse_transfer", "relation"): IncompatibleRelation, ("diagram_from_json", "doc"): DiagramError}
+
+FUNCTIONS = {name: getattr(nonloose, name) for name in nonloose.__all__}
+FUNCTIONS = {name: f for name, f in FUNCTIONS.items() if inspect.isfunction(f)} | {"solve_exact": linalg.solve_exact}
+
+
+def test_the_table_names_every_parameter():
+    """Every function and each of its parameters, in order, has a row, and
+    no row or override names one that is gone."""
+    assert {name: list(row) for name, row in ARGUMENTS.items()} == {
+        name: list(inspect.signature(function).parameters) for name, function in FUNCTIONS.items()
+    }
+    assert {*LABELS, *ERRORS} <= {(name, param) for name, row in ARGUMENTS.items() for param in row}
+
+
+def valid_call(name):
+    return {param: value for param, (value, _) in ARGUMENTS[name].items()}
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+def test_the_valid_call_runs(name, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    FUNCTIONS[name](**valid_call(name))
+
+
+# every (function, parameter, kind) with the kind not well typed for the
+# parameter: one case each, so a failure names the parameter and the kind
+ILL_TYPED = [
+    (name, param, kind)
+    for name, row in ARGUMENTS.items()
+    for param, (_, well_typed) in row.items()
+    for kind in sorted(set(KINDS) - well_typed)
+]
+
+
+@pytest.mark.parametrize("name, param, kind", ILL_TYPED, ids=["-".join(case) for case in ILL_TYPED])
+def test_an_ill_typed_argument_raises_a_domain_error(name, param, kind):
+    """Every candidate of the kind, but a value of a class the parameter
+    takes, in place of the parameter's value in the valid call."""
+    classes = tuple(k for k in ARGUMENTS[name][param][1] if isinstance(k, type))
+    start = LABELS.get((name, param), param)
+    if isinstance(start, dict):
+        start = start.get(kind, start["other"])
+    for candidate in KINDS[kind]:
+        if isinstance(candidate, classes):
+            continue
+        with pytest.raises(ERRORS.get((name, param), InvalidParams)) as exc:
+            FUNCTIONS[name](**dict(valid_call(name), **{param: copy.deepcopy(candidate)}))
+        assert str(exc.value).startswith(start.format(value=candidate)), candidate
+
+
+# ---------------------------------------------------------------------------
+# A certificate's details are read as a transfer needs them: its witness and
+# its t_minus_max come from the certificate, not from a parameter.
 
 
 def transfer(verdict, details, relation):
@@ -53,78 +182,19 @@ def transfer_t_minus_max(t_minus_max):
 
 
 @pytest.mark.parametrize(
-    "call, error, message",
+    "call, message",
     [
-        (lambda: tension_upper_bound(5), InvalidParams, "data must be a ClassicalPair or a RationalData, got 5"),
-        (lambda: tension_certificate(5), InvalidParams, "data must be a ClassicalPair or a RationalData, got 5"),
-        (lambda: bennequin_null(5), InvalidParams, "p must be a ClassicalPair, got 5"),
-        (
-            lambda: bennequin_rational(ClassicalPair(3, 0, -1)),
-            InvalidParams,
-            "d must be a RationalData, got ClassicalPair(tb=3, rot=0, chi=-1)",
-        ),
-        (lambda: unknot_verdict(5), InvalidParams, "p must be a ClassicalPair, got 5"),
-        (lambda: depth2_check(5, False, True), InvalidParams, "w must be a Depth2Witness, got 5"),
-        (
-            lambda: transverse_transfer(5, "pushoff", is_negative_hopf_stabilization=True),
-            InvalidParams,
-            "legendrian_cert must be a Certificate, got 5",
-        ),
-        (lambda: certificate_bounds(5), InvalidParams, "cert must be a Certificate, got 5"),
-        (lambda: check_consistency(5), InvalidParams, "certs must be Certificate values, got 5"),
-        (lambda: check_consistency([5]), InvalidParams, "certs must be Certificate values, got 5"),
-        (lambda: resolve_orientation(5), InvalidParams, "word must be a FrontWord, got 5"),
-        (lambda: tb(5), InvalidParams, "front must be an OrientedFront, got 5"),
-        (lambda: rot(5), InvalidParams, "front must be an OrientedFront, got 5"),
-        (lambda: reverse_orientation(5), InvalidParams, "front must be an OrientedFront, got 5"),
-        (lambda: stabilize_front(5, "+"), InvalidParams, "front must be an OrientedFront, got 5"),
-        (
-            lambda: stabilize_front(parse_front(STABILIZED), "+"),
-            InvalidParams,
-            "front must be an OrientedFront, got FrontWord(",
-        ),
-        (lambda: serialize_front(5), InvalidParams, "word must be a FrontWord, got 5"),
-        (lambda: detect_syntactic_destabilization(5), InvalidParams, "word must be a FrontWord, got 5"),
-        (lambda: destabilize_front(5, (1, 2)), InvalidParams, "word must be a FrontWord, got 5"),
-        (lambda: destabilize_front(parse_front(STABILIZED), 5), InvalidParams, "events 5 do not form"),
-        (lambda: destabilize_front(parse_front(STABILIZED), (True, 2)), InvalidParams, "events (True, 2) do not"),
-        (lambda: destabilize_front(parse_front(STABILIZED), (1, 2, 3)), InvalidParams, "events (1, 2, 3) do not"),
-        (lambda: linking_matrix(5), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
-        (lambda: rational_invariants(5, -1), InvalidParams, "diag must be a SurgeryDiagram, got 5"),
-        (
-            lambda: rational_invariants(diagram_from_json(README_DIAGRAM), -7, reverse_distinguished="false"),
-            InvalidParams,
-            "reverse_distinguished must be true or false, got 'false'",
-        ),
-        (
-            lambda: rational_invariants(diagram_from_json(README_DIAGRAM), -7, reverse_distinguished=1.0),
-            InvalidParams,
-            "reverse_distinguished must be true or false, got 1.0",
-        ),
         *[
-            (
-                lambda w=w: transfer_witness(w),
-                InvalidParams,
-                f"witness must be a list or tuple of two nonnegative integers, got {w!r}",
-            )
+            (lambda w=w: transfer_witness(w), f"witness must be a list or tuple of two nonnegative integers, got {w!r}")
             for w in (5, (), ("a", 1), (-3, 1), (True, 1))
         ],
-        (lambda: transfer_t_minus_max(inf), InvalidParams, "t_minus_max must be an integer, got inf"),
-        (lambda: transfer_t_minus_max("x"), InvalidParams, "t_minus_max must be an integer, got 'x'"),
-        (lambda: parse_front(5), InvalidParams, "text must be a string, got 5"),
-        (lambda: parse_front(b"l 1 r 1"), InvalidParams, "text must be a string, got b'l 1 r 1'"),
-        (lambda: named_example(5), InvalidParams, "tag must be a string, got 5"),
-        (lambda: negative_torus_record("a", 3), InvalidParams, "p must be an integer, got 'a'"),
-        (lambda: negative_torus_record(-5.0, 3), InvalidParams, "p must be an integer, got -5.0"),
-        (lambda: positive_torus_record(2.0, 3), InvalidParams, "p must be an integer, got 2.0"),
-        (lambda: load_records(None), InvalidParams, "path must be a str or an os.PathLike, got None"),
-        (lambda: load_records(0), InvalidParams, "path must be a str or an os.PathLike, got 0"),
+        (lambda: transfer_t_minus_max(inf), "t_minus_max must be an integer, got inf"),
+        (lambda: transfer_t_minus_max("x"), "t_minus_max must be an integer, got 'x'"),
     ],
 )
-def test_a_value_argument_of_the_wrong_type_is_a_domain_error(call, error, message):
-    with pytest.raises(error) as exc:
+def test_an_ill_typed_certificate_detail_is_a_domain_error(call, message):
+    with pytest.raises(InvalidParams) as exc:
         call()
-    assert isinstance(exc.value, DomainError)
     assert str(exc.value).startswith(message)
 
 

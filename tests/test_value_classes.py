@@ -231,16 +231,18 @@ def test_values_behave_as_the_dataclasses_did(name, data):
 # DomainError, never a bare Python error and never a value.
 
 # the candidate values of each wrong type: beside 1.5, an integral float and
-# numeric strings, which a lax rule would convert, and False beside True
+# numeric strings and a Direction's values, which a lax rule would convert,
+# and False beside True
 CANDIDATES = {
     "float": (1.5, 0.5, 0.1, -2.5),
     "integral float": (-3.0, -1.0, -16.0),
     "bool": (True, False),
-    "str": ("false", "1", "2", "3/2"),
+    "str": ("false", "1", "2", "3/2", "rightward", "leftward"),
     "None": (None,),
     "Fraction": (Fraction(2),),
-    "list": ([1.5], [-3.0], [True], [False], ["2"], [[2]]),
+    "list": ([1.5], [-3.0], [True], [False], ["2"]),
     "int list": ([2],),
+    "int matrix": ([[2]],),
     "dict": ({"k": 1.5},),
 }
 INT, STR, BOOL, MAPPING, COLLECTION = set(), {"str"}, {"bool"}, {"dict"}, set()
@@ -265,10 +267,11 @@ WELL_TYPED = {
         "plus_one_surgery_overtwisted": {"bool", "None"}, "ambient": STR, "order_positive": BOOL,
     },
     "SurgeryComponent": {"id": STR, "tb": INT, "rot": INT, "coeff": STR},
-    "SurgeryDiagram": {"components": COLLECTION, "lk": COLLECTION, "distinguished": STR},
+    # [[2]] is a matrix, of the wrong shape for the diagram but not of the wrong type
+    "SurgeryDiagram": {"components": COLLECTION, "lk": {"int matrix"}, "distinguished": STR},
 }
 # the oracle: how the error message for an ill-typed field starts, the field's
-# label first (one of a tuple of starts, or a start by kind)
+# label first (or a start by kind)
 INTEGER = "must be an integer"
 MESSAGES = {
     "ClassicalPair": {"tb": f"tb {INTEGER}", "rot": f"rot {INTEGER}", "chi": f"chi {INTEGER}"},
@@ -297,7 +300,10 @@ MESSAGES = {
     "KnotRecord": {
         "family": "family must be a string", "max_tb": f"max_tb {INTEGER}",
         # a list names its ill-typed entry
-        "rot_at_max_tb": {"list": f"rot_at_max_tb entry {INTEGER}", "other": "rot_at_max_tb must be a list of integers"},
+        "rot_at_max_tb": {
+            "list": f"rot_at_max_tb entry {INTEGER}", "int matrix": f"rot_at_max_tb entry {INTEGER}",
+            "other": "rot_at_max_tb must be a list of integers",
+        },
         "chi": f"chi {INTEGER}", "g_s": f"g_s {INTEGER}",
         "plus_one_surgery_overtwisted": "plus_one_surgery_overtwisted must be true or false",
         "ambient": "ambient must be a string", "order_positive": "order_positive must be true or false",
@@ -308,8 +314,10 @@ MESSAGES = {
     },
     "SurgeryDiagram": {
         "components": "a diagram's components must be SurgeryComponent values",
-        # a value whose rows are strings is read down to a character; any other is a shape error
-        "lk": (f"lk value {INTEGER}", "linking matrix shape must match the component count"),
+        "lk": {
+            "list": "lk row must be a tuple or a list", "int list": "lk row must be a tuple or a list",
+            "other": "lk must be a tuple or a list of rows",
+        },
         "distinguished": "distinguished must be a string",
     },
 }
