@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # The names the package exports, by the submodule that defines each.
 _EXPORTED_BY = {
-    "calculus": ("ClassicalPair", "RationalData"),
+    "calculus": ("ClassicalPair", "RationalData", "dual_invariants"),
     "certify": (
         "Certificate",
         "CheckResult",
@@ -73,7 +73,6 @@ _EXPORTED_BY = {
         "SurgeryComponent",
         "SurgeryDiagram",
         "diagram_from_json",
-        "dual_invariants",
         "linking_matrix",
         "rational_invariants",
     ),

@@ -26,7 +26,7 @@ from math import inf
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from .calculus import ClassicalPair, RationalData, read_fraction
+from .calculus import ClassicalPair, RationalData, dual_invariants, read_fraction
 from .errors import (
     ContradictoryEvidence,
     IncompatibleRelation,
@@ -423,7 +423,6 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
     """
     _read_nonnegative(p_max, "p_max", InvalidParams)
     from .knotdata import negative_torus_record
-    from .surgery import dual_invariants
 
     depth = depth_one_dual(is_stabilization=False, complement_tight=True)
     assumptions = {"surgery_overtwisted": True, "complement_tight": True}

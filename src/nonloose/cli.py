@@ -160,11 +160,11 @@ def cmd_surgery_invariants(args) -> dict:
 
 
 def cmd_dual_invariants(args) -> dict:
-    from . import surgery
+    from . import calculus
 
     a = sum(s for s in args.stab if s > 0)
     b = sum(-s for s in args.stab if s < 0)
-    data = surgery.dual_invariants(args.tb, args.rot, a, b, args.chi)
+    data = calculus.dual_invariants(args.tb, args.rot, a, b, args.chi)
     return _rational_doc(data)
 
 
@@ -223,9 +223,9 @@ def cmd_certify_unknot(args) -> dict:
 
 
 def cmd_certify_dual(args) -> dict:
-    from . import certify, surgery
+    from . import calculus, certify
 
-    dual = surgery.dual_invariants(args.tb, args.rot, 1, 0, args.chi)
+    dual = calculus.dual_invariants(args.tb, args.rot, 1, 0, args.chi)
     tension = certify.tension_one_dual(
         args.tb, args.rot, args.chi, args.surgery_overtwisted
     )

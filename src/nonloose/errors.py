@@ -158,10 +158,11 @@ def member(kind: type | tuple[type, ...]):
 
 def members(kind: type):
     """The rule: any iterable of ``kind`` values, stored as a tuple.  A string
-    (or ``bytes``) is one value, not a collection of characters."""
+    (or ``bytes``) is one value, not a collection of characters, and a mapping
+    one value, not a collection of its keys."""
 
     def read(value, what, error):
-        items = tuple(value) if isinstance(value, Iterable) and not isinstance(value, (str, bytes)) else None
+        items = tuple(value) if isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping)) else None
         bad = [value] if items is None else [item for item in items if not isinstance(item, kind)]
         if bad:
             raise error(f"{what} must be {kind.__name__} values, got {bad[0]!r}")

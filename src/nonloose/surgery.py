@@ -16,8 +16,10 @@ of the denominators of x, y = r x is an integer vector, and
 so the inner products are taken over the integers and each of tb_Q and
 rot_Q is one ``Fraction``.
 
-The stabilized dual of (+1)-surgery on one knot has a 1x1 M, and
-``dual_invariants`` gives its invariants in closed form.  Only contact
+The stabilized dual of (+1)-surgery on one knot has a 1x1 M, and its
+invariants have a closed form with no matrix in it: ``dual_invariants``,
+which lives in ``nonloose.calculus``.  This module re-imports it, so
+``nonloose.surgery.dual_invariants`` still resolves.  Only contact
 coefficients +-1 are supported; the surgered contact manifold is unique for
 those slopes.
 """
@@ -28,11 +30,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .calculus import RationalData
-from .errors import (
-    DiagramError, InvalidParams, MeridionalSlope, SingularMatrix, Value, member, members, read_bool, read_count,
-    read_int, read_str,
-)
+# dual_invariants is not used here: bench/workloads.py and bench/tracing.py reach it as surgery.dual_invariants
+from .calculus import RationalData, dual_invariants
+from .errors import DiagramError, InvalidParams, SingularMatrix, Value, member, members, read_bool, read_int, read_str
 from .linalg import Matrix, solve_exact
 
 COEFF_PLUS = "+1"
@@ -178,32 +178,6 @@ def rational_invariants(
     return RationalData(
         Fraction(tb_q, order), Fraction(-rot_q if reverse_distinguished else rot_q, order), order, chi
     )
-
-
-def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData:
-    """Invariants of an (a, b)-stabilized push-off of the dual to (+1)-surgery.
-
-    The diagram has two components: the surgered knot, with classical
-    invariants (tb, rot) and coefficient +1, and its push-off, stabilized a
-    times positively and b times negatively, as the passive component; their
-    linking number is tb.  So M = [tb + 1] and lk = tb, and the formulas of
-    ``rational_invariants`` close up:
-
-        tb_Q  = (tb - a - b) - tb^2/(tb + 1)  = tb/(tb + 1) - a - b
-        rot_Q = (rot + a - b) - rot tb/(tb + 1) = rot/(tb + 1) + a - b
-        r     = |tb + 1|
-
-    r is the order of tb in Z/(tb + 1), which is all of |tb + 1| because
-    gcd(tb, tb + 1) = 1.
-    """
-    read_int(tb, "tb", InvalidParams)
-    read_int(rot, "rot", InvalidParams)
-    read_count(a, "a", InvalidParams)
-    read_count(b, "b", InvalidParams)
-    if tb == -1:
-        raise MeridionalSlope("tb = -1 makes (+1)-surgery meridional (det M = 0)")
-    n = tb + 1
-    return RationalData(Fraction(tb, n) - a - b, Fraction(rot, n) + a - b, abs(n), chi)
 
 
 _DIAGRAM_KEYS = frozenset({"components", "lk", "distinguished"})

@@ -10,11 +10,10 @@ from fractions import Fraction
 from math import gcd
 
 from linalg_oracles import homological_order, invert_exact, mat_mul, mat_vec, smith_normal_form
-from nonloose.calculus import ClassicalPair, RationalData
+from nonloose.calculus import ClassicalPair, dual_invariants
 from nonloose.certify import (
     CheckResult,
     Verdict,
-    bennequin_null,
     bennequin_rational,
     check_consistency,
     depth_one_dual,
@@ -41,7 +40,6 @@ from nonloose.diagram import (
 )
 from nonloose.knotdata import negative_torus_record, positive_torus_record
 from nonloose.linalg import det_exact
-from nonloose.surgery import dual_invariants
 
 
 class Budget:

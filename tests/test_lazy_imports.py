@@ -2,6 +2,7 @@
 modules it runs.  Module sets are read in a fresh interpreter per command,
 since a test process has long since imported everything."""
 
+import ast
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -22,13 +23,15 @@ COMMANDS = {
     "front-invariants": (["front-invariants", "unknot.front"], FRONT),
     "front-stabilize": (["front-stabilize", "unknot.front", "--sign", "+"], FRONT),
     "front-destab": (["front-destab", "unknot.front"], FRONT),
-    "dual-invariants": (["dual-invariants", "--tb", "-15", "--rot", "-2", "--chi", "-7", "--stab", "+1"], SURGERY),
+    "dual-invariants": (
+        ["dual-invariants", "--tb", "-15", "--rot", "-2", "--chi", "-7", "--stab", "+1"], {"calculus", "cli", "errors"}
+    ),
     "surgery-invariants": (["surgery-invariants", "diagram.json", "--chi", "-7"], SURGERY),
     "certify-bennequin": (["certify-bennequin", "--tb", "0", "--rot", "3", "--chi", "-1"], CERTIFY),
     "certify-unknot": (["certify-unknot", "--tb", "2", "--rot", "1"], CERTIFY),
     "certify-tension": (["certify-tension", "--tb", "3", "--rot", "0", "--chi", "-1"], CERTIFY),
-    "certify-dual": (["certify-dual", "--tb", "-15", "--rot", "-2", "--chi", "-7"], CERTIFY | SURGERY),
-    "search-examples": (["search-examples", "--p-max", "5"], CERTIFY | SURGERY | {"knotdata"}),
+    "certify-dual": (["certify-dual", "--tb", "-15", "--rot", "-2", "--chi", "-7"], CERTIFY),
+    "search-examples": (["search-examples", "--p-max", "5"], CERTIFY | {"knotdata"}),
     "knot-record": (["knot-record", "--family", "unknot"], {"cli", "errors", "knotdata"}),
 }
 
@@ -118,6 +121,32 @@ def test_help_and_usage_errors_load_argparse(argv, code, usage):
     assert start.startswith(usage)
 
 
+# The modules of a certify command, and knotdata: the stabilized dual is a
+# closed form, so none of them imports the matrix layer, at module level or
+# in a function body that only some call runs.
+CLOSED_FORM = ("calculus", "certify", "errors", "knotdata")
+
+
+def imported_names(module):
+    """The dotted parts of every module a module's source imports, and of every name it imports from one."""
+    for node in ast.walk(ast.parse(Path(nonloose.__file__).with_name(f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM)
+def test_closed_form_modules_import_no_linear_algebra(module):
+    assert not {"linalg", "surgery"} & set(imported_names(module))
+
+
+def test_surgery_keeps_the_dual_closed_form_by_import():
+    """``nonloose.surgery.dual_invariants`` still resolves, to the one function."""
+    assert nonloose.surgery.dual_invariants is nonloose.calculus.dual_invariants is nonloose.dual_invariants
+
+
 # Runs argv through cli.main, then prints its exit code and whether
 # ``fractions`` got loaded, as one JSON line.
 FRACTIONS_PROBE = """
@@ -145,7 +174,7 @@ def test_fractions_loads_only_to_parse_a_fraction(workdir, argv, parses_a_fracti
 
 # every name the package exported when it imported its submodules eagerly
 EXPORTED = {
-    "calculus": ["ClassicalPair", "RationalData"],
+    "calculus": ["ClassicalPair", "RationalData", "dual_invariants"],
     "certify": [
         "Certificate", "CheckResult", "Depth2Witness", "Reason", "Verdict", "bennequin_null",
         "bennequin_rational", "bundle_is_consistent", "certificate_bounds", "check_consistency",
@@ -166,8 +195,7 @@ EXPORTED = {
     ],
     "linalg": ["det_exact"],
     "surgery": [
-        "SurgeryComponent", "SurgeryDiagram", "diagram_from_json", "dual_invariants",
-        "linking_matrix", "rational_invariants",
+        "SurgeryComponent", "SurgeryDiagram", "diagram_from_json", "linking_matrix", "rational_invariants",
     ],
 }
 

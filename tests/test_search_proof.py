@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from nonloose.calculus import ClassicalPair
+from nonloose.calculus import ClassicalPair, dual_invariants
 from nonloose.certify import (
     Certificate,
     CheckResult,
@@ -25,7 +25,6 @@ from nonloose.certify import (
 )
 from nonloose.errors import InvalidParams
 from nonloose.knotdata import negative_torus_record
-from nonloose.surgery import dual_invariants
 
 P_MAX = 40
 

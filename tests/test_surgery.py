@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_oracles import det_cofactor, extended_matrix
+from nonloose.calculus import dual_invariants
 from nonloose.errors import DiagramError, MeridionalSlope, SingularMatrix
 from nonloose.linalg import det_exact
 from nonloose.surgery import (
     SurgeryComponent,
     SurgeryDiagram,
     diagram_from_json,
-    dual_invariants,
     linking_matrix,
     rational_invariants,
 )

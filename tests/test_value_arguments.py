@@ -14,7 +14,7 @@ from math import inf
 
 import pytest
 from examples import README_DIAGRAM, STABILIZED, UNKNOT
-from test_value_classes import CANDIDATES, VALUES
+from test_value_classes import CANDIDATES, VALUES, whole
 
 import nonloose
 from nonloose import linalg
@@ -99,7 +99,7 @@ ARGUMENTS = {
 # formatted with the candidate as ``value`` (or a start by kind)
 COUNTS, GENUS = "stabilization counts must be nonnegative", "smooth 4-ball genus must be nonnegative"
 LABELS = {
-    ("check_consistency", "certs"): {"str": "certs must be Certificate values, got {value!r}", "other": "certs"},
+    ("check_consistency", "certs"): whole("certs must be Certificate values"),
     ("order_bounds", "a"): {"negative int": COUNTS, "other": "a"},
     ("order_bounds", "b"): {"negative int": COUNTS, "other": "b"},
     ("possurg_depth_one", "g_s"): {"negative int": GENUS, "other": "g_s"},

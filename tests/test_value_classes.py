@@ -270,8 +270,17 @@ WELL_TYPED = {
     # [[2]] is a matrix, of the wrong shape for the diagram but not of the wrong type
     "SurgeryDiagram": {"components": COLLECTION, "lk": {"int matrix"}, "distinguished": STR},
 }
+
+
+def whole(start):
+    """The start of a collection field's message: a string or a mapping is one
+    value, named whole, not by its first character or its first key."""
+    named = f"{start}, got {{value!r}}"
+    return {"str": named, "dict": named, "other": start}
+
+
 # the oracle: how the error message for an ill-typed field starts, the field's
-# label first (or a start by kind)
+# label first (or a start by kind), formatted with the candidate as ``value``
 INTEGER = "must be an integer"
 MESSAGES = {
     "ClassicalPair": {"tb": f"tb {INTEGER}", "rot": f"rot {INTEGER}", "chi": f"chi {INTEGER}"},
@@ -282,7 +291,8 @@ MESSAGES = {
     "Reason": {"rule": "rule must be a string", "note": "note must be a string", "inputs": "inputs must be a mapping"},
     "Certificate": {
         "verdict": "verdict must be a Verdict", "details": "details must be a mapping",
-        "reasons": "a certificate's reasons must be Reason values", "assumptions": "assumptions must be a mapping",
+        "reasons": whole("a certificate's reasons must be Reason values"),
+        "assumptions": "assumptions must be a mapping",
     },
     "Depth2Witness": {
         "surface_kind": "surface_kind must name a once-punctured torus or Klein bottle",
@@ -291,10 +301,10 @@ MESSAGES = {
         "orientation_preserving": "orientation_preserving must be true or false",
     },
     "FrontEvent": {"kind": "event kind must be an EventKind", "position": f"event position {INTEGER} >= 1"},
-    "FrontWord": {"events": "events must be FrontEvent values"},
+    "FrontWord": {"events": whole("events must be FrontEvent values")},
     "OrientedFront": {
         "word": "word must be a FrontWord", "base_direction": "base_direction must be a Direction",
-        "arc_directions": "arc_directions must be Direction values", "writhe": f"writhe {INTEGER}",
+        "arc_directions": whole("arc_directions must be Direction values"), "writhe": f"writhe {INTEGER}",
         "up_cusps": f"up_cusps {INTEGER}", "down_cusps": f"down_cusps {INTEGER}",
     },
     "KnotRecord": {
@@ -313,7 +323,7 @@ MESSAGES = {
         "coeff": "component coeff must be a string",
     },
     "SurgeryDiagram": {
-        "components": "a diagram's components must be SurgeryComponent values",
+        "components": whole("a diagram's components must be SurgeryComponent values"),
         "lk": {
             "list": "lk row must be a tuple or a list", "int list": "lk row must be a tuple or a list",
             "other": "lk must be a tuple or a list of rows",
@@ -356,7 +366,7 @@ def test_an_ill_typed_field_raises_the_class_error(value, names, field, kind):
         args[names.index(field)] = copy.deepcopy(candidate)
         with pytest.raises(ERRORS.get(name, InvalidParams)) as exc:
             NEW[name](*args)
-        assert str(exc.value).startswith(start), candidate
+        assert str(exc.value).startswith(start.format(value=candidate)), candidate
 
 
 @pytest.mark.parametrize(
