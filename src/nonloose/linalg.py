@@ -4,14 +4,18 @@ Matrices are tuples of tuples (row major) over Python ints or
 ``fractions.Fraction``; everything is computed exactly and no floating point
 appears anywhere.  An entry of a matrix or a vector that is not an int (a
 bool is not) or a ``Fraction``, or a matrix, row or vector that is not a
-tuple or a list, raises ``InvalidParams``: nothing is converted.  Sizes stay
-in the dozens, so plain O(n^3) elimination fits.  One pivoted Gaussian
-elimination over the rationals, ``_eliminate``, gives ``solve_exact``, which
-``surgery.rational_invariants`` runs once per diagram, and ``det_exact``.
-The elimination forms no determinant: it returns the sign of its row swaps
-and its pivots, and ``det_exact`` multiplies them, so a solve pays for no
-product it throws away.  The cofactor determinant, the inverse and the Smith
-normal form live with the tests, as oracles.
+tuple or a list, raises ``InvalidParams``: nothing is converted.  One
+pivoted Gaussian elimination over the rationals, ``_eliminate``, gives
+``solve_exact``, which ``surgery.rational_invariants`` runs once per
+diagram, and ``det_exact``.  A linking matrix of a large diagram is mostly
+zeros, so the elimination keeps each row as a dict of its nonzero entries,
+pivots on the row with the fewest of them (the row count of Markowitz's
+rule, "The elimination form of the inverse and its application to linear
+programming", 1957) and touches no zero.  The elimination forms no
+determinant: it returns the sign of its row swaps and its pivots, and
+``det_exact`` multiplies them, so a solve pays for no product it throws
+away.  The cofactor determinant, the inverse and the Smith normal form live
+with the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -28,49 +32,75 @@ Matrix = tuple[tuple[Entry, ...], ...]
 Vector = tuple[Entry, ...]
 
 
-def _entries(values: object, what: str, entry: str) -> list[Fraction]:
-    """``values``, a row or a vector, as ``Fraction``s; each entry is read with ``read_fraction``."""
+def _entries(values: object, what: str, entry: str) -> dict[int, Fraction]:
+    """The nonzero entries of ``values``, a row or a vector, by position, as
+    ``Fraction``s; each entry is read with ``read_fraction``."""
     if not isinstance(values, (tuple, list)):
         raise InvalidParams(f"{what} must be a tuple or a list, got {values!r}")
     # a plain int, every entry on the surgery path, needs no call to the rule
-    return [Fraction(x) if type(x) is int else read_fraction(x, entry, InvalidParams) for x in values]
+    read = [x if type(x) is int else read_fraction(x, entry, InvalidParams) for x in values]
+    return {j: Fraction(x) for j, x in enumerate(read) if x}
 
 
 def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[int, list[Fraction], list[Vector]]:
-    """The sign of the row swaps, the pivots and each x_j with m x_j = columns[j]:
-    forward elimination with first-nonzero row pivots carries the columns along,
-    then back substitution.  det m is the sign times the product of the pivots.
-    Raises ``SingularMatrix`` at the first column with no pivot."""
+    """The sign of the row swaps, the pivots and each x_j with m x_j = columns[j].
+
+    Each row of m, with its entries of the columns appended at n, n + 1, ...,
+    is a dict of its nonzero entries.  At column c the pivot is the row, of
+    those not yet pivots, with an entry in c and the fewest entries (the
+    lowest of them on a tie, so a dense matrix pivots on its first nonzero
+    row); it is swapped into place c.  Only the rows with an entry in c are
+    updated, only where the pivot row has entries, and an entry that cancels
+    is dropped.  Back substitution runs over the stored entries.  det m is the
+    sign times the product of the pivots.  Raises ``SingularMatrix`` at the
+    first column with no pivot."""
     if not isinstance(m, (tuple, list)):
         raise InvalidParams(f"matrix must be a tuple or a list of rows, got {m!r}")
-    a = [_entries(row, "matrix row", "matrix entry") for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    rows = [_entries(row, "matrix row", "matrix entry") for row in m]
+    n = len(rows)
+    if any(len(row) != n for row in m):
         raise InvalidParams("matrix is not square")
-    columns = [_entries(col, "vector", "vector entry") for col in columns]
+    vectors = [_entries(col, "vector", "vector entry") for col in columns]
     if any(len(col) != n for col in columns):
         raise InvalidParams("vector length must match matrix dimension")
-    for i, row in enumerate(a):
-        row += [col[i] for col in columns]
+    for j, vector in enumerate(vectors, n):
+        for i, y in vector.items():
+            rows[i][j] = y
     sign = 1
     for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot_row is None:
+        best = None
+        for r in range(c, n):
+            if c in rows[r] and (best is None or len(rows[r]) < len(rows[best])):
+                best = r
+        if best is None:
             raise SingularMatrix("matrix has determinant 0")
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
+        if best != c:
+            rows[c], rows[best] = rows[best], rows[c]
             sign = -sign
-        for r in range(c + 1, n):
-            if a[r][c]:
-                factor = a[r][c] / a[c][c]
-                a[r][c:] = [x - factor * y for x, y in zip(a[r][c:], a[c][c:])]
-    pivots = [a[c][c] for c in range(n)]
+        pivot_row = rows[c]
+        pivot = pivot_row[c]
+        rest = [(j, y) for j, y in pivot_row.items() if j != c]
+        for row in rows[c + 1 :]:
+            below = row.pop(c, None)
+            if below is None:
+                continue
+            factor = below / pivot
+            for j, y in rest:
+                value = row.get(j, 0) - factor * y
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+    pivots = [rows[c][c] for c in range(n)]
+    solved: list[list[Fraction]] = [[]] * n
     for i in reversed(range(n)):
-        a[i][n:] = [y / a[i][i] for y in a[i][n:]]
-        for r in range(i):
-            if a[r][i]:
-                a[r][n:] = [x - a[r][i] * y for x, y in zip(a[r][n:], a[i][n:])]
-    return sign, pivots, [tuple(row[j] for row in a) for j in range(n, n + len(columns))]
+        row = rows[i]
+        values = [row.get(j, 0) for j in range(n, n + len(columns))]
+        for j, a in row.items():
+            if i < j < n:
+                values = [v - a * y for v, y in zip(values, solved[j])]
+        solved[i] = [v / pivots[i] for v in values]
+    return sign, pivots, [tuple(x[j] for x in solved) for j in range(len(columns))]
 
 
 def det_exact(m: Matrix) -> Entry:

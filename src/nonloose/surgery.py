@@ -51,6 +51,9 @@ class SurgeryComponent(Value):
         self._set(id, tb, rot, coeff)
         if coeff not in _COEFFS:
             raise DiagramError(f"component {id!r}: coeff must be one of {_COEFFS}, got {coeff!r}")
+        # tb + rot of a Legendrian knot in (S^3, xi_std) is odd
+        if (tb + rot) % 2 == 0:
+            raise DiagramError(f"component {id!r}: tb + rot must be odd, got tb {tb} and rot {rot}")
 
 
 _SHAPE = "linking matrix shape must match the component count"

@@ -8,7 +8,8 @@ names), each subcommand once with ``--format text``, error documents (a
 is missing, ``InvalidParams``, ``MeridionalSlope``, ``SingularMatrix``, the
 front word errors ``UnknownToken``, ``EmptyWord``, ``NonzeroFinalStrands``,
 ``MultipleComponents`` and ``PositionOutOfRange``, and a ``DiagramError``
-for an unknown key and for a document that is not an object; the law of
+for an unknown key, for a document that is not an object and for a
+component whose tb + rot is even; the law of
 ``test_printed_names`` holds every error type a command prints to a case
 here), and the edges of the input boundary
 (stdin input, the default records file, flag values that are errors, an
@@ -59,6 +60,43 @@ R6_DIAGRAM = {
     ],
     "lk": [["K", "A", 1], ["K", "B", 1]],
     "distinguished": "K",
+}
+
+# R6_DIAGRAM with B's rot set to 0: its tb + rot = 2 is even, which no
+# Legendrian knot has.
+EVEN_PAIR_DIAGRAM = dict(
+    R6_DIAGRAM, components=[*R6_DIAGRAM["components"][:2], dict(R6_DIAGRAM["components"][2], rot=0)]
+)
+
+# Eleven surgered components, 16 of their 55 pairs linked, and the passive
+# one linking four of them: an 11 x 11 M that is mostly zeros, with zero
+# diagonal entries at K5 (tb -1, coefficient +1) and K7 (tb 1, coefficient
+# -1), so the solve cannot pivot down the diagonal.  x has denominators 97
+# and 194, so r = 194.  Each tb + rot is odd.
+SPARSE_DIAGRAM = {
+    "components": [
+        {"id": "P", "tb": -3, "rot": 0, "coeff": "passive"},
+        {"id": "K0", "tb": 1, "rot": 0, "coeff": "+1"},
+        {"id": "K1", "tb": -4, "rot": 3, "coeff": "-1"},
+        {"id": "K2", "tb": -3, "rot": 0, "coeff": "+1"},
+        {"id": "K3", "tb": -1, "rot": -2, "coeff": "-1"},
+        {"id": "K4", "tb": -2, "rot": 1, "coeff": "+1"},
+        {"id": "K5", "tb": -1, "rot": 2, "coeff": "+1"},
+        {"id": "K6", "tb": -6, "rot": -3, "coeff": "-1"},
+        {"id": "K7", "tb": 1, "rot": 2, "coeff": "-1"},
+        {"id": "K8", "tb": -1, "rot": 2, "coeff": "-1"},
+        {"id": "K9", "tb": -1, "rot": -2, "coeff": "-1"},
+        {"id": "K10", "tb": -5, "rot": 2, "coeff": "-1"},
+    ],
+    "lk": [
+        ["K0", "K5", 2], ["K0", "K7", -2], ["K0", "K9", 1], ["K0", "K10", -1],
+        ["K1", "K3", -1], ["K1", "K8", -2], ["K1", "K10", -1],
+        ["K2", "K3", 2], ["K2", "K6", 2], ["K2", "K10", -1],
+        ["K3", "K5", 1], ["K4", "K6", -1], ["K4", "K9", 1],
+        ["K6", "K9", -2], ["K7", "K9", -1], ["K7", "K10", -1],
+        ["P", "K5", 1], ["P", "K1", -1], ["P", "K2", 1], ["P", "K8", 1],
+    ],
+    "distinguished": "P",
 }
 
 # A surgered component with tb = -1 and coefficient +1 has the diagonal
@@ -683,6 +721,34 @@ CASES = {
             }
         """,
         json.dumps(R6_DIAGRAM),
+    ),
+    # a sparse 11 x 11 linking matrix; the output was pinned before the solve kept sparse rows
+    "sparse twelve-component diagram": (
+        "surgery-invariants - --chi -5",
+        0,
+        """\
+            {
+              "tb_q": "3/97",
+              "rot_q": "-410/97",
+              "r": 194,
+              "chi": -5
+            }
+        """,
+        json.dumps(SPARSE_DIAGRAM),
+    ),
+    # No Legendrian knot has tb + rot even.
+    "even tb + rot": (
+        "surgery-invariants - --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "DiagramError",
+                "message": "component 'B': tb + rot must be odd, got tb 2 and rot 0"
+              }
+            }
+        """,
+        json.dumps(EVEN_PAIR_DIAGRAM),
     ),
     # A key the shape does not name is an error, not ignored.
     "unknown diagram key": (

@@ -70,7 +70,7 @@ def test_record_from_dict_rejects_non_objects_and_missing_keys():
         record_from_dict({"family": "house"})
 
 
-PASSIVE = SurgeryComponent("K", 0, 0, "passive")
+PASSIVE = SurgeryComponent("K", -1, 0, "passive")
 PLUS = SurgeryComponent("L", -1, 0, "+1")
 
 
@@ -90,7 +90,7 @@ def test_surgery_diagram_rejects_malformed_fields(components, lk, message):
 
 def test_zero_self_linking_pair_is_rejected_too():
     doc = {
-        "components": [{"id": "K", "tb": 0, "rot": 0, "coeff": "passive"}],
+        "components": [{"id": "K", "tb": -1, "rot": 0, "coeff": "passive"}],
         "lk": [["K", "K", 0]],
         "distinguished": "K",
     }

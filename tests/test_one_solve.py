@@ -60,16 +60,17 @@ def four_eliminations(diag, chi, reverse):
     return (tb_q, rot_q, homological_order(m, lkvec), chi)
 
 
+def legendrian(draw, cid, coeff):
+    """A component with tb in [-9, 9] and rot in [-5, 5], tb + rot odd as for any Legendrian knot."""
+    tb = draw(st.integers(-9, 9))
+    return SurgeryComponent(cid, tb, draw(st.integers(-5, 5).filter(lambda rot: (tb + rot) % 2)), coeff)
+
+
 @st.composite
 def diagrams(draw):
     n = draw(st.integers(0, 5))
-    comps = [
-        SurgeryComponent(
-            f"L{i}", draw(st.integers(-9, 9)), draw(st.integers(-5, 5)), draw(st.sampled_from(["+1", "-1"]))
-        )
-        for i in range(n)
-    ]
-    passive = SurgeryComponent("K", draw(st.integers(-9, 9)), draw(st.integers(-5, 5)), "passive")
+    comps = [legendrian(draw, f"L{i}", draw(st.sampled_from(["+1", "-1"]))) for i in range(n)]
+    passive = legendrian(draw, "K", "passive")
     comps.insert(draw(st.integers(0, n)), passive)
     ids = [c.id for c in comps]
     pairs = [(a, b, draw(st.integers(-4, 4))) for i, a in enumerate(ids) for b in ids[i + 1 :]]
@@ -90,7 +91,7 @@ SINGULAR_DIAGRAMS = {
     # M = [0]: (+1)-surgery on a tb = -1 knot
     "one component": {
         "components": [
-            {"id": "K", "tb": 0, "rot": 0, "coeff": "passive"},
+            {"id": "K", "tb": 0, "rot": 1, "coeff": "passive"},
             {"id": "L", "tb": -1, "rot": 0, "coeff": "+1"},
         ],
         "lk": [["K", "L", 1]],
@@ -99,7 +100,7 @@ SINGULAR_DIAGRAMS = {
     # M = [[1, 1], [1, 1]]: singular only after the first pivot
     "rank one": {
         "components": [
-            {"id": "K", "tb": 0, "rot": 0, "coeff": "passive"},
+            {"id": "K", "tb": 0, "rot": 1, "coeff": "passive"},
             {"id": "A", "tb": 0, "rot": 1, "coeff": "+1"},
             {"id": "B", "tb": 2, "rot": 1, "coeff": "-1"},
         ],

@@ -54,17 +54,37 @@ def put(doc, path, value):
     return doc
 
 
+def odd_pairs(doc):
+    """Each component of the document has tb + rot odd, as any Legendrian knot has."""
+    return all((c["tb"] + c["rot"]) % 2 for c in doc["components"])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(DIAGRAM_FIELDS)), json_values)
 def test_diagram_integer_fields(field, value):
     path, read_back = DIAGRAM_FIELDS[field]
+    doc = put(README_DIAGRAM, path, value)
     try:
-        diag = diagram_from_json(put(README_DIAGRAM, path, value))
+        diag = diagram_from_json(doc)
     except DomainError:
-        assert not is_int(value)
+        assert not (is_int(value) and odd_pairs(doc))
         return
-    assert is_int(value)
+    assert is_int(value) and odd_pairs(doc)
     assert read_back(diag) == value
+
+
+@pytest.mark.parametrize("field", ["passive tb", "passive rot", "surgered tb", "surgered rot"])
+def test_diagram_rejects_an_even_tb_plus_rot(field):
+    """One past the README's tb or rot makes tb + rot even, which no Legendrian
+    knot has: a DiagramError that names the component and its pair."""
+    path, read_back = DIAGRAM_FIELDS[field]
+    doc = put(README_DIAGRAM, path, read_back(diagram_from_json(README_DIAGRAM)) + 1)
+    component = doc["components"][path[1]]
+    with pytest.raises(DiagramError) as raised:
+        diagram_from_json(doc)
+    assert str(raised.value) == (
+        f"component {component['id']!r}: tb + rot must be odd, got tb {component['tb']} and rot {component['rot']}"
+    )
 
 
 @settings(max_examples=80, deadline=None)

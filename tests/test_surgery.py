@@ -18,10 +18,11 @@ from nonloose.surgery import (
 )
 
 
-def single(tb, coeff, lk, dist_tb=0, dist_rot=0):
+def single(tb, coeff, lk, dist_tb=-1, dist_rot=0):
+    """The passive K linking L lk times; L's rot is 0 or 1, whichever makes tb + rot odd."""
     comps = (
         SurgeryComponent("K", dist_tb, dist_rot, "passive"),
-        SurgeryComponent("L", tb, 0, coeff),
+        SurgeryComponent("L", tb, (tb + 1) % 2, coeff),
     )
     return SurgeryDiagram.build(comps, [("K", "L", lk)], "K")
 
@@ -46,7 +47,7 @@ class TestLinkingMatrix:
 
     def test_two_unknots(self):
         comps = (
-            SurgeryComponent("K", 0, 0, "passive"),
+            SurgeryComponent("K", 0, 1, "passive"),
             SurgeryComponent("A", -1, 0, "+1"),
             SurgeryComponent("B", -1, 0, "+1"),
         )
@@ -76,18 +77,19 @@ class TestExtendedMatrix:
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_border_determinant_two_ways(self, rng):
+        def legendrian(name, coeff):
+            """tb in [-9, 9] and rot in [-5, 5] with tb + rot odd, as for any Legendrian knot."""
+            tb = rng.randint(-9, 9)
+            return SurgeryComponent(name, tb, rng.choice([r for r in range(-5, 6) if (tb + r) % 2]), coeff)
+
         k = rng.randint(0, 3)
-        comps = [SurgeryComponent("K", rng.randint(-9, 9), rng.randint(-5, 5), "passive")]
+        comps = [legendrian("K", "passive")]
         pairs = []
         names = []
         for i in range(k):
             name = f"L{i}"
             names.append(name)
-            comps.append(
-                SurgeryComponent(
-                    name, rng.randint(-9, 9), rng.randint(-5, 5), rng.choice(["+1", "-1"])
-                )
-            )
+            comps.append(legendrian(name, rng.choice(["+1", "-1"])))
         for i, a in enumerate(["K"] + names):
             for b in names[max(i, 0):]:
                 if a != b and rng.random() < 0.7:
@@ -209,7 +211,7 @@ class TestDiagramStructure:
     def test_missing_lk_defaults_to_zero(self):
         doc = {
             "components": [
-                {"id": "K", "tb": 0, "rot": 0, "coeff": "passive"},
+                {"id": "K", "tb": 0, "rot": 1, "coeff": "passive"},
                 {"id": "L", "tb": -1, "rot": 0, "coeff": "+1"},
             ],
             "distinguished": "K",
@@ -219,7 +221,7 @@ class TestDiagramStructure:
 
     def test_validation_errors(self):
         comps = (
-            SurgeryComponent("K", 0, 0, "passive"),
+            SurgeryComponent("K", 0, 1, "passive"),
             SurgeryComponent("L", -1, 0, "+1"),
         )
         with pytest.raises(DiagramError):
@@ -235,6 +237,6 @@ class TestDiagramStructure:
                 (comps[0], SurgeryComponent("L", -1, 0, "passive")), [], "K"
             )
         with pytest.raises(DiagramError):
-            SurgeryComponent("K", 0, 0, "+2")
+            SurgeryComponent("K", 0, 1, "+2")
         with pytest.raises(DiagramError):
             diagram_from_json({"components": []})

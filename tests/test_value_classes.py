@@ -129,6 +129,9 @@ rational = st.one_of(small, st.fractions(-12, 12, max_denominator=9))
 names = st.text("abc", max_size=3)
 mapping = st.dictionaries(names, small, max_size=3)
 kinds, directions = st.sampled_from(EventKind), st.sampled_from(Direction)
+# a surgery component's tb (even) and rot (odd): tb + rot is odd, as for any
+# Legendrian knot, and stays odd when a replace takes either from another value
+even, odd = small.map(lambda x: x - x % 2), small.map(lambda x: x - x % 2 + 1)
 
 
 @st.composite
@@ -153,7 +156,7 @@ def diagrams(draw):
         ids, surgered = draw(st.lists(names, min_size=n, max_size=n)), coeffs
         size, distinguished = n + draw(st.sampled_from([0, 1])), draw(names)
     comps = [
-        Recipe("SurgeryComponent", (cid, draw(small), draw(small), "passive" if k == 0 else draw(surgered)))
+        Recipe("SurgeryComponent", (cid, draw(even), draw(odd), "passive" if k == 0 else draw(surgered)))
         for k, cid in enumerate(ids)
     ]
     upper = draw(st.lists(st.integers(-2, 2), min_size=size * size, max_size=size * size))
@@ -184,7 +187,7 @@ RECIPES = {
         "KnotRecord", names, st.none() | small, st.frozensets(small, max_size=3), chi, st.none() | st.integers(-1, 4),
         st.none() | st.booleans(), st.sampled_from([AMBIENT_TIGHT_S3, ambient_overtwisted_s3(-1)]), st.booleans(),
     ),
-    "SurgeryComponent": recipe("SurgeryComponent", names, small, small, coeffs),
+    "SurgeryComponent": recipe("SurgeryComponent", names, even, odd, coeffs),
     "SurgeryDiagram": diagrams(),
 }
 REBUILDS = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
