@@ -39,7 +39,10 @@ class RationalData(Value):
     """Rational invariants (tb_Q, rot_Q) of a rationally null-homologous knot.
 
     ``order_r`` is the order of the knot class in first homology and ``chi``
-    the Euler characteristic of a rational Seifert surface.
+    the Euler characteristic of a rational Seifert surface.  tb_Q and rot_Q
+    lie in (1/r) Z (Baker and Etnyre, "Rational linking and contact
+    geometry", 2012), so a value whose denominator does not divide r raises
+    ``InvalidParams``.
     """
 
     __slots__ = _fields = ("tb_q", "rot_q", "order_r", "chi")
@@ -50,6 +53,11 @@ class RationalData(Value):
         check_chi(chi, odd=False)
         if order_r < 1:
             raise InvalidParams(f"homological order must be >= 1, got {order_r}")
+        if order_r % self.tb_q.denominator or order_r % self.rot_q.denominator:
+            raise InvalidParams(
+                f"tb_q and rot_q must be multiples of 1/order_r, got tb_q {self.tb_q}, rot_q {self.rot_q}"
+                f" and order_r {order_r}"
+            )
 
 
 def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData:

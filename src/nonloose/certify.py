@@ -207,7 +207,7 @@ def bennequin_rational(d: RationalData) -> CheckResult:
 def transverse_bennequin(sl_q: Fraction | int, chi: int, order_r: int) -> CheckResult:
     """sl_Q <= -chi/r for non-loose transverse knots."""
     sl_q = read_fraction(sl_q, "sl_q", InvalidParams)
-    RationalData(sl_q, 0, order_r, chi)  # chi and r obey the rules of a rational knot's
+    RationalData(0, 0, order_r, chi)  # chi and r obey the rules of a rational knot's
     return CheckResult.VIOLATED if sl_q > Fraction(-chi, order_r) else CheckResult.HOLDS
 
 

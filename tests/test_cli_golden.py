@@ -9,7 +9,8 @@ is missing, ``InvalidParams``, ``MeridionalSlope``, ``SingularMatrix``, the
 front word errors ``UnknownToken``, ``EmptyWord``, ``NonzeroFinalStrands``,
 ``MultipleComponents`` and ``PositionOutOfRange``, and a ``DiagramError``
 for an unknown key, for a document that is not an object and for a
-component whose tb + rot is even; the law of
+component whose tb + rot is even, and an ``InvalidParams`` for rational
+invariants off the lattice (1/r) Z; the law of
 ``test_printed_names`` holds every error type a command prints to a case
 here), and the edges of the input boundary
 (stdin input, the default records file, flag values that are errors, an
@@ -29,6 +30,7 @@ file is the one written there, never the user's own.
 
 import hashlib
 import json
+import random
 import shlex
 from pathlib import Path
 from textwrap import dedent
@@ -98,6 +100,30 @@ SPARSE_DIAGRAM = {
     ],
     "distinguished": "P",
 }
+
+
+def sparse_forty_component_diagram(seed=25):
+    """Thirty-nine surgered components and a passive one, each pair linked
+    with probability 0.08 by +-1, +-2 or +-3: a 39 x 39 M, mostly zeros,
+    larger than the largest (28 x 28) of the benchmark's surgery workload.
+    tb is in [-8, 1], each coefficient +1 or -1 and each tb + rot odd.  For
+    seed 25, 59 of the 780 pairs are linked and r = 33120350282, twice the
+    denominator of tb_Q and of rot_Q."""
+    rng = random.Random(seed)
+    components = [{"id": "P", "tb": -3, "rot": 0, "coeff": "passive"}]
+    for k in range(39):
+        tb = rng.randint(-8, 1)
+        rot = rng.choice([rot for rot in range(-3, 4) if (tb + rot) % 2])
+        components.append({"id": f"K{k}", "tb": tb, "rot": rot, "coeff": rng.choice(["+1", "-1"])})
+    ids = [c["id"] for c in components]
+    lk = [
+        [a, b, rng.choice([-3, -2, -1, 1, 2, 3])]
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if rng.random() < 0.08
+    ]
+    return {"components": components, "lk": lk, "distinguished": "P"}
+
 
 # A surgered component with tb = -1 and coefficient +1 has the diagonal
 # entry tb + 1 = 0, and links nothing else surgered, so M = (0) is singular.
@@ -616,6 +642,19 @@ CASES = {
             }
         """
     ),
+    # tb_Q and rot_Q lie in (1/r) Z: 1/2 does at r = 2, 1/3 does not
+    "rational invariants off their lattice": (
+        "certify-bennequin --tb-q 1/2 --rot-q 1/3 --order 2 --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "tb_q and rot_q must be multiples of 1/order_r, got tb_q 1/2, rot_q 1/3 and order_r 2"
+              }
+            }
+        """
+    ),
     "UnknownToken document": (
         "front-invariants -",
         1,
@@ -735,6 +774,20 @@ CASES = {
             }
         """,
         json.dumps(SPARSE_DIAGRAM),
+    ),
+    # a sparse 39 x 39 linking matrix; the output was pinned before the solve ran on integer rows
+    "sparse forty-component diagram": (
+        "surgery-invariants - --chi -5",
+        0,
+        """\
+            {
+              "tb_q": "32616100023/16560175141",
+              "rot_q": "-691902597201/16560175141",
+              "r": 33120350282,
+              "chi": -5
+            }
+        """,
+        json.dumps(sparse_forty_component_diagram()),
     ),
     # No Legendrian knot has tb + rot even.
     "even tb + rot": (

@@ -82,7 +82,7 @@ def test_values_are_still_checked_by_the_library(run_cli, argv, error):
     "argv",
     [
         ["certify-bennequin", "--sl-q", "1", "--chi", "-1"],
-        ["certify-bennequin", "--tb-q", "0", "--rot-q", "3/4", "--chi", "-1"],
+        ["certify-bennequin", "--tb-q", "0", "--rot-q", "1", "--chi", "-1"],
         ["certify-tension", "--tb-q", "3", "--rot-q", "0", "--chi", "-1"],
     ],
     ids=" ".join,

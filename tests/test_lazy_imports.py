@@ -163,7 +163,7 @@ print(json.dumps([code, "fractions" in sys.modules]))
     [
         (["front-invariants", "unknot.front"], False),
         (["knot-record", "--family", "unknot"], False),
-        (["certify-bennequin", "--tb-q", "1/2", "--rot-q", "1/2", "--chi", "-1"], True),
+        (["certify-bennequin", "--tb-q", "1/2", "--rot-q", "1/2", "--order", "2", "--chi", "-1"], True),
     ],
     ids=["front-invariants", "knot-record", "certify-bennequin"],
 )

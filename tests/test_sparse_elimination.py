@@ -9,6 +9,15 @@ updates that cancel.  Each result is checked against an oracle of
 ``linalg_oracles`` that eliminates densely on its own: the product back to
 v, the Gauss-Jordan inverse, the cofactor determinant for n <= 7 and, above
 that, the Smith normal form, whose invariant factors multiply to |det|.
+
+Two properties run at the surgery workload's sizes and past them.  Symmetric
+int matrices of size 17 to 40, shaped like linking matrices, are checked by
+the exact residual, an int determinant and Cramer's rule (det m times each
+x_i is an integer).  And over int systems of size 1 to 30, dense and sparse,
+every pivot ``_eliminate`` returns stays within Hadamard's bound on
+[m | v]: the elimination divides each updated row by the gcd of its entries,
+so its entries are minors of [m | v] over that gcd and cannot grow step by
+step.
 """
 
 from fractions import Fraction
@@ -20,7 +29,7 @@ from hypothesis import strategies as st
 
 from linalg_oracles import det_cofactor, invert_exact, mat_vec, smith_normal_form
 from nonloose.errors import SingularMatrix
-from nonloose.linalg import det_exact, solve_exact
+from nonloose.linalg import _eliminate, det_exact, solve_exact
 
 INTS = st.integers(-9, 9).filter(bool)
 FRACTIONS = st.builds(Fraction, INTS, st.integers(1, 5))
@@ -111,3 +120,65 @@ def test_singular_sparse_matrix_raises(m, data):
     assert det_exact(m) == 0
     with pytest.raises(SingularMatrix, match="matrix has determinant 0"):
         solve_exact(m, v)
+
+
+LINKING = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def linking_systems(draw):
+    """A symmetric int matrix of size 17 to 40 shaped like a linking matrix,
+    with each diagonal entry in -9..2 and about 30% of the off-diagonal
+    entries +-1 to +-3, and a right-hand side about 30% nonzero.  About one
+    matrix in five is made singular: with S its leading block and u a sparse
+    vector of +-1, the last column becomes S u and the last entry u^T S u,
+    so (u, -1) is in its kernel."""
+    n = draw(st.integers(17, 40))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.integers(-9, 2))
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(sparse_entry(30, LINKING))
+    if draw(st.integers(1, 5)) == 1:
+        u = [draw(sparse_entry(30, st.sampled_from((-1, 1)))) for _ in range(n - 1)]
+        column = [sum(x * y for x, y in zip(row, u)) for row in m[:-1]]
+        for i, x in enumerate(column):
+            m[i][-1] = m[-1][i] = x
+        m[-1][-1] = sum(x * y for x, y in zip(column, u))
+    return tuple(map(tuple, m)), tuple(draw(sparse_entry(30, LINKING)) for _ in range(n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(linking_systems())
+def test_linking_sized_solve_meets_cramers_rule(system):
+    m, v = system
+    d = det_exact(m)
+    assert type(d) is int
+    if d == 0:
+        with pytest.raises(SingularMatrix, match="matrix has determinant 0"):
+            solve_exact(m, v)
+        return
+    x = solve_exact(m, v)
+    assert mat_vec(m, x) == v
+    assert all((d * xi).denominator == 1 for xi in x)
+
+
+@st.composite
+def int_systems(draw):
+    """An int matrix of size 1 to 30, dense or about 30% nonzero, and a
+    right-hand side of the same density."""
+    n = draw(st.integers(1, 30))
+    entry = sparse_entry(draw(st.sampled_from((100, 30))), INTS)
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)), tuple(draw(entry) for _ in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_systems())
+def test_pivots_stay_within_hadamards_bound(system):
+    m, v = system
+    try:
+        _, pivots, _ = _eliminate(m, (v,))
+    except SingularMatrix:
+        return
+    bound = prod(max(1, sum(x * x for x in row) + y * y) for row, y in zip(m, v))
+    assert all(p * p <= bound for p in pivots)

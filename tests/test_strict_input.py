@@ -10,6 +10,7 @@ from examples import LINKS_DIAGRAM, README_DIAGRAM
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nonloose.calculus import RationalData
 from nonloose.errors import DiagramError, DomainError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
@@ -329,6 +330,23 @@ def test_cli_non_string_record_field(run_cli, tmp_path, record):
 
 # ---------------------------------------------------------------------------
 # Values built directly, not read from JSON, check their integer fields too.
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(-12, 12, max_denominator=12), st.fractions(-12, 12, max_denominator=12), st.integers(1, 12))
+def test_rational_data_lies_on_its_lattice(tb_q, rot_q, r):
+    """tb_Q and rot_Q lie in (1/r) Z: a value off that lattice is an
+    InvalidParams naming both values and r, never a RationalData."""
+    on = (r * tb_q).denominator == 1 and (r * rot_q).denominator == 1
+    try:
+        data = RationalData(tb_q, rot_q, r, -1)
+    except InvalidParams as raised:
+        assert not on
+        assert str(raised) == (
+            f"tb_q and rot_q must be multiples of 1/order_r, got tb_q {tb_q}, rot_q {rot_q} and order_r {r}"
+        )
+        return
+    assert on and (data.tb_q, data.rot_q, data.order_r) == (tb_q, rot_q, r)
 
 
 def test_knot_record_keeps_a_bool_beside_its_integer():

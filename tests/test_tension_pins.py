@@ -49,8 +49,16 @@ classical = st.builds(
     st.integers(-40, 40),
     st.integers(-11, 0).map(lambda k: 2 * k + 1),  # odd chi in [-21, 1]
 )
-fractions = st.builds(Fraction, st.integers(-120, 120), st.integers(1, 6))
-rational = st.builds(RationalData, fractions, fractions, st.integers(1, 6), st.integers(-12, 1))
+# tb_Q and rot_Q lie in (1/r) Z: integers over the drawn r
+rational = st.integers(1, 6).flatmap(
+    lambda r: st.builds(
+        RationalData,
+        st.integers(-120, 120).map(lambda k: Fraction(k, r)),
+        st.integers(-120, 120).map(lambda k: Fraction(k, r)),
+        st.just(r),
+        st.integers(-12, 1),
+    )
+)
 
 
 @pytest.mark.parametrize("side", SIDES)

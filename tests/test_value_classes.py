@@ -168,7 +168,8 @@ reasons = recipe("Reason", names, names, mapping)
 words = event_lists().map(lambda events: Recipe("FrontWord", (events,)))
 RECIPES = {
     "ClassicalPair": recipe("ClassicalPair", small, small, st.none() | chi),
-    "RationalData": recipe("RationalData", rational, rational, st.integers(-2, 9), chi),
+    # 2520, the lcm of 1 to 9, puts every drawn rational on the lattice (1/r) Z
+    "RationalData": recipe("RationalData", rational, rational, st.integers(-2, 9) | st.just(2520), chi),
     "Reason": reasons,
     "Certificate": recipe(
         "Certificate", st.sampled_from(Verdict), mapping, st.lists(reasons, max_size=2).map(tuple),

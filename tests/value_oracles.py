@@ -51,6 +51,11 @@ class RationalData:
         check_chi(self.chi, odd=False)
         if self.order_r < 1:
             raise InvalidParams(f"homological order must be >= 1, got {self.order_r}")
+        if self.order_r % self.tb_q.denominator or self.order_r % self.rot_q.denominator:
+            raise InvalidParams(
+                f"tb_q and rot_q must be multiples of 1/order_r, got tb_q {self.tb_q}, rot_q {self.rot_q}"
+                f" and order_r {self.order_r}"
+            )
 
 
 # certify
