@@ -205,9 +205,14 @@ def bennequin_rational(d: RationalData) -> CheckResult:
 
 
 def transverse_bennequin(sl_q: Fraction | int, chi: int, order_r: int) -> CheckResult:
-    """sl_Q <= -chi/r for non-loose transverse knots."""
+    """sl_Q <= -chi/r for non-loose transverse knots.
+
+    sl_Q = tb_Q - rot_Q of a Legendrian approximation lies in (1/r) Z, so an
+    sl_q whose denominator does not divide r raises ``InvalidParams``."""
     sl_q = read_fraction(sl_q, "sl_q", InvalidParams)
     RationalData(0, 0, order_r, chi)  # chi and r obey the rules of a rational knot's
+    if order_r % sl_q.denominator:
+        raise InvalidParams(f"sl_q must be a multiple of 1/order_r, got sl_q {sl_q} and order_r {order_r}")
     return CheckResult.VIOLATED if sl_q > Fraction(-chi, order_r) else CheckResult.HOLDS
 
 

@@ -19,12 +19,15 @@ input over their gcd, stay within Hadamard's bound.  This is not Bareiss's
 elimination ("Sylvester's identity and multistep integer-preserving Gaussian
 elimination", 1968), which divides every remaining row by the previous
 pivot, rows with no entry in the pivot column too; here only the rows the
-pivot meets change.  The elimination forms no determinant: it returns sign /
-scale, the factor by which its row swaps and row scalings changed det m,
-and its pivots, and ``det_exact`` multiplies them, so a solve pays for no
-product it throws away.  Back substitution divides in ``Fraction``s.  The
-cofactor determinant, the inverse and the Smith normal form live with the
-tests, as oracles.
+pivot meets change.  The elimination forms no determinant: it returns its
+pivots and two ints, sign times den and num, whose quotient times the
+product of the pivots is det m, and ``det_exact`` multiplies them and
+divides once, so a solve pays for no product it throws away.  Back
+substitution stays in ints too: the solved entries are ints over one common
+denominator D, which is the lcm of the denominators of x, and the only
+``Fraction``s built are the entries ``solve_exact`` returns.  The cofactor
+determinant, the inverse and the Smith normal form live with the tests, as
+oracles.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ def _entries(values: object, what: str, entry: str) -> dict[int, Entry]:
     return {j: x for j, x in enumerate(read) if x}
 
 
-def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[Fraction, list[int], list[Vector]]:
-    """sign / scale, the pivots and each x_j with m x_j = columns[j].
+def _eliminate(
+    m: Matrix, columns: Sequence[Sequence[Entry]]
+) -> tuple[tuple[int, int], list[int], list[Vector]]:
+    """(sign den, num), the pivots and each x_j with m x_j = columns[j].
 
     Each row of m, with its entries of the columns appended at n, n + 1, ...,
     is a dict of its nonzero entries, multiplied by the lcm of their
@@ -65,12 +70,21 @@ def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[Fraction,
     row has entries, an entry that cancels is dropped, and the row is divided
     by the gcd of its entries.  An updated row is then primitive, so its
     entries stay within Hadamard's bound on the minors of [m | columns] and do
-    not grow step by step.  ``scale`` is the product of the row lcms and the
-    multipliers p/g over the contents divided out, each a factor by which a
-    row operation multiplied det m; so det m is sign / scale times the product
-    of the pivots, where sign is that of the row swaps.  Back substitution
-    runs over the stored entries in ``Fraction``s.  Raises ``SingularMatrix``
-    at the first column with no pivot."""
+    not grow step by step.  ``num`` is the product of the row lcms and the
+    multipliers p/g, and ``den`` that of the contents divided out: each is a
+    factor by which a row operation multiplied or divided det m, so det m is
+    sign den / num times the product of the pivots, where sign is that of the
+    row swaps.
+
+    Back substitution keeps the solved entries as ints y_j over one common
+    denominator D, x_j = y_j / D, starting from D = 1.  For row i, with pivot
+    p and right-hand side b, t = D b - sum of a_ij y_j over j > i; g is
+    gcd(p, t) with the sign of p, the earlier y_j and D are multiplied by
+    p/g, and y_i = t/g.  D and the y_j then have no common factor, so D is
+    the lcm of the denominators of x, and the one ``Fraction`` per entry is
+    built at the end.  With several columns, t is their vector and g divides
+    every entry.  Raises ``SingularMatrix`` at the first column with no
+    pivot."""
     if not isinstance(m, (tuple, list)):
         raise InvalidParams(f"matrix must be a tuple or a list of rows, got {m!r}")
     rows = [_entries(row, "matrix row", "matrix entry") for row in m]
@@ -83,13 +97,13 @@ def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[Fraction,
     for j, vector in enumerate(vectors, n):
         for i, y in vector.items():
             rows[i][j] = y
-    sign, scale = 1, Fraction(1)
+    sign, num, den = 1, 1, 1
     for row in rows:
         if any(type(y) is not int for y in row.values()):
             d = lcm(*(y.denominator for y in row.values()))
             for j, y in row.items():
                 row[j] = y.numerator * (d // y.denominator)
-            scale *= d
+            num *= d
     for c in range(n):
         best = None
         for r in range(c, n):
@@ -112,7 +126,7 @@ def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[Fraction,
             if a != 1:
                 for j in row:
                     row[j] *= a
-                scale *= a
+                num *= a
             for j, y in rest:
                 value = row.get(j, 0) - b * y
                 if value:
@@ -123,31 +137,43 @@ def _eliminate(m: Matrix, columns: Sequence[Sequence[Entry]]) -> tuple[Fraction,
             if content > 1:
                 for j in row:
                     row[j] //= content
-                scale /= content
+                den *= content
     pivots = [rows[c][c] for c in range(n)]
-    solved: list[list[Fraction]] = [[]] * n
+    common = 1
+    solved: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
         row = rows[i]
-        values = [row.get(j, 0) for j in range(n, n + len(columns))]
+        values = [common * row.get(j, 0) for j in range(n, n + len(columns))]
         for j, a in row.items():
             if i < j < n:
                 values = [v - a * y for v, y in zip(values, solved[j])]
-        solved[i] = [Fraction(v, pivots[i]) for v in values]
-    return sign / scale, pivots, [tuple(x[j] for x in solved) for j in range(len(columns))]
+        pivot = pivots[i]
+        g = gcd(pivot, *values)
+        if pivot < 0:
+            g = -g
+        step = pivot // g
+        if step != 1:
+            for j in range(i + 1, n):
+                solved[j] = [y * step for y in solved[j]]
+            common *= step
+        solved[i] = [v // g for v in values]
+    return (sign * den, num), pivots, [tuple(Fraction(x[j], common) for x in solved) for j in range(len(columns))]
 
 
 def det_exact(m: Matrix) -> Entry:
-    """Determinant by ``_eliminate``, the product of its pivots and its sign /
-    scale: 0 if singular, 1 for the 0x0 matrix, an int for int input."""
+    """Determinant by ``_eliminate``: the product of its pivots and of sign
+    times den, divided once by num.  0 if singular, 1 for the 0x0 matrix, an
+    int for int input."""
     try:
-        factor, pivots, _ = _eliminate(m, ())
+        (factor, num), pivots, _ = _eliminate(m, ())
     except SingularMatrix:
         return 0
     det = prod(pivots, start=factor)
     if all(isinstance(x, int) for row in m for x in row):
-        assert det.denominator == 1
-        return int(det)
-    return det
+        det, rest = divmod(det, num)
+        assert rest == 0
+        return det
+    return Fraction(det, num)
 
 
 def solve_exact(m: Matrix, v: Sequence[Entry]) -> Vector:

@@ -655,6 +655,19 @@ CASES = {
             }
         """
     ),
+    # sl_Q = tb_Q - rot_Q lies in (1/r) Z too: 1/3 does not at r = 2
+    "transverse sl_Q off its lattice": (
+        "certify-bennequin --sl-q 1/3 --order 2 --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "sl_q must be a multiple of 1/order_r, got sl_q 1/3 and order_r 2"
+              }
+            }
+        """
+    ),
     "UnknownToken document": (
         "front-invariants -",
         1,

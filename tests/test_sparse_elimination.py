@@ -17,7 +17,10 @@ x_i is an integer).  And over int systems of size 1 to 30, dense and sparse,
 every pivot ``_eliminate`` returns stays within Hadamard's bound on
 [m | v]: the elimination divides each updated row by the gcd of its entries,
 so its entries are minors of [m | v] over that gcd and cannot grow step by
-step.
+step.  On the same systems the back substitution's output is held to
+Cramer's rule: det m times each x_i is the integer determinant of m with
+column i replaced by v, within Hadamard's bound on that matrix, and the
+common denominator of x divides det m.
 """
 
 from fractions import Fraction
@@ -182,3 +185,23 @@ def test_pivots_stay_within_hadamards_bound(system):
         return
     bound = prod(max(1, sum(x * x for x in row) + y * y) for row, y in zip(m, v))
     assert all(p * p <= bound for p in pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_systems())
+def test_solution_stays_within_hadamards_bound(system):
+    """Cramer's rule: det m x_i is det m_i, m_i being m with column i replaced
+    by v, so it is an integer whose square is within Hadamard's bound on m_i,
+    and the common denominator of x divides det m.  The back substitution's
+    output is as small as the minors it is made of."""
+    m, v = system
+    d = det_exact(m)
+    if d == 0:
+        return
+    x = solve_exact(m, v)
+    for i, xi in enumerate(x):
+        m_i = tuple(row[:i] + (y,) + row[i + 1 :] for row, y in zip(m, v))
+        assert (d * xi).denominator == 1
+        assert d * xi == det_exact(m_i)
+        assert (d * xi) ** 2 <= prod(sum(e * e for e in row) for row in m_i)
+    assert d % lcm(*(xi.denominator for xi in x)) == 0

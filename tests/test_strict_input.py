@@ -4,6 +4,7 @@ never a coercion or a traceback."""
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from examples import LINKS_DIAGRAM, README_DIAGRAM
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonloose.calculus import RationalData
+from nonloose.certify import CheckResult, transverse_bennequin
 from nonloose.errors import DiagramError, DomainError, InvalidParams
 from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
@@ -347,6 +349,21 @@ def test_rational_data_lies_on_its_lattice(tb_q, rot_q, r):
         )
         return
     assert on and (data.tb_q, data.rot_q, data.order_r) == (tb_q, rot_q, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(-12, 12, max_denominator=12), st.integers(1, 12), st.integers(-12, 1))
+def test_transverse_sl_q_lies_on_its_lattice(sl_q, r, chi):
+    """sl_Q = tb_Q - rot_Q lies in (1/r) Z: a value off that lattice is an
+    InvalidParams naming sl_q and r, never a check result."""
+    on = (r * sl_q).denominator == 1
+    try:
+        result = transverse_bennequin(sl_q, chi, r)
+    except InvalidParams as raised:
+        assert not on
+        assert str(raised) == f"sl_q must be a multiple of 1/order_r, got sl_q {sl_q} and order_r {r}"
+        return
+    assert on and result is (CheckResult.VIOLATED if sl_q > Fraction(-chi, r) else CheckResult.HOLDS)
 
 
 def test_knot_record_keeps_a_bool_beside_its_integer():
