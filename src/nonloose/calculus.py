@@ -74,12 +74,15 @@ def dual_invariants(tb: int, rot: int, a: int, b: int, chi: int) -> RationalData
         r     = |tb + 1|
 
     r is the order of tb in Z/(tb + 1), which is all of |tb + 1| because
-    gcd(tb, tb + 1) = 1.
+    gcd(tb, tb + 1) = 1.  tb + rot of a Legendrian knot is odd, so an even
+    sum raises ``InvalidParams``, as ``SurgeryComponent`` refuses it.
     """
     read_int(tb, "tb", InvalidParams)
     read_int(rot, "rot", InvalidParams)
     read_count(a, "a", InvalidParams)
     read_count(b, "b", InvalidParams)
+    if (tb + rot) % 2 == 0:
+        raise InvalidParams(f"tb + rot must be odd, got tb {tb} and rot {rot}")
     if tb == -1:
         raise MeridionalSlope("tb = -1 makes (+1)-surgery meridional (det M = 0)")
     n = tb + 1

@@ -11,23 +11,22 @@ diagram, and ``det_exact``.  A linking matrix of a large diagram is mostly
 zeros, so the elimination keeps each row as a dict of its nonzero entries,
 pivots on the row with the fewest of them (the row count of Markowitz's
 rule, "The elimination form of the inverse and its application to linear
-programming", 1957) and touches no zero.  Its rows hold ints: a row with a
-``Fraction`` is scaled by the lcm of its denominators, each update is an
-integer combination of two rows, and each updated row is divided by the gcd
-of its entries.  So a row stays primitive, and its entries, minors of the
-input over their gcd, stay within Hadamard's bound.  This is not Bareiss's
-elimination ("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968), which divides every remaining row by the previous
-pivot, rows with no entry in the pivot column too; here only the rows the
-pivot meets change.  The elimination forms no determinant: it returns its
-pivots and two ints, sign times den and num, whose quotient times the
-product of the pivots is det m, and ``det_exact`` multiplies them and
-divides once, so a solve pays for no product it throws away.  Back
-substitution stays in ints too: the solved entries are ints over one common
-denominator D, which is the lcm of the denominators of x, and the only
-``Fraction``s built are the entries ``solve_exact`` returns.  The cofactor
-determinant, the inverse and the Smith normal form live with the tests, as
-oracles.
+programming", 1957) and touches no zero.  Its rows hold ints: if an entry is
+a ``Fraction``, each row is scaled by the lcm of its denominators, each
+update is an integer combination of two rows, and each updated row is
+divided by the gcd of its entries.  So a row stays primitive, and its
+entries, minors of the input over their gcd, stay within Hadamard's bound.
+This is not Bareiss's elimination ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968), which divides every
+remaining row by the previous pivot, rows with no entry in the pivot column
+too; here only the rows the pivot meets change.  The elimination forms no
+determinant: it returns its pivots and two ints, sign times den and num,
+whose quotient times the product of the pivots is det m, and ``det_exact``
+multiplies them and divides once, so a solve pays for no product it throws
+away.  Back substitution stays in ints too, over one common denominator, and
+the only ``Fraction``s built are the entries ``solve_exact`` returns.  The
+cofactor determinant, the inverse and the Smith normal form live with the
+tests, as oracles.
 """
 
 from __future__ import annotations
@@ -42,26 +41,27 @@ from .errors import InvalidParams, SingularMatrix
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
 Vector = tuple[Entry, ...]
+_NO_VECTOR = object()  # v when there is none, for det_exact: None is a vector solve_exact must refuse
 
 
-def _entries(values: object, what: str, entry: str) -> dict[int, Entry]:
-    """The nonzero entries of ``values``, a row or a vector, by position; each
-    entry is read with ``read_fraction``, and an int is kept as it is."""
+def _entries(values: object, what: str, entry: str, fractions: list[Fraction]) -> dict[int, Entry]:
+    """The nonzero entries of ``values``, a row or a vector, by position, as
+    given; each that is not an int is read with ``read_fraction`` into ``fractions``."""
     if not isinstance(values, (tuple, list)):
         raise InvalidParams(f"{what} must be a tuple or a list, got {values!r}")
     # a plain int, every entry on the surgery path, needs no call to the rule
-    read = [x if type(x) is int else read_fraction(x, entry, InvalidParams) for x in values]
-    return {j: x for j, x in enumerate(read) if x}
+    fractions += [read_fraction(x, entry, InvalidParams) for x in values if type(x) is not int]
+    return {j: x for j, x in enumerate(values) if x}
 
 
 def _eliminate(
-    m: Matrix, columns: Sequence[Sequence[Entry]]
-) -> tuple[tuple[int, int], list[int], list[Vector]]:
-    """(sign den, num), the pivots and each x_j with m x_j = columns[j].
+    m: Matrix, v: Sequence[Entry] = _NO_VECTOR
+) -> tuple[tuple[int, int], list[int], list[dict[int, int]]]:
+    """(sign den, num), the pivots and the reduced rows of m, v at column n.
 
-    Each row of m, with its entries of the columns appended at n, n + 1, ...,
-    is a dict of its nonzero entries, multiplied by the lcm of their
-    denominators if any is a ``Fraction``, so every entry is an int.  At
+    Each row of m, with its entry of v appended at n, is a dict of its
+    nonzero entries; if any entry of m or v is not an int, each row is
+    multiplied by the lcm of its denominators, so every entry is an int.  At
     column c the pivot is the row, of those not yet pivots, with an entry in
     c and the fewest entries (the lowest of them on a tie, so a dense matrix
     pivots on its first nonzero row); it is swapped into place c.  Only the
@@ -69,37 +69,28 @@ def _eliminate(
     a row becomes (p/g) row - (b/g) pivot row, subtracted only where the pivot
     row has entries, an entry that cancels is dropped, and the row is divided
     by the gcd of its entries.  An updated row is then primitive, so its
-    entries stay within Hadamard's bound on the minors of [m | columns] and do
-    not grow step by step.  ``num`` is the product of the row lcms and the
+    entries stay within Hadamard's bound on the minors of [m | v] and do not
+    grow step by step.  ``num`` is the product of the row lcms and the
     multipliers p/g, and ``den`` that of the contents divided out: each is a
     factor by which a row operation multiplied or divided det m, so det m is
     sign den / num times the product of the pivots, where sign is that of the
-    row swaps.
-
-    Back substitution keeps the solved entries as ints y_j over one common
-    denominator D, x_j = y_j / D, starting from D = 1.  For row i, with pivot
-    p and right-hand side b, t = D b - sum of a_ij y_j over j > i; g is
-    gcd(p, t) with the sign of p, the earlier y_j and D are multiplied by
-    p/g, and y_i = t/g.  D and the y_j then have no common factor, so D is
-    the lcm of the denominators of x, and the one ``Fraction`` per entry is
-    built at the end.  With several columns, t is their vector and g divides
-    every entry.  Raises ``SingularMatrix`` at the first column with no
-    pivot."""
+    row swaps.  Raises ``SingularMatrix`` at the first column with no pivot."""
     if not isinstance(m, (tuple, list)):
         raise InvalidParams(f"matrix must be a tuple or a list of rows, got {m!r}")
-    rows = [_entries(row, "matrix row", "matrix entry") for row in m]
+    fractions: list[Fraction] = []
+    rows = [_entries(row, "matrix row", "matrix entry", fractions) for row in m]
     n = len(rows)
     if any(len(row) != n for row in m):
         raise InvalidParams("matrix is not square")
-    vectors = [_entries(col, "vector", "vector entry") for col in columns]
-    if any(len(col) != n for col in columns):
-        raise InvalidParams("vector length must match matrix dimension")
-    for j, vector in enumerate(vectors, n):
+    if v is not _NO_VECTOR:
+        vector = _entries(v, "vector", "vector entry", fractions)
+        if len(v) != n:
+            raise InvalidParams("vector length must match matrix dimension")
         for i, y in vector.items():
-            rows[i][j] = y
+            rows[i][n] = y
     sign, num, den = 1, 1, 1
-    for row in rows:
-        if any(type(y) is not int for y in row.values()):
+    if fractions:
+        for row in rows:
             d = lcm(*(y.denominator for y in row.values()))
             for j, y in row.items():
                 row[j] = y.numerator * (d // y.denominator)
@@ -138,26 +129,7 @@ def _eliminate(
                 for j in row:
                     row[j] //= content
                 den *= content
-    pivots = [rows[c][c] for c in range(n)]
-    common = 1
-    solved: list[list[int]] = [[]] * n
-    for i in reversed(range(n)):
-        row = rows[i]
-        values = [common * row.get(j, 0) for j in range(n, n + len(columns))]
-        for j, a in row.items():
-            if i < j < n:
-                values = [v - a * y for v, y in zip(values, solved[j])]
-        pivot = pivots[i]
-        g = gcd(pivot, *values)
-        if pivot < 0:
-            g = -g
-        step = pivot // g
-        if step != 1:
-            for j in range(i + 1, n):
-                solved[j] = [y * step for y in solved[j]]
-            common *= step
-        solved[i] = [v // g for v in values]
-    return (sign * den, num), pivots, [tuple(Fraction(x[j], common) for x in solved) for j in range(len(columns))]
+    return (sign * den, num), [rows[c][c] for c in range(n)], rows
 
 
 def det_exact(m: Matrix) -> Entry:
@@ -165,7 +137,7 @@ def det_exact(m: Matrix) -> Entry:
     times den, divided once by num.  0 if singular, 1 for the 0x0 matrix, an
     int for int input."""
     try:
-        (factor, num), pivots, _ = _eliminate(m, ())
+        (factor, num), pivots, _ = _eliminate(m)
     except SingularMatrix:
         return 0
     det = prod(pivots, start=factor)
@@ -177,5 +149,32 @@ def det_exact(m: Matrix) -> Entry:
 
 
 def solve_exact(m: Matrix, v: Sequence[Entry]) -> Vector:
-    """The exact rational x with m x = v, by ``_eliminate``; no inverse or determinant is formed."""
-    return _eliminate(m, (v,))[2][0]
+    """The exact rational x with m x = v, by ``_eliminate``; no inverse or determinant is formed.
+
+    Back substitution keeps the solved entries as ints y_j over one common
+    denominator D, x_j = y_j / D, starting from D = 1.  For row i, with pivot
+    p and right-hand side b, t = D b - sum of a_ij y_j over j > i; g is
+    gcd(p, t) with the sign of p, the earlier y_j and D are multiplied by
+    p/g, and y_i = t/g.  D and the y_j then have no common factor, so D is
+    the lcm of the denominators of x, and the one ``Fraction`` per entry is
+    built at the end."""
+    rows = _eliminate(m, v)[2]
+    n = len(rows)
+    common = 1
+    solved = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        t = common * row.pop(n, 0)
+        pivot = row.pop(i)
+        for j, a in row.items():
+            t -= a * solved[j]
+        g = gcd(pivot, t)
+        if pivot < 0:
+            g = -g
+        step = pivot // g
+        if step != 1:
+            for j in range(i + 1, n):
+                solved[j] *= step
+            common *= step
+        solved[i] = t // g
+    return tuple(Fraction(y, common) for y in solved)

@@ -34,6 +34,8 @@ CASES = {
         (Fraction(1, 4), 2),
         (Fraction(11, 10), Fraction(-9, 10)),
     ),
+    # int rows whose right-hand side alone holds a Fraction are scaled too
+    "Fraction right-hand side": (((2, 1), (0, 3)), (Fraction(1, 2), 0), (Fraction(1, 4), 0)),
     # negative pivots, steps of 1 on the last two rows (one with t = 0), and a
     # step of 2 on the first that rescales both solved entries
     "3 x 3 with every branch": (
@@ -55,4 +57,4 @@ def test_back_substitution_matches_cramer(m, v, x):
 def test_negative_last_pivot_is_negative():
     """The case named for it reaches the back substitution with p < 0."""
     m, v, _ = CASES["negative last pivot"]
-    assert _eliminate(m, (v,))[1][-1] < 0
+    assert _eliminate(m, v)[1][-1] < 0

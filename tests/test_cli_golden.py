@@ -10,7 +10,8 @@ front word errors ``UnknownToken``, ``EmptyWord``, ``NonzeroFinalStrands``,
 ``MultipleComponents`` and ``PositionOutOfRange``, and a ``DiagramError``
 for an unknown key, for a document that is not an object and for a
 component whose tb + rot is even, and an ``InvalidParams`` for rational
-invariants off the lattice (1/r) Z; the law of
+invariants off the lattice (1/r) Z and for a dual whose tb + rot is even;
+the law of
 ``test_printed_names`` holds every error type a command prints to a case
 here), and the edges of the input boundary
 (stdin input, the default records file, flag values that are errors, an
@@ -626,6 +627,31 @@ CASES = {
               "error": {
                 "type": "MeridionalSlope",
                 "message": "tb = -1 makes (+1)-surgery meridional (det M = 0)"
+              }
+            }
+        """
+    ),
+    # No Legendrian knot has tb + rot even, so no diagram has such a dual.
+    "dual-invariants with an even tb + rot": (
+        "dual-invariants --tb -15 --rot -1 --chi -7",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "tb + rot must be odd, got tb -15 and rot -1"
+              }
+            }
+        """
+    ),
+    "certify-dual with an even tb + rot": (
+        "certify-dual --tb -2 --rot 0 --chi -1 --is-stabilization",
+        1,
+        """\
+            {
+              "error": {
+                "type": "InvalidParams",
+                "message": "tb + rot must be odd, got tb -2 and rot 0"
               }
             }
         """

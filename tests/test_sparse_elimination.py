@@ -180,7 +180,7 @@ def int_systems(draw):
 def test_pivots_stay_within_hadamards_bound(system):
     m, v = system
     try:
-        _, pivots, _ = _eliminate(m, (v,))
+        _, pivots, _ = _eliminate(m, v)
     except SingularMatrix:
         return
     bound = prod(max(1, sum(x * x for x in row) + y * y) for row, y in zip(m, v))

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 from examples import LINKS_DIAGRAM, README_DIAGRAM
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nonloose.calculus import RationalData
+from nonloose.calculus import RationalData, dual_invariants
 from nonloose.certify import CheckResult, transverse_bennequin
-from nonloose.errors import DiagramError, DomainError, InvalidParams
+from nonloose.errors import DiagramError, DomainError, InvalidParams, MeridionalSlope
 from nonloose.knotdata import KnotRecord, record_from_dict
 from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
@@ -364,6 +364,25 @@ def test_transverse_sl_q_lies_on_its_lattice(sl_q, r, chi):
         assert str(raised) == f"sl_q must be a multiple of 1/order_r, got sl_q {sl_q} and order_r {r}"
         return
     assert on and result is (CheckResult.VIOLATED if sl_q > Fraction(-chi, r) else CheckResult.HOLDS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(0, 4), st.integers(0, 4))
+@example(-1, 1, 0, 0)
+@example(-1, 0, 0, 0)
+def test_dual_invariants_need_an_odd_tb_plus_rot(tb, rot, a, b):
+    """tb + rot of a Legendrian knot is odd: an even sum is an InvalidParams
+    naming tb and rot, found before a meridional slope, never a RationalData."""
+    try:
+        data = dual_invariants(tb, rot, a, b, -7)
+    except InvalidParams as raised:
+        assert (tb + rot) % 2 == 0
+        assert str(raised) == f"tb + rot must be odd, got tb {tb} and rot {rot}"
+        return
+    except MeridionalSlope:
+        assert (tb + rot) % 2 == 1 and tb == -1
+        return
+    assert (tb + rot) % 2 == 1 and data.order_r == abs(tb + 1)
 
 
 def test_knot_record_keeps_a_bool_beside_its_integer():
