@@ -439,7 +439,7 @@ def tension_less_than_depth_search(p_max: int) -> list[Certificate]:
             except InvalidParams:
                 continue
             tb, chi = rec.max_tb, rec.chi
-            (rot,) = rec.rot_at_max_tb
+            rot = p + q
             tension = tension_one_dual(tb, rot, chi, rec.plus_one_surgery_overtwisted)
             dual = dual_invariants(tb, rot, 1, 0, chi)
             details = {

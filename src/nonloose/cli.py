@@ -484,7 +484,7 @@ def _read_arguments(arguments, argv: list[str], i: int, values: dict) -> int | N
                     return None
                 text = argv[i]
                 i += 1
-            elif text == "--":  # argparse drops a "--" value and stores []
+            elif text == "--":  # argparse stores [] (to 3.12) or "--" (3.13) for it
                 return None
         convert = keywords.get("type")
         try:
@@ -520,12 +520,12 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:  # help, or a line for argparse to read or reject
         parser = build_parser()
         args = parser.parse_args(argv)
-        # argparse stores (or appends) [] for "--flag=--", unchecked by the
-        # flag's type and choices
+        # argparse stores (or appends) [] for "--flag=--" up to 3.12 and "--"
+        # from 3.13, unchecked by the flag's type and choices
         for name, keywords in (*GLOBAL_ARGS, *COMMANDS[args.command][2]):
             value = getattr(args, name.lstrip("-").replace("-", "_"))
             values = value if keywords.get("action") == "append" else [value]
-            if any(isinstance(v, list) for v in values):
+            if any(isinstance(v, list) or (name[0] == "-" and v == "--") for v in values):
                 parser.error(f"argument {name}: expected one argument")
     try:
         doc = args.handler(args)

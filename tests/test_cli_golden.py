@@ -21,12 +21,15 @@ passing as it stands.  ``test_readme_cli_block`` holds the README's CLI
 section to the table: each command there is a case, and each output it
 shows is that case's stdout.
 
-Every case runs twice: through ``cli.main`` in this process, with the shared
-``run_cli`` runner of ``conftest``, and as ``python -m nonloose.cli`` in a
-fresh process, where a handler that lost one of its imports shows.  Both
-runs get the case's stdin, run in a work directory that holds
-``examples.FILES`` and see that directory as ``HOME``, so the default records
-file is the one written there, never the user's own.
+The tests run every case twice: through ``cli.main`` in this process, with
+the shared ``run_cli`` runner of ``conftest``, and as ``python -m
+nonloose.cli`` in a fresh process, where a handler that lost one of its
+imports shows.  Both runs get the case's stdin, run in a work directory that
+holds ``examples.FILES`` and see that directory as ``HOME``, so the default
+records file is the one written there, never the user's own.  CI, on Python
+3.10 to 3.13, runs every case a third time through the installed
+``nonloose`` console script, in the same kind of work directory and held to
+10 seconds, with ``tools/golden_console.py``.
 """
 
 import hashlib

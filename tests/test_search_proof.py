@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from nonloose import knotdata
 from nonloose.calculus import ClassicalPair, dual_invariants
 from nonloose.certify import (
     Certificate,
@@ -93,6 +94,19 @@ def test_search_matches_the_guarded_loop(p_max):
     got = [cert.to_dict() for cert in tension_less_than_depth_search(p_max)]
     assert got == [cert.to_dict() for cert in guarded_search(p_max)]
     assert [d["details"]["knot"] for d in got] == [f"torus({p},{q})" for p, q in coprime_pairs(p_max)]
+
+
+def test_search_takes_rot_from_p_and_q(monkeypatch):
+    """The search reads rot = p + q, not the record's one rotation number: a
+    record holding the full set +-(p + q) leaves every certificate as it was."""
+
+    def both_signs(p, q):
+        rec = negative_torus_record(p, q)
+        return rec.replace(rot_at_max_tb=frozenset({p + q, -(p + q)}))
+
+    expected = [cert.to_dict() for cert in tension_less_than_depth_search(P_MAX)]
+    monkeypatch.setattr(knotdata, "negative_torus_record", both_signs)
+    assert [cert.to_dict() for cert in tension_less_than_depth_search(P_MAX)] == expected
 
 
 @pytest.mark.parametrize("p, q", coprime_pairs(P_MAX))
