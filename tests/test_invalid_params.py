@@ -15,6 +15,7 @@ from nonloose.surgery import SurgeryComponent, SurgeryDiagram, diagram_from_json
 
 
 PASSIVE = SurgeryComponent("a", 1, 0, "passive")
+B, C, D = SurgeryComponent("b", 1, 0, "+1"), SurgeryComponent("c", 0, 1, "-1"), SurgeryComponent("d", 2, 1, "+1")
 
 
 @pytest.mark.parametrize(
@@ -78,11 +79,51 @@ PASSIVE = SurgeryComponent("a", 1, 0, "passive")
             DiagramError,
             "bad lk entry 'ab1'; expected [idA, idB, int]",
         ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, B), [["a", "b", 1], ["b", "a", 1]], "a"),
+            DiagramError,
+            "duplicate linking entry for ('b', 'a')",
+        ),
+        (lambda: SurgeryDiagram.build((PASSIVE, B), [], "z"), DiagramError, "distinguished id 'z' not present"),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, SurgeryComponent("b", 1, 0, "passive")), [], "a"),
+            DiagramError,
+            "exactly the distinguished component must carry the passive coefficient",
+        ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, SurgeryComponent("a", 1, 0, "+1")), [], "a"),
+            DiagramError,
+            "component ids must be unique",
+        ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, B), [["a", "b", True]], "a"),
+            DiagramError,
+            "lk value must be an integer, got True",
+        ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, B), [["a", "b", 1.0]], "a"),
+            DiagramError,
+            "lk value must be an integer, got 1.0",
+        ),
+        # two faults: the first in the order the checks run is named
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, B), [["a", "b", 1.5]], 7),
+            DiagramError,
+            "distinguished must be a string, got 7",
+        ),
+        (
+            lambda: SurgeryDiagram.build((PASSIVE, B, C, D), [["c", "d", 2.5], ["a", "b", 0.5]], "a"),
+            DiagramError,
+            "lk value must be an integer, got 0.5",
+        ),
     ],
     ids=["family", "ambient", "plus_one_surgery_overtwisted", "order_positive", "component id", "coeff",
          "distinguished", "lk row not a sequence", "component not a SurgeryComponent", "rot_at_max_tb not iterable",
          "lk entry of two", "unhashable lk id", "build from a str component", "build from None components",
-         "build from None lk pairs", "non-iterable components", "events a string", "lk entry a string of three"],
+         "build from None lk pairs", "non-iterable components", "events a string", "lk entry a string of three",
+         "build with a pair given twice", "build with distinguished absent", "build with two passive components",
+         "build with an id given twice", "build with a bool lk value", "build with a float lk value",
+         "build with a bad distinguished and a float lk value", "build names the first float lk value by row"],
 )
 def test_value_fields_checked_at_construction(build, error, message):
     """A value built directly checks each field as its JSON reader does."""
