@@ -111,6 +111,8 @@ class SurgeryDiagram(Value):
             raise DiagramError(f"'lk' must be a list, got {lk_pairs!r}")
         index = {c.id: i for i, c in enumerate(components)}
         n = len(components)
+        if len(index) != n:  # else a pair naming a repeated id reads as a self pair
+            raise DiagramError("component ids must be unique")
         lk = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for entry in lk_pairs:

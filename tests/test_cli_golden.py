@@ -8,12 +8,12 @@ names), each subcommand once with ``--format text``, error documents (a
 is missing, ``InvalidParams``, ``MeridionalSlope``, ``SingularMatrix``, the
 front word errors ``UnknownToken``, ``EmptyWord``, ``NonzeroFinalStrands``,
 ``MultipleComponents`` and ``PositionOutOfRange``, and a ``DiagramError``
-for an unknown key, for a document that is not an object and for a
-component whose tb + rot is even, and an ``InvalidParams`` for rational
-invariants off the lattice (1/r) Z and for a dual whose tb + rot is even;
-the law of
-``test_printed_names`` holds every error type a command prints to a case
-here), and the edges of the input boundary
+for an unknown key, for a document that is not an object, for a component
+id given twice and for a component whose tb + rot is even, and an
+``InvalidParams`` for rational invariants off the lattice (1/r) Z and for a
+dual whose tb + rot is even; the law of ``test_printed_names`` holds every
+error type a command prints to a case here), and the edges of the input
+boundary
 (stdin input, the default records file, flag values that are errors, an
 abbreviated flag, an unknown subcommand).
 A change meant to keep the output byte-identical must leave every case
@@ -73,6 +73,16 @@ R6_DIAGRAM = {
 EVEN_PAIR_DIAGRAM = dict(
     R6_DIAGRAM, components=[*R6_DIAGRAM["components"][:2], dict(R6_DIAGRAM["components"][2], rot=0)]
 )
+
+# Two components with one id: the pair names two components, not one twice.
+DUPLICATE_ID_DIAGRAM = {
+    "components": [
+        {"id": "P", "tb": -2, "rot": 1, "coeff": "passive"},
+        {"id": "P", "tb": -3, "rot": 0, "coeff": "+1"},
+    ],
+    "lk": [["P", "P", 1]],
+    "distinguished": "P",
+}
 
 # Eleven surgered components, 16 of their 55 pairs linked, and the passive
 # one linking four of them: an 11 x 11 M that is mostly zeros, with zero
@@ -844,6 +854,20 @@ CASES = {
             }
         """,
         json.dumps(EVEN_PAIR_DIAGRAM),
+    ),
+    # An id given twice is named as such, not as a self-linking pair.
+    "component id given twice": (
+        "surgery-invariants - --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "DiagramError",
+                "message": "component ids must be unique"
+              }
+            }
+        """,
+        json.dumps(DUPLICATE_ID_DIAGRAM),
     ),
     # A key the shape does not name is an error, not ignored.
     "unknown diagram key": (
