@@ -57,6 +57,7 @@ class SurgeryComponent(Value):
 
 
 _SHAPE = "linking matrix shape must match the component count"
+_UNIQUE = "component ids must be unique"
 
 
 def _read_matrix(value, what, error) -> Matrix:
@@ -73,6 +74,18 @@ def _read_matrix(value, what, error) -> Matrix:
     return tuple(rows)
 
 
+def _check_ids(components: tuple[SurgeryComponent, ...], index: dict[str, int], distinguished: str) -> None:
+    """The rules that join the components and ``distinguished``, given
+    ``index``, each component's position by id: the ids are unique, one of
+    them is ``distinguished``, and only that component is passive."""
+    if len(index) != len(components):
+        raise DiagramError(_UNIQUE)
+    if distinguished not in index:
+        raise DiagramError(f"distinguished id {distinguished!r} not present")
+    if [c.id for c in components if c.coeff == COEFF_PASSIVE] != [distinguished]:
+        raise DiagramError("exactly the distinguished component must carry the passive coefficient")
+
+
 class SurgeryDiagram(Value):
     """Ordered components, symmetric linking matrix, one passive component."""
 
@@ -84,37 +97,40 @@ class SurgeryDiagram(Value):
     def __init__(self, components: Sequence[SurgeryComponent], lk: Matrix, distinguished: str):
         self._set(components, lk, distinguished)
         components, lk = self.components, self.lk
-        ids = [c.id for c in components]
-        if len(set(ids)) != len(ids):
-            raise DiagramError("component ids must be unique")
-        if distinguished not in ids:
-            raise DiagramError(f"distinguished id {distinguished!r} not present")
-        passive = [c.id for c in components if c.coeff == COEFF_PASSIVE]
-        if passive != [distinguished]:
-            raise DiagramError("exactly the distinguished component must carry the passive coefficient")
+        _check_ids(components, {c.id: i for i, c in enumerate(components)}, distinguished)
         n = len(components)
         if len(lk) != n or any(len(row) != n for row in lk):
             raise DiagramError(_SHAPE)
-        for i, row in enumerate(lk):
-            if row[i]:
-                raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
-            if any(row[j] != lk[j][i] for j in range(i)):
-                raise DiagramError("linking matrix must be symmetric")
+        # one comparison of lk with its transpose; the row loop only names the first fault
+        if any(lk[i][i] for i in range(n)) or tuple(zip(*lk)) != lk:
+            for i, row in enumerate(lk):
+                if row[i]:
+                    raise DiagramError(f"self-linking entry for {components[i].id!r} is not allowed")
+                if any(row[j] != lk[j][i] for j in range(i)):
+                    raise DiagramError("linking matrix must be symmetric")
 
     @classmethod
     def build(
         cls, components: Sequence[SurgeryComponent], lk_pairs: Sequence[tuple[str, str, int]], distinguished: str
     ) -> "SurgeryDiagram":
-        """Assemble the symmetric linking matrix from a list of [idA, idB, int] pairs (missing = 0)."""
+        """Assemble the symmetric linking matrix from a list of [idA, idB, int]
+        pairs (missing = 0), with the constructor's messages.
+
+        The assembly guarantees the matrix's shape, zero diagonal and symmetry,
+        and reads each component once, so only the other checks run, in the
+        constructor's order: ``distinguished``, the first lk value in
+        row-major order that is not an integer, and the ids.
+        """
         components = cls._rules["components"](components, cls._labels["components"], DiagramError)
         if not isinstance(lk_pairs, (list, tuple)):
             raise DiagramError(f"'lk' must be a list, got {lk_pairs!r}")
         index = {c.id: i for i, c in enumerate(components)}
         n = len(components)
         if len(index) != n:  # else a pair naming a repeated id reads as a self pair
-            raise DiagramError("component ids must be unique")
+            raise DiagramError(_UNIQUE)
         lk = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
+        non_int_values = {}  # (i, j), i < j, to each value that is not a plain int
         for entry in lk_pairs:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
@@ -125,12 +141,18 @@ class SurgeryDiagram(Value):
                 raise DiagramError(f"linking pair names unknown component: {ida!r}, {idb!r}") from None
             if i == j:
                 raise DiagramError(f"self-linking entry for {ida!r} is not allowed")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise DiagramError(f"duplicate linking entry for ({ida!r}, {idb!r})")
             seen.add(key)
+            if type(value) is not int:
+                non_int_values[key] = value
             lk[i][j] = lk[j][i] = value
-        return cls(components, lk, distinguished)
+        distinguished = read_str(distinguished, "distinguished", DiagramError)
+        for key in sorted(non_int_values):
+            read_int(non_int_values[key], "lk value", DiagramError)
+        _check_ids(components, index, distinguished)
+        return cls._derived(components, tuple(map(tuple, lk)), distinguished)
 
 
 _read_diagram = member(SurgeryDiagram)
@@ -211,7 +233,8 @@ def diagram_from_json(doc: dict) -> SurgeryDiagram:
             cid, tb, rot, coeff = entry["id"], entry["tb"], entry["rot"], entry["coeff"]
         except (TypeError, KeyError) as exc:
             raise DiagramError(f"bad component entry {entry!r}") from exc
-        unknown = entry.keys() - _COMPONENT_KEYS
+        # the four known keys were just read, so an entry of four holds no other
+        unknown = len(entry) != 4 and entry.keys() - _COMPONENT_KEYS
         if unknown:
             raise DiagramError(f"component {cid!r}: unknown keys: {sorted(unknown)}")
         comps.append(SurgeryComponent(cid, tb, rot, coeff))

@@ -7,6 +7,12 @@ defaults and ``__post_init__`` checks.  ``test_value_classes`` holds the new
 classes to these for repr, equality, hash, copy, pickle, ``replace`` and the
 errors a bad field raises.  Nested values (a certificate's reasons, a word's
 events, a diagram's components) are built from this module too.
+
+``CheckedSurgeryDiagram`` is the ``Value`` class ``SurgeryDiagram`` as it
+stood before ``build`` derived its diagram: ``build`` hands the matrix it
+assembled to the constructor, which reads every component and entry again.
+``test_diagram_build`` holds ``SurgeryDiagram.build`` and the constructor to
+it.
 """
 
 from __future__ import annotations
@@ -14,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from nonloose.calculus import check_chi
 from nonloose.certify import Verdict
 from nonloose.diagram import Direction, EventKind, _Orientation, _trace
-from nonloose.errors import DiagramError, InvalidParams
+from nonloose.errors import DiagramError, InvalidParams, Value, members, read_int, read_str
 from nonloose.knotdata import AMBIENT_TIGHT_S3
 from nonloose.linalg import Matrix
+from nonloose import surgery
 from nonloose.surgery import _COEFFS, COEFF_PASSIVE
 
 # calculus
@@ -220,3 +227,85 @@ class SurgeryDiagram:
                 raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
             if any(row[j] != self.lk[j][i] for j in range(i)):
                 raise DiagramError("linking matrix must be symmetric")
+
+
+# surgery, before SurgeryDiagram.build derived its diagram
+
+_SHAPE = "linking matrix shape must match the component count"
+
+
+def _read_matrix(value, what, error) -> Matrix:
+    """The rule of a matrix of integers, a tuple or a list of rows that are
+    each a tuple or a list, stored as a tuple of rows."""
+    if not isinstance(value, (tuple, list)):
+        raise error(f"{what} must be a tuple or a list of rows, got {value!r}")
+    rows = []
+    for row in value:
+        if not isinstance(row, (tuple, list)):
+            raise error(f"{what} row must be a tuple or a list, got {row!r}")
+        # a plain int, as nearly every entry is, needs no call to the rule
+        rows.append(tuple([x if type(x) is int else read_int(x, f"{what} value", error) for x in row]))
+    return tuple(rows)
+
+
+class CheckedSurgeryDiagram(Value):
+    """Ordered components, symmetric linking matrix, one passive component."""
+
+    __slots__ = _fields = ("components", "lk", "distinguished")
+    _rules = {"distinguished": read_str, "components": members(surgery.SurgeryComponent), "lk": _read_matrix}
+    _error = DiagramError
+    _labels = {"components": "a diagram's components"}
+
+    def __init__(self, components: Sequence[surgery.SurgeryComponent], lk: Matrix, distinguished: str):
+        self._set(components, lk, distinguished)
+        components, lk = self.components, self.lk
+        ids = [c.id for c in components]
+        if len(set(ids)) != len(ids):
+            raise DiagramError("component ids must be unique")
+        if distinguished not in ids:
+            raise DiagramError(f"distinguished id {distinguished!r} not present")
+        passive = [c.id for c in components if c.coeff == COEFF_PASSIVE]
+        if passive != [distinguished]:
+            raise DiagramError("exactly the distinguished component must carry the passive coefficient")
+        n = len(components)
+        if len(lk) != n or any(len(row) != n for row in lk):
+            raise DiagramError(_SHAPE)
+        for i, row in enumerate(lk):
+            if row[i]:
+                raise DiagramError(f"self-linking entry for {ids[i]!r} is not allowed")
+            if any(row[j] != lk[j][i] for j in range(i)):
+                raise DiagramError("linking matrix must be symmetric")
+
+    @classmethod
+    def build(
+        cls,
+        components: Sequence[surgery.SurgeryComponent],
+        lk_pairs: Sequence[tuple[str, str, int]],
+        distinguished: str,
+    ) -> "CheckedSurgeryDiagram":
+        """Assemble the symmetric linking matrix from a list of [idA, idB, int] pairs (missing = 0)."""
+        components = cls._rules["components"](components, cls._labels["components"], DiagramError)
+        if not isinstance(lk_pairs, (list, tuple)):
+            raise DiagramError(f"'lk' must be a list, got {lk_pairs!r}")
+        index = {c.id: i for i, c in enumerate(components)}
+        n = len(components)
+        if len(index) != n:  # else a pair naming a repeated id reads as a self pair
+            raise DiagramError("component ids must be unique")
+        lk = [[0] * n for _ in range(n)]
+        seen: set[tuple[int, int]] = set()
+        for entry in lk_pairs:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
+            ida, idb, value = entry
+            try:
+                i, j = index[ida], index[idb]
+            except (KeyError, TypeError):  # TypeError: an id that cannot be a key
+                raise DiagramError(f"linking pair names unknown component: {ida!r}, {idb!r}") from None
+            if i == j:
+                raise DiagramError(f"self-linking entry for {ida!r} is not allowed")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise DiagramError(f"duplicate linking entry for ({ida!r}, {idb!r})")
+            seen.add(key)
+            lk[i][j] = lk[j][i] = value
+        return cls(components, lk, distinguished)
