@@ -133,7 +133,9 @@ def matrices(draw):
     for fault in draw(st.lists(st.sampled_from(["asymmetric", "diagonal", "bad value", "shape"]), max_size=2)):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2)) if n > 1 else 0
         if fault == "asymmetric" and n > 1:
-            lk[i][(i + 1 + j) % n] += draw(st.integers(1, 2))  # off the diagonal
+            k = (i + 1 + j) % n  # off the diagonal
+            mirror = lk[k][i]  # a bad value, if an earlier fault put one there
+            lk[i][k] = draw(st.integers(-3, 3).filter(lambda value: value != mirror))
         elif fault == "diagonal":
             lk[i][i] = draw(st.sampled_from([1, -2, 5]))
         elif fault == "bad value":

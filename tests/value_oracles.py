@@ -22,13 +22,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
+from nonloose import surgery
 from nonloose.calculus import check_chi
 from nonloose.certify import Verdict
 from nonloose.diagram import Direction, EventKind, _Orientation, _trace
 from nonloose.errors import DiagramError, InvalidParams, Value, members, read_int, read_str
 from nonloose.knotdata import AMBIENT_TIGHT_S3
 from nonloose.linalg import Matrix
-from nonloose import surgery
 from nonloose.surgery import _COEFFS, COEFF_PASSIVE
 
 # calculus
