@@ -75,11 +75,9 @@ def _read_matrix(value, what, error) -> Matrix:
 
 
 def _check_ids(components: tuple[SurgeryComponent, ...], index: dict[str, int], distinguished: str) -> None:
-    """The rules that join the components and ``distinguished``, given
-    ``index``, each component's position by id: the ids are unique, one of
-    them is ``distinguished``, and only that component is passive."""
-    if len(index) != len(components):
-        raise DiagramError(_UNIQUE)
+    """The rules that join the components, whose ids are unique, and
+    ``distinguished``, given ``index``, each component's position by id: one
+    id is ``distinguished``, and only that component is passive."""
     if distinguished not in index:
         raise DiagramError(f"distinguished id {distinguished!r} not present")
     if [c.id for c in components if c.coeff == COEFF_PASSIVE] != [distinguished]:
@@ -97,17 +95,18 @@ class SurgeryDiagram(Value):
     def __init__(self, components: Sequence[SurgeryComponent], lk: Matrix, distinguished: str):
         self._set(components, lk, distinguished)
         components, lk = self.components, self.lk
-        _check_ids(components, {c.id: i for i, c in enumerate(components)}, distinguished)
+        index = {c.id: i for i, c in enumerate(components)}
         n = len(components)
+        if len(index) != n:
+            raise DiagramError(_UNIQUE)
+        _check_ids(components, index, distinguished)
         if len(lk) != n or any(len(row) != n for row in lk):
             raise DiagramError(_SHAPE)
-        # one comparison of lk with its transpose; the row loop only names the first fault
-        if any(lk[i][i] for i in range(n)) or tuple(zip(*lk)) != lk:
-            for i, row in enumerate(lk):
-                if row[i]:
-                    raise DiagramError(f"self-linking entry for {components[i].id!r} is not allowed")
-                if any(row[j] != lk[j][i] for j in range(i)):
-                    raise DiagramError("linking matrix must be symmetric")
+        for i, row in enumerate(lk):
+            if row[i]:
+                raise DiagramError(f"self-linking entry for {components[i].id!r} is not allowed")
+            if any(row[j] != lk[j][i] for j in range(i)):
+                raise DiagramError("linking matrix must be symmetric")
 
     @classmethod
     def build(
@@ -117,9 +116,10 @@ class SurgeryDiagram(Value):
         pairs (missing = 0), with the constructor's messages.
 
         The assembly guarantees the matrix's shape, zero diagonal and symmetry,
-        and reads each component once, so only the other checks run, in the
-        constructor's order: ``distinguished``, the first lk value in
-        row-major order that is not an integer, and the ids.
+        and reads each component once.  When every lk value is a plain int,
+        only the other checks run, in the constructor's order:
+        ``distinguished`` and the ids.  Any other value goes to the
+        constructor, which names the first fault as it would.
         """
         components = cls._rules["components"](components, cls._labels["components"], DiagramError)
         if not isinstance(lk_pairs, (list, tuple)):
@@ -130,7 +130,7 @@ class SurgeryDiagram(Value):
             raise DiagramError(_UNIQUE)
         lk = [[0] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
-        non_int_values = {}  # (i, j), i < j, to each value that is not a plain int
+        plain = True  # every lk value is a plain int, so none can be a fault
         for entry in lk_pairs:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise DiagramError(f"bad lk entry {entry!r}; expected [idA, idB, int]")
@@ -146,11 +146,11 @@ class SurgeryDiagram(Value):
                 raise DiagramError(f"duplicate linking entry for ({ida!r}, {idb!r})")
             seen.add(key)
             if type(value) is not int:
-                non_int_values[key] = value
+                plain = False
             lk[i][j] = lk[j][i] = value
+        if not plain:
+            return cls(components, lk, distinguished)
         distinguished = read_str(distinguished, "distinguished", DiagramError)
-        for key in sorted(non_int_values):
-            read_int(non_int_values[key], "lk value", DiagramError)
         _check_ids(components, index, distinguished)
         return cls._derived(components, tuple(map(tuple, lk)), distinguished)
 

@@ -9,7 +9,8 @@ is missing, ``InvalidParams``, ``MeridionalSlope``, ``SingularMatrix``, the
 front word errors ``UnknownToken``, ``EmptyWord``, ``NonzeroFinalStrands``,
 ``MultipleComponents`` and ``PositionOutOfRange``, and a ``DiagramError``
 for an unknown key, for a document that is not an object, for a component
-id given twice and for a component whose tb + rot is even, and an
+id given twice, for an lk value that is not an integer and for a component
+whose tb + rot is even, and an
 ``InvalidParams`` for rational invariants off the lattice (1/r) Z and for a
 dual whose tb + rot is even; the law of ``test_printed_names`` holds every
 error type a command prints to a case here), and the edges of the input
@@ -73,6 +74,9 @@ R6_DIAGRAM = {
 EVEN_PAIR_DIAGRAM = dict(
     R6_DIAGRAM, components=[*R6_DIAGRAM["components"][:2], dict(R6_DIAGRAM["components"][2], rot=0)]
 )
+
+# R6_DIAGRAM with K and B linking 1.5 times: a linking number is an integer.
+FRACTIONAL_LK_DIAGRAM = dict(R6_DIAGRAM, lk=[["K", "A", 1], ["K", "B", 1.5]])
 
 # Two components with one id: the pair names two components, not one twice.
 DUPLICATE_ID_DIAGRAM = {
@@ -868,6 +872,20 @@ CASES = {
             }
         """,
         json.dumps(DUPLICATE_ID_DIAGRAM),
+    ),
+    # A linking number is an integer, not a float.
+    "lk value not an integer": (
+        "surgery-invariants - --chi -1",
+        1,
+        """\
+            {
+              "error": {
+                "type": "DiagramError",
+                "message": "lk value must be an integer, got 1.5"
+              }
+            }
+        """,
+        json.dumps(FRACTIONAL_LK_DIAGRAM),
     ),
     # A key the shape does not name is an error, not ignored.
     "unknown diagram key": (

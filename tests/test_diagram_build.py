@@ -1,7 +1,9 @@
 """``SurgeryDiagram.build`` checks a diagram once: it derives the diagram it
 assembled instead of handing it to the constructor, which would read every
-component and entry again.  ``value_oracles.CheckedSurgeryDiagram``, the
-class as it stood before, is its oracle, and the constructor's."""
+component and entry again.  Only a diagram with an lk value that is not a
+plain int goes to the constructor, to name the fault.
+``value_oracles.CheckedSurgeryDiagram``, the class as it stood before, is
+its oracle."""
 
 from fractions import Fraction
 
@@ -117,40 +119,6 @@ def test_build_matches_the_constructor_it_replaced(drawn):
     """``build`` gives the value the old ``build`` and constructor gave, or
     the same error with the same message, whatever fault the input holds."""
     assert_same(outcome(SurgeryDiagram.build, *drawn), outcome(CheckedSurgeryDiagram.build, *drawn))
-
-
-@st.composite
-def matrices(draw):
-    """Components and a distinguished id from ``diagrams``, and an lk matrix
-    that is symmetric with a zero diagonal, or holds one or two faults:
-    an asymmetric entry, a nonzero diagonal entry, a bad value or a bad shape."""
-    comps, _, distinguished = draw(diagrams())
-    n = len(comps)
-    lk = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            lk[i][j] = lk[j][i] = draw(st.integers(-3, 3))
-    for fault in draw(st.lists(st.sampled_from(["asymmetric", "diagonal", "bad value", "shape"]), max_size=2)):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2)) if n > 1 else 0
-        if fault == "asymmetric" and n > 1:
-            k = (i + 1 + j) % n  # off the diagonal
-            mirror = lk[k][i]  # a bad value, if an earlier fault put one there
-            lk[i][k] = draw(st.integers(-3, 3).filter(lambda value: value != mirror))
-        elif fault == "diagonal":
-            lk[i][i] = draw(st.sampled_from([1, -2, 5]))
-        elif fault == "bad value":
-            lk[i][j] = draw(st.sampled_from(BAD_VALUES))
-        else:
-            draw(st.sampled_from([lk[i], lk])).append(0)
-    return comps, [tuple(row) if isinstance(row, list) and draw(st.booleans()) else row for row in lk], distinguished
-
-
-@settings(max_examples=400, deadline=None)
-@given(matrices())
-def test_constructor_matches_the_row_loop_it_replaced(drawn):
-    """The constructor, which compares lk with its transpose at once, names
-    the fault the row-by-row checks named, or gives the same value."""
-    assert_same(outcome(SurgeryDiagram, *drawn), outcome(CheckedSurgeryDiagram, *drawn))
 
 
 def test_build_reads_no_matrix_and_runs_no_constructor(monkeypatch):

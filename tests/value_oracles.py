@@ -11,8 +11,7 @@ events, a diagram's components) are built from this module too.
 ``CheckedSurgeryDiagram`` is the ``Value`` class ``SurgeryDiagram`` as it
 stood before ``build`` derived its diagram: ``build`` hands the matrix it
 assembled to the constructor, which reads every component and entry again.
-``test_diagram_build`` holds ``SurgeryDiagram.build`` and the constructor to
-it.
+``test_diagram_build`` holds ``SurgeryDiagram.build`` to it.
 """
 
 from __future__ import annotations
