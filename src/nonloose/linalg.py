@@ -6,7 +6,7 @@ appears anywhere.  An entry of a matrix or a vector that is not an int (a
 bool is not) or a ``Fraction``, or a matrix, row or vector that is not a
 tuple or a list, raises ``InvalidParams``: nothing is converted.  One
 pivoted, fraction-free Gaussian elimination, ``_eliminate``, gives
-``solve_exact``, which ``surgery.rational_invariants`` runs once per
+``_solve``, which ``surgery.rational_invariants`` runs once per
 diagram, and ``det_exact``.  A linking matrix of a large diagram is mostly
 zeros, so the elimination keeps each row as a dict of its nonzero entries,
 pivots on the row with the fewest of them (the row count of Markowitz's
@@ -23,8 +23,8 @@ too; here only the rows the pivot meets change.  The elimination forms no
 determinant: it returns its pivots and two ints, sign times den and num,
 whose quotient times the product of the pivots is det m, and ``det_exact``
 multiplies them and divides once, so a solve pays for no product it throws
-away.  Back substitution stays in ints too, over one common denominator, and
-the only ``Fraction``s built are the entries ``solve_exact`` returns.  The
+away.  Back substitution, ``_solve``, stays in ints: it returns numerators y
+over one common denominator D, and ``solve_exact`` builds the y_i / D.  The
 cofactor determinant, the inverse and the Smith normal form live with the
 tests, as oracles.
 """
@@ -148,16 +148,13 @@ def det_exact(m: Matrix) -> Entry:
     return Fraction(det, num)
 
 
-def solve_exact(m: Matrix, v: Sequence[Entry]) -> Vector:
-    """The exact rational x with m x = v, by ``_eliminate``; no inverse or determinant is formed.
+def _solve(m: Matrix, v: Sequence[Entry]) -> tuple[list[int], int]:
+    """Ints y and D > 0 with m (y / D) = v, by ``_eliminate``; no inverse or determinant is formed.
 
-    Back substitution keeps the solved entries as ints y_j over one common
-    denominator D, x_j = y_j / D, starting from D = 1.  For row i, with pivot
-    p and right-hand side b, t = D b - sum of a_ij y_j over j > i; g is
-    gcd(p, t) with the sign of p, the earlier y_j and D are multiplied by
-    p/g, and y_i = t/g.  D and the y_j then have no common factor, so D is
-    the lcm of the denominators of x, and the one ``Fraction`` per entry is
-    built at the end."""
+    Back substitution keeps the solved y_j over one common denominator D, from
+    D = 1: at row i, with pivot p, right-hand side b, t = D b - sum of a_ij y_j
+    over j > i and g = gcd(p, t) signed as p, the earlier y_j and D are
+    multiplied by p/g and y_i = t/g, so D and the y_j keep no common factor."""
     rows = _eliminate(m, v)[2]
     n = len(rows)
     common = 1
@@ -177,4 +174,10 @@ def solve_exact(m: Matrix, v: Sequence[Entry]) -> Vector:
                 solved[j] *= step
             common *= step
         solved[i] = t // g
+    return solved, common
+
+
+def solve_exact(m: Matrix, v: Sequence[Entry]) -> Vector:
+    """The exact rational x with m x = v: ``Fraction(y_i, D)`` from ``_solve``."""
+    solved, common = _solve(m, v)
     return tuple(Fraction(y, common) for y in solved)

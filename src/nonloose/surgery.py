@@ -4,10 +4,10 @@ A diagram holds Legendrian components with integer (tb, rot), contact
 coefficients +1 or -1 on the surgered components, pairwise linking numbers,
 and one distinguished passive component.  Its rational invariants in the
 surgered manifold are read off the solution x of M x = lkvec, one
-``linalg.solve_exact`` with no inverse, determinant or Smith form formed; M
+``linalg._solve`` with no inverse, determinant or Smith form formed; M
 is the linking matrix of the surgered components (diagonal tb_i + coeff_i)
-and lkvec their linking numbers with the distinguished one.  With r the lcm
-of the denominators of x, y = r x is an integer vector, and
+and lkvec their linking numbers with the distinguished one.  The solve gives
+x as integers y over their least common denominator, which is r, and
 
     tb_Q  = (r tb_0 - <lkvec, y>) / r    (= tb_0 + det M0 / det M, M0 = M bordered by 0 and lkvec)
     rot_Q = (r rot_0 - <rotvec, y>) / r
@@ -27,13 +27,12 @@ those slopes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 # dual_invariants is not used here: bench/workloads.py and bench/tracing.py reach it as surgery.dual_invariants
 from .calculus import RationalData, dual_invariants
 from .errors import DiagramError, InvalidParams, SingularMatrix, Value, member, members, read_bool, read_int, read_str
-from .linalg import Matrix, solve_exact
+from .linalg import Matrix, _solve
 
 COEFF_PLUS = "+1"
 COEFF_MINUS = "-1"
@@ -184,9 +183,9 @@ def rational_invariants(
 ) -> RationalData:
     """Exact (tb_Q, rot_Q, r) of the distinguished component after surgery.
 
-    All three come from x with M x = lkvec, solved with no inverse formed: r is
-    the lcm of the denominators of x, y = r x is an integer vector, and
-    tb_Q = (r tb_0 - <lkvec, y>)/r, rot_Q = (r rot_0 - <rotvec, y>)/r.
+    All three come from one solve of M x = lkvec with no inverse formed: its
+    integers y over their common denominator r, x = y / r, give
+    tb_Q = (r tb_0 - <lkvec, y>)/r and rot_Q = (r rot_0 - <rotvec, y>)/r.
     ``reverse_distinguished``, ``True`` or ``False``, evaluates the other
     orientation of the passive component (rot_Q negates, tb_Q and r are
     unchanged); any other value raises ``InvalidParams``.
@@ -195,11 +194,9 @@ def rational_invariants(
     read_bool(reverse_distinguished, "reverse_distinguished", InvalidParams)
     passive, surgered, m, lkvec = _linking_system(diag)
     try:
-        x = solve_exact(m, lkvec)
+        y, order = _solve(m, lkvec)
     except SingularMatrix:
         raise SingularMatrix("surgery linking matrix is singular") from None
-    order = lcm(*(xi.denominator for xi in x))
-    y = [xi.numerator * (order // xi.denominator) for xi in x]
     tb_q = order * passive.tb - sum(lk * yi for lk, yi in zip(lkvec, y))
     rot_q = order * passive.rot - sum(c.rot * yi for c, yi in zip(surgered, y))
     return RationalData(

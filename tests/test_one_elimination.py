@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from linalg_oracles import det_cofactor, identity, invert_exact, mat_mul, mat_vec
 from nonloose import linalg, surgery
 from nonloose.errors import InvalidParams, SingularMatrix
-from nonloose.linalg import det_exact, solve_exact
+from nonloose.linalg import _solve, det_exact, solve_exact
 from nonloose.surgery import diagram_from_json, rational_invariants
 from test_one_solve import assert_moved_to_oracles
 
@@ -108,6 +108,8 @@ def test_empty_matrix():
     assert det_exact(()) == 1 and type(det_exact(())) is int
     assert invert_exact(()) == ()
     assert solve_exact((), ()) == ()
+    # a diagram with no surgered component has r = 1
+    assert _solve((), ()) == ([], 1)
 
 
 @pytest.mark.parametrize(
@@ -164,10 +166,10 @@ def test_surgery_path_builds_no_inverse(run_cli, monkeypatch):
 
     def one_vector(m, v):
         solved.append(v)
-        return linalg.solve_exact(m, v)
+        return linalg._solve(m, v)
 
     assert_moved_to_oracles()
-    monkeypatch.setattr(surgery, "solve_exact", one_vector)
+    monkeypatch.setattr(surgery, "_solve", one_vector)
 
     data = rational_invariants(diagram_from_json(README_DIAGRAM), -7)
     assert (data.tb_q, data.rot_q, data.order_r, data.chi) == (Fraction(1, 14), Fraction(8, 7), 14, -7)

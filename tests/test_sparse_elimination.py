@@ -13,8 +13,10 @@ that, the Smith normal form, whose invariant factors multiply to |det|.
 Two properties run at the surgery workload's sizes and past them.  Symmetric
 int matrices of size 17 to 40, shaped like linking matrices, are checked by
 the exact residual, an int determinant and Cramer's rule (det m times each
-x_i is an integer).  And over int systems of size 1 to 30, dense and sparse,
-every pivot ``_eliminate`` returns stays within Hadamard's bound on
+x_i is an integer), and ``_solve``'s common denominator, the surgery path's
+r, is positive, has no factor common to all the numerators and is the lcm
+of the denominators of x.  And over int systems of size 1 to 30, dense and
+sparse, every pivot ``_eliminate`` returns stays within Hadamard's bound on
 [m | v]: the elimination divides each updated row by the gcd of its entries,
 so its entries are minors of [m | v] over that gcd and cannot grow step by
 step.  On the same systems the back substitution's output is held to
@@ -24,7 +26,7 @@ common denominator of x divides det m.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 
 from linalg_oracles import det_cofactor, invert_exact, mat_vec, smith_normal_form
 from nonloose.errors import SingularMatrix
-from nonloose.linalg import _eliminate, det_exact, solve_exact
+from nonloose.linalg import _eliminate, _solve, det_exact, solve_exact
 
 INTS = st.integers(-9, 9).filter(bool)
 FRACTIONS = st.builds(Fraction, INTS, st.integers(1, 5))
@@ -164,6 +166,11 @@ def test_linking_sized_solve_meets_cramers_rule(system):
     x = solve_exact(m, v)
     assert mat_vec(m, x) == v
     assert all((d * xi).denominator == 1 for xi in x)
+    # the surgery path's r: the common denominator of the integer solve
+    y, common = _solve(m, v)
+    assert common > 0 and gcd(common, *y) == 1
+    assert common == lcm(*(xi.denominator for xi in x))
+    assert x == tuple(Fraction(yi, common) for yi in y)
 
 
 @st.composite
