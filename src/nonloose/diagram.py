@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import is_
 from typing import NamedTuple
 
 from .errors import (
@@ -90,7 +91,7 @@ class FrontEvent(Value):
         store = object.__setattr__
         store(self, "kind", kind)
         store(self, "position", position)
-        store(self, "text", f"{kind.value} {position}\n")
+        store(self, "text", f"{kind._value_} {position}\n")
 
 
 class _Orientation(NamedTuple):
@@ -111,46 +112,43 @@ def _trace(events: tuple[FrontEvent, ...]) -> _Orientation:
 
     Arcs are maximal strand segments between cusps, numbered in creation
     order, so the left cusp opening arcs 2m and 2m + 1 has arc 2m below.
-    The sweep records which arc each arc meets at its right cusp and whether
-    it is the lower strand there.  The traversal then starts on arc 0 moving
-    rightward, alternating right cusps and left cusps until it is back on
-    arc 0; a word is one component exactly when that visits every arc.
+    The sweep records, in two lists sized for the most arcs a word of this
+    length can open (two per event), which arc each arc meets at its right
+    cusp and whether it is the lower strand there, and it records each
+    crossing's ascending and descending arcs in two more lists.  The
+    traversal then starts on arc 0 moving rightward, alternating right cusps
+    and left cusps until it is back on arc 0; a word is one component
+    exactly when that visits every arc.
     """
     if not events:
         raise EmptyWord("a front word needs at least one event")
     left_cusp, crossing = EventKind.LEFT_CUSP, EventKind.CROSSING
     stack: list[int] = []
-    n = 0  # len(stack)
-    partner: list[int] = []  # arc -> the arc it meets at its right cusp
-    lower: list[bool] = []  # arc -> it is the lower strand at its right cusp
-    crossings: list[tuple[int, int]] = []  # (ascending arc, descending arc)
+    n = arcs = 0  # len(stack), and the arcs opened so far
+    partner = [-1] * (2 * len(events))  # arc -> the arc it meets at its right cusp
+    lower = [False] * (2 * len(events))  # arc -> it is the lower strand at its right cusp
+    ascending: list[int] = []  # crossing -> its ascending arc
+    descending: list[int] = []  # crossing -> its descending arc
 
-    for k, ev in enumerate(events):
+    for ev in events:
         i = ev.position
         kind = ev.kind
         if kind is crossing:
-            if not 1 <= i <= n - 1:
-                raise PositionOutOfRange(
-                    f"event {k}: crossing at {i} with {n} strands", event_index=k
-                )
+            if not 0 < i < n:
+                raise _position_error(events)
             asc, desc = stack[i - 1], stack[i]
             stack[i - 1], stack[i] = desc, asc
-            crossings.append((asc, desc))
+            ascending.append(asc)
+            descending.append(desc)
         elif kind is left_cusp:
-            if not 1 <= i <= n + 1:
-                raise PositionOutOfRange(
-                    f"event {k}: left cusp at {i} with {n} strands", event_index=k
-                )
-            lo = len(partner)
-            stack[i - 1 : i - 1] = (lo, lo + 1)
+            if not 0 < i <= n + 1:
+                raise _position_error(events)
+            stack[i - 1 : i - 1] = (arcs, arcs + 1)
+            arcs += 2
             n += 2
-            partner += (-1, -1)
-            lower += (False, False)
         else:
-            if not 1 <= i <= n - 1:
-                raise PositionOutOfRange(
-                    f"event {k}: right cusp at {i} with {n} strands", event_index=k
-                )
+            if not 0 < i < n:
+                raise _position_error(events)
             lo, hi = stack[i - 1], stack[i]
             del stack[i - 1 : i + 1]
             n -= 2
@@ -161,7 +159,7 @@ def _trace(events: tuple[FrontEvent, ...]) -> _Orientation:
         raise NonzeroFinalStrands(f"{n} strands left open at the end")
 
     rightward, leftward = Direction.RIGHTWARD, Direction.LEFTWARD
-    dirs = [leftward] * len(partner)
+    dirs = [leftward] * arcs
     up = visited = arc = 0
     while True:
         dirs[arc] = rightward
@@ -172,10 +170,24 @@ def _trace(events: tuple[FrontEvent, ...]) -> _Orientation:
         visited += 2
         if arc == 0:
             break
-    if visited != len(partner):
+    if visited != arcs:
         raise MultipleComponents("front word traces out more than one component")
-    same = sum([dirs[asc] is dirs[desc] for asc, desc in crossings])
-    return _Orientation(tuple(dirs), 2 * same - len(crossings), up, visited - up)
+    at = dirs.__getitem__
+    same = sum(map(is_, map(at, ascending), map(at, descending)))
+    return _Orientation(tuple(dirs), 2 * same - len(ascending), up, visited - up)
+
+
+def _position_error(events: tuple[FrontEvent, ...]) -> PositionOutOfRange:
+    """The error of the first event whose position is out of range, for
+    :func:`_trace` to raise: its sweep keeps no event index, so the strand
+    count is replayed here, on the error path only."""
+    n = 0
+    for k, ev in enumerate(events):
+        i, kind = ev.position, ev.kind
+        if not 0 < i <= (n + 1 if kind is EventKind.LEFT_CUSP else n - 1):
+            name = kind.name.lower().replace("_", " ")  # "left cusp", "right cusp" or "crossing"
+            return PositionOutOfRange(f"event {k}: {name} at {i} with {n} strands", event_index=k)
+        n += 2 if kind is EventKind.LEFT_CUSP else -2 if kind is EventKind.RIGHT_CUSP else 0
 
 
 class FrontWord(Value):
@@ -214,7 +226,6 @@ _read_word = OrientedFront._rules["word"]
 _read_front = member(OrientedFront)
 
 
-_NUMBER_RE = re.compile(r"[0-9]+")
 # A comment runs from '#' to the next line boundary of ``str.splitlines``.
 _COMMENT_RE = re.compile(r"#[^\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]*")
 _KINDS = {k.value: k for k in EventKind}
@@ -227,7 +238,7 @@ def _parse_event(tok: str, num: str | None, index: int) -> FrontEvent:
         raise UnknownToken(f"unknown token {tok!r}")
     if num is None:
         raise UnknownToken(f"missing position after {tok!r}")
-    if not _NUMBER_RE.fullmatch(num):
+    if not (num.isascii() and num.isdigit()):  # ASCII digits only: str.isdigit takes '²' too
         raise UnknownToken(f"expected a positive integer after {tok!r}, got {num!r}")
     try:
         value = int(num)

@@ -724,6 +724,20 @@ CASES = {
         """,
         "q 1",
     ),
+    # A position is ASCII digits: '²' passes str.isdigit but not the parser.
+    "UnknownToken superscript position": (
+        "front-invariants -",
+        1,
+        """\
+            {
+              "error": {
+                "type": "UnknownToken",
+                "message": "expected a positive integer after 'l', got '\\u00b2'"
+              }
+            }
+        """,
+        "l ²",
+    ),
     "EmptyWord document": (
         "front-invariants -",
         1,

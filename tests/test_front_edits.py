@@ -6,6 +6,7 @@ oracles, and to the independent recount."""
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -158,7 +159,7 @@ def old_parse_front(text: str) -> FrontWord:
         if pos + 1 >= len(tokens):
             raise UnknownToken(f"missing position after {tok!r}")
         num = tokens[pos + 1]
-        if not diagram._NUMBER_RE.fullmatch(num):
+        if not re.fullmatch(r"[0-9]+", num):
             raise UnknownToken(f"expected a positive integer after {tok!r}, got {num!r}")
         try:
             value = int(num)

@@ -2,7 +2,7 @@
 pass to an independent recount and pin down the word's value semantics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonloose.diagram import (
@@ -119,6 +119,21 @@ event_lists = st.lists(
 )
 
 
+def cusps(k, last):
+    """``l 1`` k times, then ``r last``: 2k arcs from k + 1 events."""
+    return [FrontEvent(EventKind.LEFT_CUSP, 1)] * k + [FrontEvent(EventKind.RIGHT_CUSP, last)]
+
+
+X1 = FrontEvent(EventKind.CROSSING, 1)
+
+
+# Words with more arcs than events, and a shared event that is out of range
+# at 1002 after it was in range at 1 to 1000: the random lists never reach them.
+@example(cusps(3, 2))
+@example(cusps(3, 1))
+@example(cusps(1000, 2))
+@example(cusps(1000, 1))
+@example([FrontEvent(EventKind.LEFT_CUSP, 1), *[X1] * 1000, FrontEvent(EventKind.RIGHT_CUSP, 1), X1])
 @settings(max_examples=400, deadline=None)
 @given(event_lists)
 def test_validation_matches_recount(events):
